@@ -20,7 +20,7 @@ from .profiles import (
     soliton_solve,
 )
 from .hessian import HessOp, SpectralReport, assemble, grad_L, kernel_matches_orbit, spectrum
-from .slope import SlopeReport, d2w_closed, d2w_fd, d2w_tilde, fhat, vk_integral, vk_slope_sign
+from .slope import SlopeReport, d2w_closed, d2w_fd, d2w_tilde, vk_integral, vk_slope_sign
 from .planewave import ModeTable, c_plusminus, coercivity_condition, hessian_mode_eigs, linearization_eigs, mode_table
 from .dynamics import OrbitDistanceSeries, Trajectory, align_to_orbit, evolve, stability_experiment
 from .so3 import SO3State, circular_orbit, hessian6, integrate_so3, orbit_distance, w_so3
@@ -33,7 +33,7 @@ __all__ = [
     "Family", "Profile", "SolverError", "boost", "continue_family",
     "coupled_soliton", "make_family", "plane_wave", "soliton_explicit", "soliton_solve",
     "HessOp", "SpectralReport", "assemble", "grad_L", "kernel_matches_orbit", "spectrum",
-    "SlopeReport", "d2w_closed", "d2w_fd", "d2w_tilde", "fhat", "vk_integral", "vk_slope_sign",
+    "SlopeReport", "d2w_closed", "d2w_fd", "d2w_tilde", "vk_integral", "vk_slope_sign",
     "ModeTable", "c_plusminus", "coercivity_condition", "hessian_mode_eigs",
     "linearization_eigs", "mode_table",
     "OrbitDistanceSeries", "Trajectory", "align_to_orbit", "evolve", "stability_experiment",

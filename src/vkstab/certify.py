@@ -10,15 +10,14 @@ rather than rounded to a side.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import make_grid
 from .hessian import assemble, kernel_matches_orbit, spectrum
+from .model import model_for
 from .profiles import Family, Profile, SolverError, make_family
 from .slope import d2w_closed, d2w_fd, d2w_tilde, signature_of, vk_integral
 
@@ -79,32 +78,11 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("VKSTAB_THREADS", "2")))
-    except ValueError:
-        return 2
-
-
-def _refined_gap(prof: Profile, ker_tol_scale: float = 1e-6) -> float:
-    """Gap of the Hessian on the doubled grid, for the refinement surrogate."""
+def _refined_gap(prof: Profile) -> float:
+    """Hessian gap of the same equilibrium, re-solved on the doubled grid."""
     grid = prof.grid
     fine = make_grid(grid.kind, grid.extent, 2 * grid.n)
-    if prof.model.model == "single_nls":
-        from .profiles import soliton_solve, boost
-
-        p2 = boost(soliton_solve(prof.omega, prof.model.p, fine), prof.c)
-    elif prof.is_torus:
-        from .profiles import plane_wave
-
-        z1, z2 = prof.zeta
-        p2 = plane_wave(z1, z2, prof.model, fine)
-    else:
-        from .profiles import coupled_soliton, boost
-
-        p2 = boost(coupled_soliton(prof.omega[0], prof.model, fine), prof.c)
-    rep = spectrum(assemble(p2))
-    return rep.gap_pos
+    return spectrum(assemble(model_for(prof.model, grid).resolve(prof, prof.xi, fine))).gap_pos
 
 
 def certify(prof: Profile, fam: Optional[Family] = None, *,
@@ -114,19 +92,16 @@ def certify(prof: Profile, fam: Optional[Family] = None, *,
     if fam is None:
         fam = make_family(prof)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        slope_future = pool.submit(d2w_fd, fam, prof.xi)
-        op_future = pool.submit(assemble, prof)
-        try:
-            slope_rep = slope_future.result()
-            op = op_future.result()
-        except (SolverError, ValueError) as exc:
-            return Certificate(
-                checks={"error": {"ok": False, "detail": str(exc)}},
-                gss={},
-                verdict="indeterminate(solver)",
-                provenance={"error": str(exc)},
-            )
+    try:
+        slope_rep = d2w_fd(fam, prof.xi)
+        op = assemble(prof)
+    except (SolverError, ValueError) as exc:
+        return Certificate(
+            checks={"error": {"ok": False, "detail": str(exc)}},
+            gss={},
+            verdict="indeterminate(solver)",
+            provenance={"error": str(exc)},
+        )
     spec_rep = spectrum(op)
 
     checks = {}

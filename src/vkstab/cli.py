@@ -12,11 +12,12 @@ import argparse
 import configparser
 import json
 import sys
+from typing import Optional
 
 import numpy as np
 
 from .certify import certify, certify_so3, coupled_stability_criteria
-from .core import Coupled, SingleNLS, make_grid
+from .core import Coupled, make_grid
 from .dynamics import distances_to_csv, stability_experiment
 from .hessian import assemble, grad_L, spectrum
 from .planewave import mode_table
@@ -39,16 +40,18 @@ EXIT_INDETERMINATE = 4
 _CONFIG_KEYS = {
     "model": {"model", "p", "d", "alpha", "gamma", "delta", "beta", "k"},
     "grid": {"kind", "extent", "n"},
-    "solver": {"tol", "fd_step"},
     "run": {
         "omega", "c", "zeta1", "zeta2", "nmax", "eps", "dt", "tend", "seed",
         "kind", "mode", "rho", "omega_pot", "out",
     },
 }
+# Option names of the config keys whose flag is named differently.
+_CONFIG_DEST = {"grid.kind": "grid_kind", "run.kind": "perturbation"}
 
 
 def _load_config(path: str) -> dict:
-    """Flat {section.key: value} dict from an INI or JSON config file."""
+    """Flat {option: value} dict from an INI or JSON config file.  Values
+    stay strings, which argparse converts with the type of their option."""
     flat = {}
     if path.endswith(".json"):
         with open(path) as fh:
@@ -65,7 +68,8 @@ def _load_config(path: str) -> dict:
         for key, value in block.items():
             if key not in _CONFIG_KEYS[section]:
                 raise ValueError(f"unknown config key {section}.{key}")
-            flat[key.replace("-", "_")] = value
+            name = f"{section}.{key}"
+            flat[_CONFIG_DEST.get(name, key.replace("-", "_"))] = str(value)
     return flat
 
 
@@ -82,23 +86,16 @@ def _build_profile(args) -> Profile:
     if args.from_file:
         with open(args.from_file) as fh:
             return Profile.from_dict(json.load(fh))
-    kind = args.grid_kind
-    grid = make_grid(kind, args.extent, args.n)
+    grid = make_grid(args.grid_kind, args.extent, args.n)
     if args.model == "nls":
-        prof = soliton_solve(args.omega, args.p, grid)
-        if args.c:
-            prof = boost(prof, args.c)
-        return prof
-    if args.model == "coupled":
-        params = Coupled(alpha=args.alpha, gamma=args.gamma, delta=args.delta,
-                         beta=args.beta, k=args.k)
-        if kind == "periodic":
-            return plane_wave(args.zeta1, args.zeta2, params, grid)
-        prof = coupled_soliton(args.omega, params, grid)
-        if args.c:
-            prof = boost(prof, args.c)
-        return prof
-    raise ValueError(f"unknown model {args.model!r}")
+        return boost(soliton_solve(args.omega, args.p, grid), args.c)
+    if args.model != "coupled":
+        raise ValueError(f"unknown model {args.model!r}")
+    params = Coupled(alpha=args.alpha, gamma=args.gamma, delta=args.delta,
+                     beta=args.beta, k=args.k)
+    if args.grid_kind == "periodic":
+        return plane_wave(args.zeta1, args.zeta2, params, grid)
+    return boost(coupled_soliton(args.omega, params, grid), args.c)
 
 
 def _add_profile_args(sub, with_from: bool = True):
@@ -165,8 +162,11 @@ def _cmd_certify(args) -> int:
     cert = certify(prof, refine=not args.no_refine)
     _emit(cert.to_json(), args.out)
     print(cert.text_report(), file=sys.stderr)
-    if prof.model.model == "coupled" and not prof.is_torus and prof.zeta is not None:
+    try:
         crit = coupled_stability_criteria(prof)
+    except ValueError:
+        pass        # no closed form for this profile
+    else:
         print(f"closed-form case {crit['case']}: "
               f"{'stable' if crit['stable'] else 'unstable'}", file=sys.stderr)
     if cert.certified:
@@ -230,7 +230,9 @@ def _cmd_so3(args) -> int:
     return EXIT_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The vkstab parser; `defaults` (from a config file) replace the option
+    defaults of the root parser and of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="vkstab",
         description="relative-equilibrium computation and stability certification",
@@ -297,39 +299,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="", help="output file (default stdout)")
     sp.set_defaults(func=_cmd_so3)
 
+    if defaults:
+        # A subcommand copies its own defaults over the root namespace, so
+        # the root option --seed takes its config value from the root only.
+        parser.set_defaults(**defaults)
+        for sub in subs.choices.values():
+            sub.set_defaults(**{k: v for k, v in defaults.items() if k != "seed"})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # a config file provides defaults; explicit flags still win
-    args, _ = parser.parse_known_args(argv)
+    args, _ = build_parser().parse_known_args(argv)
+    defaults = {}
     if args.config:
         try:
-            flat = _load_config(args.config)
+            defaults = _load_config(args.config)
         except (OSError, ValueError, configparser.Error) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        defaults = {}
-        for key, value in flat.items():
-            if key in ("model", "kind", "out"):
-                defaults[key if key != "kind" else "grid_kind"] = value
-            else:
-                try:
-                    defaults[key] = int(value) if key in ("n", "nmax", "seed", "mode", "d") else float(value)
-                except (TypeError, ValueError):
-                    defaults[key] = value
-        # set_defaults on the root parser does not reach arguments that the
-        # subcommands define with their own defaults, so push the config
-        # values into every subparser as well (explicit flags still win)
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions:
-            for sub in action.choices.values():
-                known = {a.dest for a in sub._actions}
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
+    args = build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
     except (SolverError, ValueError, OSError) as exc:

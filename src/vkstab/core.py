@@ -9,7 +9,7 @@ real Hilbert space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,10 +145,6 @@ class SingleNLS:
     def components(self) -> int:
         return 1
 
-    @property
-    def group_dim(self) -> int:
-        return 1 + self.d
-
 
 @dataclass(frozen=True)
 class Coupled:
@@ -237,16 +233,6 @@ def h1_norm(f: Field) -> float:
     return np.sqrt(max(h1_inner(f, f), 0.0))
 
 
-def _quartic_integral(params: Coupled, u1: np.ndarray, u2: np.ndarray, dx: float) -> float:
-    a1 = np.abs(u1) ** 2
-    a2 = np.abs(u2) ** 2
-    return float(
-        0.25
-        * dx
-        * np.sum(params.alpha * a1**2 + 2.0 * params.delta * a1 * a2 + params.gamma * a2**2)
-    )
-
-
 def invariants_of(f: Field, params) -> dict:
     """Energy H and the momentum-map components F of a field.
 
@@ -255,36 +241,6 @@ def invariants_of(f: Field, params) -> dict:
     the coupled line, (mass1, mass2) on the torus where the energy uses the
     covariant derivative with offset k.
     """
-    dx = f.grid.spacing
-    if params.model == "single_nls":
-        if f.components != 1:
-            raise ValueError("single-component model requires a 1-component field")
-        u = f.values[0]
-        du = gradient(f).values[0]
-        p = params.p
-        H = 0.5 * dx * np.sum(np.abs(du) ** 2) - dx / (p + 1) * np.sum(
-            np.abs(u) ** (p + 1)
-        )
-        mass = 0.5 * dx * np.sum(np.abs(u) ** 2)
-        mom = 0.5 * dx * np.real(np.sum(np.conj(u) * (-1j) * du))
-        return {"H": float(H), "F": np.array([mass, mom])}
+    from .model import model_for
 
-    if f.components != 2:
-        raise ValueError("coupled model requires a 2-component field")
-    u1, u2 = f.values
-    du = gradient(f).values
-    m1 = 0.5 * dx * np.sum(np.abs(u1) ** 2)
-    m2 = 0.5 * dx * np.sum(np.abs(u2) ** 2)
-    if f.grid.kind == "periodic":
-        # Torus model: covariant kinetic energy, no translation invariant.
-        d1 = du[0] + 1j * params.k * u1
-        d2 = du[1] - 1j * params.k * u2
-        H = 0.5 * params.beta * dx * np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2)
-        H -= _quartic_integral(params, u1, u2, dx)
-        return {"H": float(H), "F": np.array([m1, m2])}
-    H = 0.5 * dx * np.sum(np.abs(du[0]) ** 2 + np.abs(du[1]) ** 2)
-    H -= _quartic_integral(params, u1, u2, dx)
-    mom = 0.5 * dx * np.real(
-        np.sum(np.conj(u1) * (-1j) * du[0]) + np.sum(np.conj(u2) * (-1j) * du[1])
-    )
-    return {"H": float(H), "F": np.array([m1, m2, mom])}
+    return model_for(params, f.grid).invariants(f)

@@ -11,12 +11,13 @@ import csv
 import io
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 import scipy.optimize
 
-from .core import Field, gradient, h1_norm, invariants_of
+from .core import Field, gradient, h1_norm
+from .model import model_for
 from .profiles import Profile
 
 __all__ = [
@@ -55,31 +56,6 @@ class OrbitDistanceSeries:
     growth_rate: Optional[float] = None
 
 
-def _linear_phases(grid, params, dt: float) -> np.ndarray:
-    k = grid.wavenumbers
-    if params.model == "single_nls":
-        return np.exp(-1j * k**2 * dt)[None, :]
-    if grid.kind == "periodic":
-        return np.array(
-            [
-                np.exp(-1j * params.beta * (k + params.k) ** 2 * dt),
-                np.exp(-1j * params.beta * (k - params.k) ** 2 * dt),
-            ]
-        )
-    return np.tile(np.exp(-1j * k**2 * dt), (2, 1))
-
-
-def _nonlinear_phase(vals: np.ndarray, params, tau: float) -> np.ndarray:
-    if params.model == "single_nls":
-        return vals * np.exp(1j * tau * np.abs(vals) ** (params.p - 1.0))
-    a1 = np.abs(vals[0]) ** 2
-    a2 = np.abs(vals[1]) ** 2
-    out = np.empty_like(vals)
-    out[0] = vals[0] * np.exp(1j * tau * (params.alpha * a1 + params.delta * a2))
-    out[1] = vals[1] * np.exp(1j * tau * (params.delta * a1 + params.gamma * a2))
-    return out
-
-
 def evolve(u0: Field, params, dt: float, t_end: float,
            sample_stride: int = 1) -> Trajectory:
     """Propagate the field to t_end with Strang splitting, sampling snapshots."""
@@ -89,19 +65,20 @@ def evolve(u0: Field, params, dt: float, t_end: float,
     if abs(n_steps * dt - t_end) > 1e-9 * max(abs(t_end), 1.0):
         raise ValueError("t_end must be an integer multiple of dt")
     grid = u0.grid
-    lin = _linear_phases(grid, params, dt)
+    model = model_for(params, grid)
+    lin = model.linear_phases(grid, dt)
     vals = u0.values.copy()
 
     times = [0.0]
     snaps = [u0]
-    inv = invariants_of(u0, params)
+    inv = model.invariants(u0)
     energies = [inv["H"]]
     momenta = [inv["F"]]
 
     for step in range(1, n_steps + 1):
-        vals = _nonlinear_phase(vals, params, 0.5 * dt)
+        vals = model.nonlinear_phase(vals, 0.5 * dt)
         vals = np.fft.ifft(lin * np.fft.fft(vals, axis=1), axis=1)
-        vals = _nonlinear_phase(vals, params, 0.5 * dt)
+        vals = model.nonlinear_phase(vals, 0.5 * dt)
         if np.max(np.abs(vals)) > BLOWUP_GUARD:
             raise RuntimeError(
                 f"blow-up detected at t = {step * dt:.4g} (sup-norm exceeds {BLOWUP_GUARD:g})"
@@ -110,7 +87,7 @@ def evolve(u0: Field, params, dt: float, t_end: float,
             f = Field(vals.copy(), grid)
             times.append(step * dt)
             snaps.append(f)
-            inv = invariants_of(f, params)
+            inv = model.invariants(f)
             energies.append(inv["H"])
             momenta.append(inv["F"])
 
@@ -145,11 +122,6 @@ def apply_group(f: Field, g: dict) -> Field:
     return Field(vals, f.grid)
 
 
-def _component_phase_overlap(vhat, what, weights, scale):
-    """Complex H1 overlaps <v, w> per component."""
-    return np.sum(weights * np.conj(vhat) * what, axis=1) * scale
-
-
 def align_to_orbit(u: Field, ref: Profile) -> tuple:
     """Minimize the H1 distance from u to the symmetry orbit of ref.
 
@@ -163,56 +135,38 @@ def align_to_orbit(u: Field, ref: Profile) -> tuple:
     rhat = np.fft.fft(ref.field.values, axis=1)
     norm_u2 = float(np.sum(w * np.abs(uhat) ** 2) * scale)
     norm_r2 = float(np.sum(w * np.abs(rhat) ** 2) * scale)
-
-    single_phase = ref.model.model == "single_nls"
-    has_shift = not ref.is_torus
-
-    if not has_shift:
-        z = _component_phase_overlap(uhat, rhat, w, scale)
-        thetas = np.angle(z)
-        best = {"theta": thetas}
-        dist2 = norm_u2 + norm_r2 - 2.0 * float(np.sum(np.abs(z)))
-        return best, float(np.sqrt(max(dist2, 0.0)))
-
-    # Coarse search over integer shifts: correlations for all shifts at once.
-    # <u(.-a), r> per component is the inverse transform of w conj(uhat) rhat.
-    corr = np.fft.ifft(w * np.conj(uhat) * rhat, axis=1) * (scale * grid.n)
-    if single_phase:
-        total = np.abs(np.sum(corr, axis=0))
-    else:
-        total = np.sum(np.abs(corr), axis=0)
-    j = int(np.argmax(total))
-    a0 = j * grid.spacing
-    if grid.kind == "line":
-        # unwrap to the symmetric interval
-        if a0 > grid.extent:
-            a0 -= 2.0 * grid.extent
+    model = model_for(ref.model, ref.grid)
 
     def overlap_at(a):
         ph = np.exp(1j * grid.wavenumbers * a)
         return np.sum(w * np.conj(uhat) * ph * rhat, axis=1) * scale
 
     def cost(a):
-        z = overlap_at(a[0])
-        if single_phase:
-            return norm_u2 + norm_r2 - 2.0 * abs(np.sum(z))
-        return norm_u2 + norm_r2 - 2.0 * float(np.sum(np.abs(z)))
+        return norm_u2 + norm_r2 - 2.0 * model.orbit_overlap(overlap_at(a))
 
-    res = scipy.optimize.minimize_scalar(
-        lambda a: cost([a]),
-        bracket=(a0 - grid.spacing, a0, a0 + grid.spacing),
-        method="brent",
-        options={"xtol": 1e-12},
-    )
-    a_best = float(res.x)
+    a_best = 0.0
+    if model.translations:
+        # Coarse search over integer shifts: correlations for all shifts at
+        # once.  <u(.-a), r> per component is the inverse transform of
+        # w conj(uhat) rhat.
+        corr = np.fft.ifft(w * np.conj(uhat) * rhat, axis=1) * (scale * grid.n)
+        j = int(np.argmax(model.orbit_overlap(corr)))
+        a0 = j * grid.spacing
+        if a0 > grid.extent:
+            a0 -= 2.0 * grid.extent     # unwrap to the symmetric line [-R, R)
+        res = scipy.optimize.minimize_scalar(
+            cost,
+            bracket=(a0 - grid.spacing, a0, a0 + grid.spacing),
+            method="brent",
+            options={"xtol": 1e-12},
+        )
+        a_best = float(res.x)
     z = overlap_at(a_best)
-    if single_phase:
-        thetas = np.array([np.angle(np.sum(z))])
-        dist2 = norm_u2 + norm_r2 - 2.0 * abs(np.sum(z))
-    else:
-        thetas = np.angle(z)
-        dist2 = norm_u2 + norm_r2 - 2.0 * float(np.sum(np.abs(z)))
-    return {"theta": thetas, "shift": a_best}, float(np.sqrt(max(dist2, 0.0)))
+    group = {"theta": model.orbit_phases(z)}
+    if model.translations:
+        group["shift"] = a_best
+    dist2 = norm_u2 + norm_r2 - 2.0 * model.orbit_overlap(z)
+    return group, float(np.sqrt(max(dist2, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +175,14 @@ def align_to_orbit(u: Field, ref: Profile) -> tuple:
 def make_perturbation(prof: Profile, kind: str, rng: np.random.Generator,
                       mode_n: int = 1) -> Field:
     """H1-normalized perturbation field of the requested class."""
+    if kind not in ("band_limited", "single_mode", "kernel_orthogonal"):
+        raise ValueError(f"unknown perturbation kind {kind!r}")
     grid = prof.grid
     n = grid.n
     comps = prof.field.components
 
     if kind == "single_mode":
-        if grid.kind == "periodic":
-            wave = np.cos(2.0 * np.pi * mode_n * grid.nodes / grid.extent)
-        else:
-            wave = np.cos(np.pi * mode_n * grid.nodes / grid.extent)
+        wave = np.cos(2.0 * np.pi * mode_n * grid.nodes / grid.length)
         # distinct complex amplitudes per component so every symmetric and
         # antisymmetric combination of the mode is excited
         amps = [1.0 + 0.37j, -0.81 + 0.23j][:comps]
@@ -295,7 +248,7 @@ def stability_experiment(prof: Profile, eps: float, dt: float, t_end: float,
     max_d = float(np.max(dists))
     rate = _fit_growth_rate(traj.times, dists, eps)
     verdict = "stable" if max_d <= envelope * eps else "unstable"
-    if prof.model.model == "single_nls" and prof.model.p < 3.0:
+    if model_for(prof.model, prof.grid).empirical_only:
         verdict += " (empirical only)"
     return OrbitDistanceSeries(
         times=traj.times,

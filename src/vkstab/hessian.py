@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .core import Field, Grid, gradient, laplacian
+from .core import Field, Grid
+from .model import model_for
 from .profiles import Profile
-from .spectral import first_derivative_matrix, second_derivative_matrix
 
 __all__ = [
     "HessOp",
@@ -36,28 +36,7 @@ EQUILIBRIUM_TOL = 1e-5
 
 def grad_L(field: Field, model, xi) -> Field:
     """L2-gradient of the constrained energy H - xi . F at an arbitrary field."""
-    xi = np.asarray(xi, dtype=float)
-    lap = laplacian(field).values
-    grad = gradient(field).values
-    vals = field.values
-    if model.model == "single_nls":
-        u = vals[0]
-        out = -lap[0] - np.abs(u) ** (model.p - 1.0) * u - xi[0] * u + 1j * xi[1] * grad[0]
-        return Field(out[None, :], field.grid)
-    u1, u2 = vals
-    a1 = np.abs(u1) ** 2
-    a2 = np.abs(u2) ** 2
-    if field.grid.kind == "periodic":
-        k = model.k
-        b = model.beta
-        g1 = -b * lap[0] - 2j * b * k * grad[0] + b * k**2 * u1
-        g2 = -b * lap[1] + 2j * b * k * grad[1] + b * k**2 * u2
-        g1 -= (model.alpha * a1 + model.delta * a2) * u1 + xi[0] * u1
-        g2 -= (model.delta * a1 + model.gamma * a2) * u2 + xi[1] * u2
-        return Field(np.array([g1, g2]), field.grid)
-    g1 = -lap[0] - (model.alpha * a1 + model.delta * a2) * u1 - xi[0] * u1 + 1j * xi[2] * grad[0]
-    g2 = -lap[1] - (model.delta * a1 + model.gamma * a2) * u2 - xi[1] * u2 + 1j * xi[2] * grad[1]
-    return Field(np.array([g1, g2]), field.grid)
+    return model_for(model, field.grid).grad_L(field, np.asarray(xi, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -135,96 +114,12 @@ def _check_equilibrium(prof: Profile, tol: float) -> None:
         raise ValueError(f"profile is not an equilibrium (residual {res:.3e})")
 
 
-def _single_blocks(prof: Profile):
-    grid = prof.grid
-    d2 = second_derivative_matrix(grid)
-    omega = prof.omega
-    phi = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes))
-    p = prof.model.p
-    lp = -d2 - np.diag(p * np.abs(phi) ** (p - 1.0) + omega)
-    lm = -d2 - np.diag(np.abs(phi) ** (p - 1.0) + omega)
-    return phi, lp, lm
-
-
 def assemble(prof: Profile, tol: float = EQUILIBRIUM_TOL) -> HessOp:
     """Second variation of L_xi at an equilibrium profile."""
     _check_equilibrium(prof, tol)
-    grid = prof.grid
-    n = grid.n
-    zero = np.zeros((n, n))
-
-    if prof.model.model == "single_nls":
-        phi, lp, lm = _single_blocks(prof)
-        mat = np.block([[lp, zero], [zero, lm]])
-        d1 = first_derivative_matrix(grid)
-        tangents = np.array(
-            [
-                np.concatenate([np.zeros(n), phi]),          # phase rotation i*u
-                np.concatenate([d1 @ phi, np.zeros(n)]),     # translation
-            ]
-        )
-        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return HessOp(mat, grid, 1, "single_nls", tangents, phase)
-
-    m = prof.model
-    if prof.is_torus:
-        z1, z2 = prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
-        d2 = second_derivative_matrix(grid)
-        d1 = first_derivative_matrix(grid)
-        b, k = m.beta, m.k
-        base1 = -b * d2 + (b * k**2 - prof.xi[0]) * np.eye(n)
-        base2 = -b * d2 + (b * k**2 - prof.xi[1]) * np.eye(n)
-        a1c = m.alpha * z1**2 + m.delta * z2**2
-        a2c = m.delta * z1**2 + m.gamma * z2**2
-        cross = -2.0 * m.delta * z1 * z2 * np.eye(n)
-        mat = np.block(
-            [
-                [base1 - (a1c + 2 * m.alpha * z1**2) * np.eye(n), cross, 2 * b * k * d1, zero],
-                [cross, base2 - (a2c + 2 * m.gamma * z2**2) * np.eye(n), zero, -2 * b * k * d1],
-                [-2 * b * k * d1, zero, base1 - a1c * np.eye(n), zero],
-                [zero, -(-2 * b * k * d1), zero, base2 - a2c * np.eye(n)],
-            ]
-        )
-        ones = np.ones(n)
-        tangents = np.array(
-            [
-                np.concatenate([np.zeros(2 * n), z1 * ones, np.zeros(n)]),
-                np.concatenate([np.zeros(3 * n), z2 * ones]),
-            ]
-        )
-        return HessOp(mat, grid, 2, "torus", tangents, None)
-
-    # Coupled line soliton: gauge-rotate the boost away, then the real
-    # profile gives block-diagonal real and imaginary parts.
-    d2 = second_derivative_matrix(grid)
-    d1 = first_derivative_matrix(grid)
-    conj_phase = np.exp(-0.5j * prof.c * grid.nodes)
-    p1 = np.real(prof.field.values[0] * conj_phase)
-    p2 = np.real(prof.field.values[1] * conj_phase)
-    om1, om2 = prof.omega
-    lp11 = -d2 - np.diag(om1 + 3 * m.alpha * p1**2 + m.delta * p2**2)
-    lp22 = -d2 - np.diag(om2 + 3 * m.gamma * p2**2 + m.delta * p1**2)
-    lp12 = -np.diag(2 * m.delta * p1 * p2)
-    lm11 = -d2 - np.diag(om1 + m.alpha * p1**2 + m.delta * p2**2)
-    lm22 = -d2 - np.diag(om2 + m.delta * p1**2 + m.gamma * p2**2)
-    mat = np.block(
-        [
-            [lp11, lp12, zero, zero],
-            [lp12, lp22, zero, zero],
-            [zero, zero, lm11, zero],
-            [zero, zero, zero, lm22],
-        ]
-    )
-    zn = np.zeros(n)
-    tangents = np.array(
-        [
-            np.concatenate([zn, zn, p1, zn]),
-            np.concatenate([zn, zn, zn, p2]),
-            np.concatenate([d1 @ p1, d1 @ p2, zn, zn]),
-        ]
-    )
-    phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-    return HessOp(mat, grid, 2, "coupled", tangents, phase)
+    model = model_for(prof.model, prof.grid)
+    mat, tangents, phase = model.hessian(prof)
+    return HessOp(mat, prof.grid, prof.model.components, model.tag, tangents, phase)
 
 
 def spectrum(op: HessOp, n_eigs: int = 12, ker_tol: Optional[float] = None) -> SpectralReport:

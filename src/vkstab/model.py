@@ -1,0 +1,317 @@
+"""One description per model: residual, invariants, Hessian, flow and family.
+
+The toolkit treats three relative equilibria with one theory: the single NLS
+soliton on the line, the coupled soliton on the line and the coupled plane
+wave on the torus.  Each has one small object here that holds everything
+model-specific.  `model_for(params, grid)` picks it, and is the only code that
+branches on the model type or the grid kind to select formulas.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+
+from .core import Coupled, Field, Grid, boundary_decay_check, gradient, laplacian
+from .spectral import first_derivative_matrix, second_derivative_matrix
+
+__all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "model_for"]
+
+
+def model_for(params, grid: Grid):
+    """The description of the model that params and grid define."""
+    if params.model == "single_nls":
+        return SingleLine(params)
+    if grid.kind == "periodic":
+        return CoupledTorus(params)
+    return CoupledLine(params)
+
+
+def _orbit_tangents(phi: np.ndarray, d1=None) -> np.ndarray:
+    """Orbit tangents of a real profile (one row per component) in stacked
+    (Re, Im) coordinates: the phase rotation i phi_j of each component, then
+    the translation phi' when the derivative matrix d1 is given."""
+    zero = np.zeros_like(phi)
+    rows = []
+    for j in range(len(phi)):
+        rotated = zero.copy()
+        rotated[j] = phi[j]
+        rows.append(np.concatenate([zero.ravel(), rotated.ravel()]))
+    if d1 is not None:
+        rows.append(np.concatenate([d1 @ p for p in phi] + [zero.ravel()]))
+    return np.array(rows)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """What the three models share.  The defaults are those of a line model:
+    xi ends with the boost velocity c, and translations are a symmetry."""
+
+    params: object
+    translations = True
+    empirical_only = False    # True: stable evolution verdicts get a note
+
+    def c(self, xi) -> float:
+        return float(xi[-1])
+
+    def invariants(self, f: Field) -> dict:
+        """Energy H and momentum map F: the component masses, then the
+        momentum where translations are a symmetry."""
+        if f.components != self.params.components:
+            raise ValueError(
+                f"{self.tag} model requires a {self.params.components}-component field")
+        dx = f.grid.spacing
+        du = gradient(f).values
+        F = [0.5 * dx * np.sum(np.abs(u) ** 2) for u in f.values]
+        if self.translations:
+            F.append(0.5 * dx * np.real(
+                sum(np.sum(np.conj(u) * (-1j) * d) for u, d in zip(f.values, du))))
+        return {"H": float(self.energy(f.values, du, dx)), "F": np.array(F)}
+
+    def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
+        """Free flow over dt in Fourier space, one row per component."""
+        return np.tile(np.exp(-1j * grid.wavenumbers**2 * dt), (self.params.components, 1))
+
+
+class SingleLine(_Model):
+    """Single-component NLS soliton on the line; xi = (omega - c^2/4, c)."""
+
+    tag = "single_nls"
+
+    @property
+    def empirical_only(self) -> bool:
+        return self.params.p < 3.0
+
+    def omega(self, xi) -> float:
+        shift = self.c(xi) ** 2 / 4.0
+        return float(xi[0] + shift)
+
+    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
+        lap = laplacian(field).values
+        grad = gradient(field).values
+        u = field.values[0]
+        out = -lap[0] - np.abs(u) ** (self.params.p - 1.0) * u - xi[0] * u + 1j * xi[1] * grad[0]
+        return Field(out[None, :], field.grid)
+
+    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> float:
+        p = self.params.p
+        return 0.5 * dx * np.sum(np.abs(du[0]) ** 2) - dx / (p + 1) * np.sum(
+            np.abs(vals[0]) ** (p + 1)
+        )
+
+    def hessian(self, prof) -> tuple:
+        """(matrix, symmetry tangents, gauge phase) at an equilibrium."""
+        grid = prof.grid
+        d2 = second_derivative_matrix(grid)
+        omega = prof.omega
+        phi = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes))
+        p = self.params.p
+        lp = -d2 - np.diag(p * np.abs(phi) ** (p - 1.0) + omega)
+        lm = -d2 - np.diag(np.abs(phi) ** (p - 1.0) + omega)
+        tangents = _orbit_tangents(phi[None, :], first_derivative_matrix(grid))
+        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
+        return scipy.linalg.block_diag(lp, lm), tangents, phase
+
+    def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
+        return vals * np.exp(1j * tau * np.abs(vals) ** (self.params.p - 1.0))
+
+    def orbit_overlap(self, z: np.ndarray):
+        """Largest overlap over the phase group, from the complex overlaps z
+        of the components (axis 0): one phase rotates the whole field."""
+        return abs(np.sum(z, axis=0))
+
+    def orbit_phases(self, z: np.ndarray) -> np.ndarray:
+        return np.array([np.angle(np.sum(z))])
+
+    def resolve(self, prof, xi: np.ndarray, grid: Grid):
+        """The member of the family of prof at xi, on grid: a Newton solve at
+        omega, then a boost by c."""
+        from .profiles import SolverError, boost, soliton_solve
+
+        omega = self.omega(xi)
+        if omega >= 0:
+            raise SolverError("xi outside the soliton region (omega >= 0)")
+        return boost(soliton_solve(omega, self.params.p, grid), float(xi[1]))
+
+
+def _quartic_integral(params: Coupled, u1: np.ndarray, u2: np.ndarray, dx: float) -> float:
+    a1 = np.abs(u1) ** 2
+    a2 = np.abs(u2) ** 2
+    return float(
+        0.25
+        * dx
+        * np.sum(params.alpha * a1**2 + 2.0 * params.delta * a1 * a2 + params.gamma * a2**2)
+    )
+
+
+class _Coupled(_Model):
+    """What the two coupled cubic models share: the nonlinear flow and the
+    phase group."""
+
+    def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
+        m = self.params
+        a1 = np.abs(vals[0]) ** 2
+        a2 = np.abs(vals[1]) ** 2
+        out = np.empty_like(vals)
+        out[0] = vals[0] * np.exp(1j * tau * (m.alpha * a1 + m.delta * a2))
+        out[1] = vals[1] * np.exp(1j * tau * (m.delta * a1 + m.gamma * a2))
+        return out
+
+    def orbit_overlap(self, z: np.ndarray):
+        """Largest overlap over the phase group: one phase per component."""
+        return np.sum(np.abs(z), axis=0)
+
+    def orbit_phases(self, z: np.ndarray) -> np.ndarray:
+        return np.angle(z)
+
+
+class CoupledLine(_Coupled):
+    """Two-component cubic soliton on the line; xi = (omega_i - c^2/4, c)."""
+
+    tag = "coupled"
+
+    def omega(self, xi) -> tuple:
+        shift = self.c(xi) ** 2 / 4.0
+        return (float(xi[0] + shift), float(xi[1] + shift))
+
+    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
+        m = self.params
+        lap = laplacian(field).values
+        grad = gradient(field).values
+        u1, u2 = field.values
+        a1 = np.abs(u1) ** 2
+        a2 = np.abs(u2) ** 2
+        g1 = -lap[0] - (m.alpha * a1 + m.delta * a2) * u1 - xi[0] * u1 + 1j * xi[2] * grad[0]
+        g2 = -lap[1] - (m.delta * a1 + m.gamma * a2) * u2 - xi[1] * u2 + 1j * xi[2] * grad[1]
+        return Field(np.array([g1, g2]), field.grid)
+
+    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> float:
+        H = 0.5 * dx * np.sum(np.abs(du[0]) ** 2 + np.abs(du[1]) ** 2)
+        return H - _quartic_integral(self.params, vals[0], vals[1], dx)
+
+    def hessian(self, prof) -> tuple:
+        """Gauge-rotate the boost away; the real profile then gives
+        block-diagonal real and imaginary parts."""
+        m = self.params
+        grid = prof.grid
+        d2 = second_derivative_matrix(grid)
+        conj_phase = np.exp(-0.5j * prof.c * grid.nodes)
+        p1 = np.real(prof.field.values[0] * conj_phase)
+        p2 = np.real(prof.field.values[1] * conj_phase)
+        om1, om2 = prof.omega
+        lp11 = -d2 - np.diag(om1 + 3 * m.alpha * p1**2 + m.delta * p2**2)
+        lp22 = -d2 - np.diag(om2 + 3 * m.gamma * p2**2 + m.delta * p1**2)
+        lp12 = -np.diag(2 * m.delta * p1 * p2)
+        lm11 = -d2 - np.diag(om1 + m.alpha * p1**2 + m.delta * p2**2)
+        lm22 = -d2 - np.diag(om2 + m.delta * p1**2 + m.gamma * p2**2)
+        mat = scipy.linalg.block_diag(np.block([[lp11, lp12], [lp12, lp22]]), lm11, lm22)
+        tangents = _orbit_tangents(np.array([p1, p2]), first_derivative_matrix(grid))
+        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
+        return mat, tangents, phase
+
+    def resolve(self, prof, xi: np.ndarray, grid: Grid):
+        """The member of the family of prof at xi, on grid: continued from the
+        symmetric soliton at the mean frequency of prof, then boosted by c."""
+        from .profiles import Profile, SolverError, _continue_coupled, boost, coupled_soliton
+
+        om1, om2 = self.omega(xi)
+        if om1 >= 0 or om2 >= 0:
+            raise SolverError("xi outside the coupled soliton region")
+        params = self.params
+        om = prof.omega
+        omega_star = 0.5 * (om[0] + om[1])
+        base_phi = np.real(coupled_soliton(omega_star, params, grid).field.values)
+        phi = _continue_coupled(base_phi, (omega_star, omega_star), (om1, om2),
+                                params, grid)
+        f = Field(phi.astype(complex), grid)
+        boundary_decay_check(f)
+        return boost(Profile(f, np.array([om1, om2, 0.0]), params), float(xi[2]))
+
+
+class CoupledTorus(_Coupled):
+    """Two-component plane wave on the torus with wavenumber offset k; xi =
+    (xi1, xi2) from the dispersion relation, no translation invariant."""
+
+    tag = "torus"
+    translations = False
+
+    def c(self, xi) -> float:
+        return 0.0
+
+    def omega(self, xi) -> None:
+        return None
+
+    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
+        m = self.params
+        lap = laplacian(field).values
+        grad = gradient(field).values
+        u1, u2 = field.values
+        a1 = np.abs(u1) ** 2
+        a2 = np.abs(u2) ** 2
+        k = m.k
+        b = m.beta
+        g1 = -b * lap[0] - 2j * b * k * grad[0] + b * k**2 * u1
+        g2 = -b * lap[1] + 2j * b * k * grad[1] + b * k**2 * u2
+        g1 -= (m.alpha * a1 + m.delta * a2) * u1 + xi[0] * u1
+        g2 -= (m.delta * a1 + m.gamma * a2) * u2 + xi[1] * u2
+        return Field(np.array([g1, g2]), field.grid)
+
+    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> float:
+        """Covariant kinetic energy with the offset k."""
+        m = self.params
+        d1 = du[0] + 1j * m.k * vals[0]
+        d2 = du[1] - 1j * m.k * vals[1]
+        H = 0.5 * m.beta * dx * np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2)
+        return H - _quartic_integral(m, vals[0], vals[1], dx)
+
+    def hessian(self, prof) -> tuple:
+        m = self.params
+        grid = prof.grid
+        n = grid.n
+        zero = np.zeros((n, n))
+        z1, z2 = prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
+        d2 = second_derivative_matrix(grid)
+        d1 = first_derivative_matrix(grid)
+        b, k = m.beta, m.k
+        base1 = -b * d2 + (b * k**2 - prof.xi[0]) * np.eye(n)
+        base2 = -b * d2 + (b * k**2 - prof.xi[1]) * np.eye(n)
+        a1c = m.alpha * z1**2 + m.delta * z2**2
+        a2c = m.delta * z1**2 + m.gamma * z2**2
+        cross = -2.0 * m.delta * z1 * z2 * np.eye(n)
+        mat = np.block(
+            [
+                [base1 - (a1c + 2 * m.alpha * z1**2) * np.eye(n), cross, 2 * b * k * d1, zero],
+                [cross, base2 - (a2c + 2 * m.gamma * z2**2) * np.eye(n), zero, -2 * b * k * d1],
+                [-2 * b * k * d1, zero, base1 - a1c * np.eye(n), zero],
+                [zero, -(-2 * b * k * d1), zero, base2 - a2c * np.eye(n)],
+            ]
+        )
+        ones = np.ones(n)
+        return mat, _orbit_tangents(np.array([z1 * ones, z2 * ones])), None
+
+    def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
+        k = grid.wavenumbers
+        return np.array(
+            [
+                np.exp(-1j * self.params.beta * (k + self.params.k) ** 2 * dt),
+                np.exp(-1j * self.params.beta * (k - self.params.k) ** 2 * dt),
+            ]
+        )
+
+    def resolve(self, prof, xi: np.ndarray, grid: Grid):
+        """The member of the family of prof at xi, on grid: the plane wave
+        whose amplitudes invert the dispersion relation."""
+        from .profiles import SolverError, plane_wave
+
+        params = self.params
+        bk2 = params.beta * params.k**2
+        mat = np.array([[params.alpha, params.delta], [params.delta, params.gamma]])
+        try:
+            z = np.linalg.solve(mat, np.array([bk2 - xi[0], bk2 - xi[1]]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("dispersion relation not invertible") from exc
+        if z[0] <= 0 or z[1] <= 0:
+            raise SolverError("xi outside the plane-wave region")
+        return plane_wave(np.sqrt(z[0]), np.sqrt(z[1]), params, grid)

@@ -209,13 +209,9 @@ def mode_table(params, zeta, length: float, n_max: int = 8,
 
     # Coercive iff the negative count matches the slope index with no stray
     # kernel directions beyond the two phases.
-    from .slope import signature_of
+    from .slope import _torus_closed
 
-    det = params.alpha * params.gamma - params.delta**2
-    d2w = (length / (2.0 * det)) * np.array(
-        [[params.gamma, -params.delta], [-params.delta, params.alpha]]
-    )
-    p_w = signature_of(d2w)[0]
+    p_w = _torus_closed(params, length).signature[0]
     coercive = coercive_flag and n_neg == p_w and extra_zeros == 0
     if closed_lin:
         linearly_stable: Union[bool, str] = lin_ok

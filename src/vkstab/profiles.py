@@ -8,8 +8,8 @@ derivatives of the conserved quantities.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,9 @@ from .core import (
     SingleNLS,
     boundary_decay_check,
     invariants_of,
+    make_grid,
 )
+from .model import model_for
 from .spectral import (
     even_expansion,
     even_indices,
@@ -72,34 +74,17 @@ class Profile:
     @property
     def c(self) -> float:
         """Boost velocity (last xi component on line grids)."""
-        return 0.0 if self.is_torus else float(self.xi[-1])
+        return model_for(self.model, self.grid).c(self.xi)
 
     @property
     def omega(self):
         """Frequency parameter(s) recovered from xi."""
-        if self.is_torus:
-            return None
-        shift = self.c**2 / 4.0
-        if self.model.model == "single_nls":
-            return float(self.xi[0] + shift)
-        return (float(self.xi[0] + shift), float(self.xi[1] + shift))
+        return model_for(self.model, self.grid).omega(self.xi)
 
     def invariants(self) -> dict:
         return invariants_of(self.field, self.model)
 
     def to_dict(self) -> dict:
-        model = self.model
-        if model.model == "single_nls":
-            mdl = {"type": "single_nls", "p": model.p, "d": model.d}
-        else:
-            mdl = {
-                "type": "coupled",
-                "alpha": model.alpha,
-                "gamma": model.gamma,
-                "delta": model.delta,
-                "beta": model.beta,
-                "k": model.k,
-            }
         vals = []
         for comp in self.field.values:
             interleaved = np.empty(2 * comp.size)
@@ -107,33 +92,32 @@ class Profile:
             interleaved[1::2] = comp.imag
             vals.append(interleaved.tolist())
         return {
-            "model": mdl,
+            "model": {"type": self.model.model, **asdict(self.model)},
             "xi": self.xi.tolist(),
+            "zeta": None if self.zeta is None else [float(z) for z in self.zeta],
             "grid": {"kind": self.grid.kind, "extent": self.grid.extent, "n": self.grid.n},
             "values": vals,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "Profile":
-        from .core import make_grid
-
         g = make_grid(doc["grid"]["kind"], doc["grid"]["extent"], doc["grid"]["n"])
-        mdl = doc["model"]
-        if mdl["type"] == "single_nls":
-            model = SingleNLS(p=mdl["p"], d=mdl.get("d", 1))
-        else:
-            model = Coupled(
-                alpha=mdl["alpha"],
-                gamma=mdl["gamma"],
-                delta=mdl["delta"],
-                beta=mdl.get("beta", 1.0),
-                k=mdl.get("k", 0.0),
-            )
+        mdl = dict(doc["model"])
+        try:
+            model = _PARAMS[mdl.pop("type")](**mdl)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed model entry {doc['model']!r}") from exc
         comps = []
         for interleaved in doc["values"]:
             arr = np.asarray(interleaved)
             comps.append(arr[0::2] + 1j * arr[1::2])
-        return Profile(Field(np.array(comps), g), np.asarray(doc["xi"]), model)
+        zeta = doc.get("zeta")
+        return Profile(Field(np.array(comps), g), np.asarray(doc["xi"]), model,
+                       zeta=None if zeta is None else tuple(zeta))
+
+
+# Model parameter classes by the type tag that Profile.to_dict writes.
+_PARAMS = {"single_nls": SingleNLS, "coupled": Coupled}
 
 
 def closed_soliton(omega: float, p: float, x: np.ndarray) -> np.ndarray:
@@ -239,20 +223,15 @@ def plane_wave(zeta1: float, zeta2: float, params: Coupled, grid: Grid) -> Profi
 
 def boost(prof: Profile, c: float) -> Profile:
     """Multiply by exp(i c x / 2) and shift the group parameters accordingly."""
-    if prof.is_torus:
-        if c == 0.0:
-            return prof
-        raise ValueError("boost is incompatible with the fixed-offset torus model")
     if c == 0.0:
         return prof
+    if prof.is_torus:
+        raise ValueError("boost is incompatible with the fixed-offset torus model")
     phase = np.exp(0.5j * c * prof.grid.nodes)
     vals = prof.field.values * phase
     c_tot = prof.c + c
-    om = prof.omega
-    if prof.model.model == "single_nls":
-        xi = np.array([om - c_tot**2 / 4.0, c_tot])
-    else:
-        xi = np.array([om[0] - c_tot**2 / 4.0, om[1] - c_tot**2 / 4.0, c_tot])
+    # xi = (omega_i - c^2/4, c): the frequencies stay, the velocities add up
+    xi = np.append(np.subtract(prof.omega, c_tot**2 / 4.0), c_tot)
     return Profile(Field(vals, prof.grid), xi, prof.model, zeta=prof.zeta)
 
 
@@ -268,17 +247,14 @@ class Family:
     fd_step: float
     model: object
     _memo: dict = dc_field(default_factory=dict, repr=False)
-    _lock: threading.Lock = dc_field(default_factory=threading.Lock, repr=False)
 
     def profile(self, xi) -> Profile:
         key = tuple(np.round(np.asarray(xi, dtype=float), 12))
-        with self._lock:
-            hit = self._memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         prof = self.solver(np.asarray(xi, dtype=float))
-        with self._lock:
-            self._memo[key] = prof
+        self._memo[key] = prof
         return prof
 
     def fhat(self, xi) -> np.ndarray:
@@ -287,17 +263,6 @@ class Family:
 
 def default_fd_step(xi) -> float:
     return 1e-4 * (1.0 + float(np.linalg.norm(xi)))
-
-
-def _single_family_solver(p: float, grid: Grid) -> Callable:
-    def solve(xi: np.ndarray) -> Profile:
-        omega = xi[0] + np.sum(xi[1:] ** 2) / 4.0
-        if omega >= 0:
-            raise SolverError("xi outside the soliton region (omega >= 0)")
-        prof = soliton_solve(omega, p, grid)
-        return boost(prof, float(xi[1]))
-
-    return solve
 
 
 def _coupled_newton(phi0: np.ndarray, om1: float, om2: float, params: Coupled,
@@ -332,25 +297,6 @@ def _coupled_newton(phi0: np.ndarray, om1: float, om2: float, params: Coupled,
     raise SolverError(f"coupled Newton did not converge in {max_iter} iterations")
 
 
-def _coupled_family_solver(params: Coupled, grid: Grid, omega_star: float) -> Callable:
-    base = coupled_soliton(omega_star, params, grid)
-    base_phi = np.real(base.field.values)
-
-    def solve(xi: np.ndarray) -> Profile:
-        shift = xi[2] ** 2 / 4.0
-        om1, om2 = xi[0] + shift, xi[1] + shift
-        if om1 >= 0 or om2 >= 0:
-            raise SolverError("xi outside the coupled soliton region")
-        phi = _continue_coupled(base_phi, (omega_star, omega_star), (om1, om2),
-                                params, grid)
-        f = Field(phi.astype(complex), grid)
-        boundary_decay_check(f)
-        prof = Profile(f, np.array([om1, om2, 0.0]), params)
-        return boost(prof, float(xi[2]))
-
-    return solve
-
-
 def _continue_coupled(phi0, om_from, om_to, params, grid, max_halvings: int = 6):
     """Damped straight-line continuation in (omega1, omega2)."""
     start = np.asarray(om_from, dtype=float)
@@ -373,32 +319,10 @@ def _continue_coupled(phi0, om_from, om_to, params, grid, max_halvings: int = 6)
     return phi
 
 
-def _torus_family_solver(params: Coupled, grid: Grid) -> Callable:
-    def solve(xi: np.ndarray) -> Profile:
-        bk2 = params.beta * params.k**2
-        mat = np.array([[params.alpha, params.delta], [params.delta, params.gamma]])
-        try:
-            z = np.linalg.solve(mat, np.array([bk2 - xi[0], bk2 - xi[1]]))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("dispersion relation not invertible") from exc
-        if z[0] <= 0 or z[1] <= 0:
-            raise SolverError("xi outside the plane-wave region")
-        return plane_wave(np.sqrt(z[0]), np.sqrt(z[1]), params, grid)
-
-    return solve
-
-
 def make_family(prof: Profile, fd_step: Optional[float] = None) -> Family:
     """Build the re-solvable family through an existing equilibrium."""
     step = fd_step if fd_step is not None else default_fd_step(prof.xi)
-    if prof.model.model == "single_nls":
-        solver = _single_family_solver(prof.model.p, prof.grid)
-    elif prof.is_torus:
-        solver = _torus_family_solver(prof.model, prof.grid)
-    else:
-        om = prof.omega
-        omega_star = 0.5 * (om[0] + om[1])
-        solver = _coupled_family_solver(prof.model, prof.grid, omega_star)
+    solver = partial(model_for(prof.model, prof.grid).resolve, prof, grid=prof.grid)
     fam = Family(np.array(prof.xi), solver, step, prof.model)
     fam._memo[tuple(np.round(prof.xi, 12))] = prof
     return fam
@@ -422,7 +346,6 @@ def continue_family(prof: Profile, target_xi, steps: int = 10) -> Family:
     for t in path:
         xi = prof.xi + t * (target - prof.xi)
         last = fam.profile(xi)
-    out = Family(target, fam.solver, fam.fd_step, fam.model,
-                 _memo=fam._memo, _lock=fam._lock)
+    out = Family(target, fam.solver, fam.fd_step, fam.model, _memo=fam._memo)
     out._memo[tuple(np.round(target, 12))] = last
     return out

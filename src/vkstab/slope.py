@@ -14,14 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Field, inner
+from .core import Field
 from .profiles import Family, Profile, SolverError
 from .spectral import even_expansion, even_indices, fold_operator, second_derivative_matrix
 
 __all__ = [
     "SlopeReport",
     "signature_of",
-    "fhat",
     "d2w_fd",
     "d2w_closed",
     "vk_integral",
@@ -66,11 +65,6 @@ def signature_of(mat: np.ndarray, z_tol: Optional[float] = None) -> tuple:
     p = int(np.sum(eigs > z_tol))
     n = int(np.sum(eigs < -z_tol))
     return (p, mat.shape[0] - p - n, n)
-
-
-def fhat(fam: Family, xi) -> np.ndarray:
-    """Conserved quantities F evaluated on the family member at xi."""
-    return fam.fhat(xi)
 
 
 def _report_from_matrix(raw: np.ndarray, method: str, asymmetry: float = 0.0) -> SlopeReport:
@@ -204,6 +198,8 @@ def _single_closed(prof: Profile) -> SlopeReport:
 
 def _coupled_closed(prof: Profile) -> SlopeReport:
     m = prof.model
+    if prof.zeta is None:
+        raise ValueError("requires the symmetric closed-form soliton")
     z1, z2 = prof.zeta
     s = z1**2 + z2**2
     grid = prof.grid
@@ -232,9 +228,7 @@ def _coupled_closed(prof: Profile) -> SlopeReport:
     return _report_from_matrix(mat, "closed_form")
 
 
-def _torus_closed(prof: Profile) -> SlopeReport:
-    m = prof.model
-    length = prof.grid.extent
+def _torus_closed(m, length: float) -> SlopeReport:
     det = m.alpha * m.gamma - m.delta**2
     if abs(det) < 1e-14:
         raise ValueError("slope matrix is undefined when alpha*gamma = delta^2")
@@ -252,7 +246,7 @@ def d2w_closed(prof: Profile) -> SlopeReport:
             )
         return _single_closed(prof)
     if prof.is_torus:
-        return _torus_closed(prof)
+        return _torus_closed(prof.model, prof.grid.extent)
     return _coupled_closed(prof)
 
 

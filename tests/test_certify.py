@@ -113,12 +113,11 @@ def test_so3_certificate_and_separating_example():
     assert not cert.gss["applies"]
 
 
-def test_worker_cap_is_respected(monkeypatch):
+def test_continued_coupled_profile_refines_to_itself():
     g = vk.make_grid("line", 20.0, 256)
-    prof = vk.soliton_solve(-1.0, 3.0, g)
-    monkeypatch.setenv("VKSTAB_THREADS", "1")
-    cert = vk.certify(prof)
-    assert cert.certified
-    # a malformed value falls back to the default instead of crashing
-    monkeypatch.setenv("VKSTAB_THREADS", "not-a-number")
-    assert vk.certify(prof).certified
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
+    target = np.array([-1.0, -1.3, 0.0])
+    fam = vk.continue_family(base, target)
+    cert = vk.certify(fam.profile(target), fam)
+    assert cert.verdict == "certified_coercive"
+    assert abs(cert.checks["h3_positive_gap"]["refinement_ratio"] - 1.0) < 1e-6

@@ -109,6 +109,44 @@ def test_json_config_and_flag_override(tmp_path):
                 "--out", tmp_path / "b.json"]) == 0
 
 
+def test_config_kinds_select_grid_and_perturbation(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[model]\nmodel = coupled\nalpha = -1\ngamma = -1\ndelta = -0.5\n"
+        "[grid]\nkind = periodic\nextent = 6.283185307179586\nn = 16\n"
+        "[run]\nkind = single_mode\neps = 1e-5\ndt = 0.01\ntend = 0.1\n"
+    )
+    out = tmp_path / "dist.csv"
+    assert run(["--config", cfg, "evolve", "--out", out]) == 0
+    assert out.read_text().splitlines()[0] == "t,distance"
+    cfg.write_text(cfg.read_text().replace("single_mode", "bogus"))
+    assert run(["--config", cfg, "evolve", "--out", out]) == 2
+
+
+def test_solver_section_is_rejected(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[solver]\nfd_step = 5.0\n")
+    assert run(["--config", cfg, "slope", "--n", 128]) == 2
+
+
+def test_plane_wave_profile_file_certifies(tmp_path):
+    for delta, code in ((-0.5, 0), (-2.0, 3)):
+        prof_file = tmp_path / f"pw{delta}.json"
+        assert run(["profile", "--model", "coupled", "--grid-kind", "periodic",
+                    "--alpha", -1, "--gamma", -1, "--delta", delta,
+                    "--extent", 2 * np.pi, "--n", 128, "--out", prof_file]) == 0
+        assert run(["certify", "--from", prof_file,
+                    "--out", tmp_path / "cert.json"]) == code
+
+
+def test_coupled_profile_file_has_closed_form_slope(tmp_path):
+    prof_file = tmp_path / "c.json"
+    out = tmp_path / "slope.json"
+    assert run(["profile", "--model", "coupled", "--n", 256, "--out", prof_file]) == 0
+    assert run(["slope", "--from", prof_file, "--out", out]) == 0
+    assert "closed_form" in json.loads(out.read_text())
+
+
 def test_unknown_config_entries_are_rejected(tmp_path):
     bad_section = tmp_path / "bad1.ini"
     bad_section.write_text("[banana]\nomega = -1\n")

@@ -103,6 +103,21 @@ def test_profile_json_round_trip(line_grid):
     assert back.grid.kind == prof.grid.kind and back.grid.n == prof.grid.n
 
 
+def test_profile_json_round_trip_keeps_zeta_for_every_model():
+    line = vk.make_grid("line", 20.0, 128)
+    torus = vk.make_grid("periodic", 2 * np.pi, 32)
+    for prof in (
+        vk.soliton_solve(-1.0, 3.0, line),
+        vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line),
+        vk.plane_wave(1.0, 0.5, vk.Coupled(-1.0, -1.0, -0.5, k=1.0), torus),
+    ):
+        back = vk.Profile.from_dict(json.loads(json.dumps(prof.to_dict())))
+        assert np.array_equal(back.field.values, prof.field.values)
+        assert np.array_equal(back.xi, prof.xi)
+        assert back.model == prof.model
+        assert back.zeta == prof.zeta
+
+
 def test_family_conserved_quantities(line_grid):
     prof = vk.soliton_solve(-1.0, 3.0, line_grid)
     fam = vk.make_family(prof)

@@ -89,6 +89,15 @@ def test_coupled_slope_signatures():
     assert np.max(np.abs(fd_w.d2w - rep_w.d2w)) < 1e-4
 
 
+def test_coupled_closed_form_needs_the_symmetric_soliton():
+    g = vk.make_grid("line", 20.0, 256)
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
+    off = vk.make_family(base).profile(np.array([-1.05, -0.95, 0.0]))
+    assert off.zeta is None
+    with pytest.raises(ValueError):
+        vk.d2w_closed(off)
+
+
 def test_torus_slope_matrix_closed_form():
     g = vk.make_grid("periodic", 2 * np.pi, 64)
     params = vk.Coupled(-1.0, -1.0, -0.5)
