@@ -38,7 +38,7 @@ EXIT_FAILED = 3
 EXIT_INDETERMINATE = 4
 
 _CONFIG_KEYS = {
-    "model": {"model", "p", "d", "alpha", "gamma", "delta", "beta", "k"},
+    "model": {"model", "p", "alpha", "gamma", "delta", "beta", "k"},
     "grid": {"kind", "extent", "n"},
     "run": {
         "omega", "c", "zeta1", "zeta2", "nmax", "eps", "dt", "tend", "seed",

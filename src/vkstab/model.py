@@ -101,18 +101,29 @@ class SingleLine(_Model):
             np.abs(vals[0]) ** (p + 1)
         )
 
+    def stationary(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
+        """Residual of D2 u + |u|^(p-1) u + omega u = 0 at the real profile phi
+        (one row)."""
+        u = phi[0]
+        p = self.params.p
+        return (d2 @ u + np.abs(u) ** (p - 1.0) * u + omega * u)[None]
+
+    def lplus(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
+        """L+, the real-part Hessian block: minus the Jacobian of `stationary`."""
+        p = self.params.p
+        return -d2 - np.diag(p * np.abs(phi[0]) ** (p - 1.0) + omega)
+
     def hessian(self, prof) -> tuple:
         """(matrix, symmetry tangents, gauge phase) at an equilibrium."""
         grid = prof.grid
         d2 = second_derivative_matrix(grid)
         omega = prof.omega
-        phi = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes))
+        phi = np.real(prof.field.values * np.exp(-0.5j * prof.c * grid.nodes))
         p = self.params.p
-        lp = -d2 - np.diag(p * np.abs(phi) ** (p - 1.0) + omega)
-        lm = -d2 - np.diag(np.abs(phi) ** (p - 1.0) + omega)
-        tangents = _orbit_tangents(phi[None, :], first_derivative_matrix(grid))
+        lm = -d2 - np.diag(np.abs(phi[0]) ** (p - 1.0) + omega)
+        tangents = _orbit_tangents(phi, first_derivative_matrix(grid))
         phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return scipy.linalg.block_diag(lp, lm), tangents, phase
+        return scipy.linalg.block_diag(self.lplus(phi, omega, d2), lm), tangents, phase
 
     def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
         return vals * np.exp(1j * tau * np.abs(vals) ** (self.params.p - 1.0))
@@ -191,23 +202,39 @@ class CoupledLine(_Coupled):
         H = 0.5 * dx * np.sum(np.abs(du[0]) ** 2 + np.abs(du[1]) ** 2)
         return H - _quartic_integral(self.params, vals[0], vals[1], dx)
 
+    def stationary(self, phi: np.ndarray, omega: tuple, d2: np.ndarray) -> np.ndarray:
+        """Residual of the real stationary system at the profile phi (one row
+        per component)."""
+        m = self.params
+        p1, p2 = phi
+        om1, om2 = omega
+        r1 = d2 @ p1 + om1 * p1 + (m.alpha * p1**2 + m.delta * p2**2) * p1
+        r2 = d2 @ p2 + om2 * p2 + (m.delta * p1**2 + m.gamma * p2**2) * p2
+        return np.array([r1, r2])
+
+    def lplus(self, phi: np.ndarray, omega: tuple, d2: np.ndarray) -> np.ndarray:
+        """L+, the real-part Hessian block: minus the Jacobian of `stationary`."""
+        m = self.params
+        p1, p2 = phi
+        om1, om2 = omega
+        lp11 = -d2 - np.diag(om1 + 3 * m.alpha * p1**2 + m.delta * p2**2)
+        lp22 = -d2 - np.diag(om2 + 3 * m.gamma * p2**2 + m.delta * p1**2)
+        lp12 = -np.diag(2 * m.delta * p1 * p2)
+        return np.block([[lp11, lp12], [lp12, lp22]])
+
     def hessian(self, prof) -> tuple:
         """Gauge-rotate the boost away; the real profile then gives
         block-diagonal real and imaginary parts."""
         m = self.params
         grid = prof.grid
         d2 = second_derivative_matrix(grid)
-        conj_phase = np.exp(-0.5j * prof.c * grid.nodes)
-        p1 = np.real(prof.field.values[0] * conj_phase)
-        p2 = np.real(prof.field.values[1] * conj_phase)
+        phi = np.real(prof.field.values * np.exp(-0.5j * prof.c * grid.nodes))
+        p1, p2 = phi
         om1, om2 = prof.omega
-        lp11 = -d2 - np.diag(om1 + 3 * m.alpha * p1**2 + m.delta * p2**2)
-        lp22 = -d2 - np.diag(om2 + 3 * m.gamma * p2**2 + m.delta * p1**2)
-        lp12 = -np.diag(2 * m.delta * p1 * p2)
         lm11 = -d2 - np.diag(om1 + m.alpha * p1**2 + m.delta * p2**2)
         lm22 = -d2 - np.diag(om2 + m.delta * p1**2 + m.gamma * p2**2)
-        mat = scipy.linalg.block_diag(np.block([[lp11, lp12], [lp12, lp22]]), lm11, lm22)
-        tangents = _orbit_tangents(np.array([p1, p2]), first_derivative_matrix(grid))
+        mat = scipy.linalg.block_diag(self.lplus(phi, prof.omega, d2), lm11, lm22)
+        tangents = _orbit_tangents(phi, first_derivative_matrix(grid))
         phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
         return mat, tangents, phase
 
@@ -223,8 +250,7 @@ class CoupledLine(_Coupled):
         om = prof.omega
         omega_star = 0.5 * (om[0] + om[1])
         base_phi = np.real(coupled_soliton(omega_star, params, grid).field.values)
-        phi = _continue_coupled(base_phi, (omega_star, omega_star), (om1, om2),
-                                params, grid)
+        phi = _continue_coupled(self, base_phi, (omega_star, omega_star), (om1, om2), grid)
         f = Field(phi.astype(complex), grid)
         boundary_decay_check(f)
         return boost(Profile(f, np.array([om1, om2, 0.0]), params), float(xi[2]))

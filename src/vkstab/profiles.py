@@ -24,12 +24,7 @@ from .core import (
     make_grid,
 )
 from .model import model_for
-from .spectral import (
-    even_expansion,
-    even_indices,
-    fold_operator,
-    second_derivative_matrix,
-)
+from .spectral import fold, second_derivative_matrix, unfold
 
 __all__ = [
     "Profile",
@@ -139,24 +134,25 @@ def soliton_explicit(omega: float, grid: Grid) -> Profile:
     return Profile(f, np.array([omega, 0.0]), SingleNLS(p=3.0))
 
 
-def _newton_even_scalar(u0: np.ndarray, omega: float, p: float, grid: Grid,
-                        tol: float, max_iter: int) -> np.ndarray:
-    """Newton iteration for D2 u + u^p + omega u = 0 on the even subspace."""
+def _newton_even(model, phi0: np.ndarray, omega, grid: Grid,
+                 tol: float, max_iter: int) -> np.ndarray:
+    """Newton solve of model.stationary(phi) = 0 for a real profile phi (one
+    row per component) even about x = 0.  The stationary Jacobian is -L+, so
+    each step solves fold(L+) step = residual on the half grid."""
     d2 = second_derivative_matrix(grid)
     n = grid.n
-    s = even_expansion(n)
-    idx = even_indices(n)
-    u = 0.5 * (u0 + u0[(n - np.arange(n)) % n])   # symmetrize the seed
+    h = n // 2 + 1
+    phi = 0.5 * (phi0 + phi0[:, (n - np.arange(n)) % n])   # symmetrize the seed
     for _ in range(max_iter):
-        res = d2 @ u + np.abs(u) ** (p - 1.0) * u + omega * u
+        res = model.stationary(phi, omega, d2)
         if np.max(np.abs(res)) < tol:
-            return u
-        jac = d2 + np.diag(p * np.abs(u) ** (p - 1.0) + omega)
+            return phi
         try:
-            du_half = np.linalg.solve(fold_operator(jac), -res[idx])
+            step = np.linalg.solve(fold(model.lplus(phi, omega, d2), len(phi)),
+                                   res[:, :h].ravel())
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Newton system") from exc
-        u = u + s @ du_half
+        phi = phi + unfold(step.reshape(len(phi), h))
     raise SolverError(f"Newton did not converge in {max_iter} iterations")
 
 
@@ -169,13 +165,14 @@ def soliton_solve(omega: float, p: float, grid: Grid,
         raise ValueError("p must exceed 1")
     if grid.kind != "line":
         raise ValueError("solitons live on a line grid")
-    u = _newton_even_scalar(closed_soliton(omega, p, grid.nodes), omega, p,
-                            grid, tol, max_iter)
+    params = SingleNLS(p=p, d=1)
+    u = _newton_even(model_for(params, grid), closed_soliton(omega, p, grid.nodes)[None],
+                     omega, grid, tol, max_iter)
     if np.min(u) < -1e-8 * np.max(np.abs(u)):
         raise SolverError("converged to a sign-changing profile")
-    f = Field(u[None, :].astype(complex), grid)
+    f = Field(u.astype(complex), grid)
     boundary_decay_check(f)
-    return Profile(f, np.array([omega, 0.0]), SingleNLS(p=p, d=1))
+    return Profile(f, np.array([omega, 0.0]), params)
 
 
 def coupled_amplitudes(params: Coupled) -> tuple:
@@ -242,10 +239,8 @@ def boost(prof: Profile, c: float) -> Profile:
 class Family:
     """A re-solvable map xi -> Profile with memoized solves."""
 
-    center_xi: np.ndarray
     solver: Callable[[np.ndarray], Profile]
     fd_step: float
-    model: object
     _memo: dict = dc_field(default_factory=dict, repr=False)
 
     def profile(self, xi) -> Profile:
@@ -265,39 +260,7 @@ def default_fd_step(xi) -> float:
     return 1e-4 * (1.0 + float(np.linalg.norm(xi)))
 
 
-def _coupled_newton(phi0: np.ndarray, om1: float, om2: float, params: Coupled,
-                    grid: Grid, tol: float = 1e-11, max_iter: int = 60) -> np.ndarray:
-    """Newton solve of the real even coupled stationary system."""
-    d2 = second_derivative_matrix(grid)
-    n = grid.n
-    s = even_expansion(n)
-    idx = even_indices(n)
-    a, g, dlt = params.alpha, params.gamma, params.delta
-    phi = phi0.copy()
-    mirror = (n - np.arange(n)) % n
-    phi = 0.5 * (phi + phi[:, mirror])
-    for _ in range(max_iter):
-        p1, p2 = phi
-        r1 = d2 @ p1 + om1 * p1 + (a * p1**2 + dlt * p2**2) * p1
-        r2 = d2 @ p2 + om2 * p2 + (dlt * p1**2 + g * p2**2) * p2
-        res = np.concatenate([r1[idx], r2[idx]])
-        if np.max(np.abs(res)) < tol:
-            return phi
-        j11 = d2 + np.diag(om1 + 3.0 * a * p1**2 + dlt * p2**2)
-        j22 = d2 + np.diag(om2 + 3.0 * g * p2**2 + dlt * p1**2)
-        j12 = np.diag(2.0 * dlt * p1 * p2)
-        top = np.hstack([fold_operator(j11), fold_operator(j12)])
-        bot = np.hstack([fold_operator(j12), fold_operator(j22)])
-        try:
-            step = np.linalg.solve(np.vstack([top, bot]), -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular coupled Newton system") from exc
-        half = len(idx)
-        phi = phi + np.array([s @ step[:half], s @ step[half:]])
-    raise SolverError(f"coupled Newton did not converge in {max_iter} iterations")
-
-
-def _continue_coupled(phi0, om_from, om_to, params, grid, max_halvings: int = 6):
+def _continue_coupled(model, phi0, om_from, om_to, grid, max_halvings: int = 6):
     """Damped straight-line continuation in (omega1, omega2)."""
     start = np.asarray(om_from, dtype=float)
     target = np.asarray(om_to, dtype=float)
@@ -308,7 +271,7 @@ def _continue_coupled(phi0, om_from, om_to, params, grid, max_halvings: int = 6)
         t_next = min(1.0, t + step)
         om = start + t_next * (target - start)
         try:
-            phi_next = _coupled_newton(phi, om[0], om[1], params, grid)
+            phi_next = _newton_even(model, phi, om, grid, tol=1e-11, max_iter=60)
         except SolverError:
             halvings += 1
             if halvings > max_halvings:
@@ -323,29 +286,18 @@ def make_family(prof: Profile, fd_step: Optional[float] = None) -> Family:
     """Build the re-solvable family through an existing equilibrium."""
     step = fd_step if fd_step is not None else default_fd_step(prof.xi)
     solver = partial(model_for(prof.model, prof.grid).resolve, prof, grid=prof.grid)
-    fam = Family(np.array(prof.xi), solver, step, prof.model)
+    fam = Family(solver, step)
     fam._memo[tuple(np.round(prof.xi, 12))] = prof
     return fam
 
 
-def continue_family(prof: Profile, target_xi, steps: int = 10) -> Family:
-    """Continue an equilibrium to target_xi and return the family there.
-
-    The continuation path is a straight line in xi walked in `steps`
-    increments; each increment is a projected Newton solve seeded from the
-    previous iterate, with step halving on failure.
-    """
+def continue_family(prof: Profile, target_xi) -> Family:
+    """Continue an equilibrium to target_xi and return its family, with the
+    member at target_xi solved.  Each model re-solves from the equilibrium
+    itself, so no path of intermediate solves is needed."""
     target = np.asarray(target_xi, dtype=float)
     if target.shape != prof.xi.shape:
         raise ValueError("target xi has the wrong dimension")
     fam = make_family(prof)
-    if np.allclose(target, prof.xi):
-        return fam
-    path = np.linspace(0.0, 1.0, steps + 1)[1:]
-    last = prof
-    for t in path:
-        xi = prof.xi + t * (target - prof.xi)
-        last = fam.profile(xi)
-    out = Family(target, fam.solver, fam.fd_step, fam.model, _memo=fam._memo)
-    out._memo[tuple(np.round(target, 12))] = last
-    return out
+    fam.profile(target)
+    return fam

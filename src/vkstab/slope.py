@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Field
+from .model import model_for
 from .profiles import Family, Profile, SolverError
-from .spectral import even_expansion, even_indices, fold_operator, second_derivative_matrix
+from .spectral import first_derivative_matrix, fold, second_derivative_matrix, unfold
 
 __all__ = [
     "SlopeReport",
@@ -113,13 +113,9 @@ def vk_slope_sign(p: float, d: int) -> int:
     return 1 if val > 0 else -1
 
 
-def _even_solve(mat: np.ndarray, rhs: np.ndarray, grid) -> np.ndarray:
+def _even_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve mat y = rhs restricted to even functions about x = 0."""
-    n = grid.n
-    idx = even_indices(n)
-    s = even_expansion(n)
-    y_half = np.linalg.solve(fold_operator(mat), rhs[idx])
-    return s @ y_half
+    return unfold(np.linalg.solve(fold(mat), rhs[:rhs.size // 2 + 1]))
 
 
 def single_vk_integral(prof: Profile, check_tol: float = 1e-6) -> float:
@@ -135,10 +131,7 @@ def single_vk_integral(prof: Profile, check_tol: float = 1e-6) -> float:
     u = np.real(prof.field.values[0])
     p = prof.model.p
     omega = prof.omega
-    d2 = second_derivative_matrix(grid)
-    lp = -d2 - np.diag(p * np.abs(u) ** (p - 1.0) + omega)
-    from .spectral import first_derivative_matrix
-
+    lp = model_for(prof.model, grid).lplus(u[None], omega, second_derivative_matrix(grid))
     su = grid.nodes * (first_derivative_matrix(grid) @ u) + 2.0 / (p - 1.0) * u
     # The x-weight is discontinuous across the periodic wrap, which pollutes
     # the spectral derivative near the edges; check the identity away from
@@ -148,12 +141,12 @@ def single_vk_integral(prof: Profile, check_tol: float = 1e-6) -> float:
     resid = np.max(np.abs(resid_vec[interior])) / max(np.max(np.abs(u)), 1.0)
     if resid > check_tol:
         raise ValueError(f"scaling identity violated (residual {resid:.3e})")
-    y = _even_solve(lp, u, grid)
+    y = _even_solve(lp, u)
     return float(np.sum(u * y) * grid.spacing)
 
 
 def vk_integral(prof: Profile) -> float:
-    """int u Ldelta^{-1} u for the symmetric coupled soliton."""
+    """int u Ldelta^{-1} u for the symmetric coupled soliton, in its rest frame."""
     m = prof.model
     if m.model != "coupled" or prof.is_torus:
         raise ValueError("requires a coupled line soliton")
@@ -165,10 +158,10 @@ def vk_integral(prof: Profile) -> float:
         raise ValueError("Ldelta is degenerate for this coupling")
     grid = prof.grid
     omega = prof.omega[0]
-    scalar = np.real(prof.field.values[0]) / z1
+    scalar = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes)) / z1
     d2 = second_derivative_matrix(grid)
     ld = -d2 - np.diag((3.0 - 2.0 * m.delta * s) * scalar**2 + omega)
-    y = _even_solve(ld, scalar, grid)
+    y = _even_solve(ld, scalar)
     resid = np.max(np.abs(ld @ y - scalar))
     if resid > 1e-9 * max(np.max(np.abs(scalar)), 1.0):
         raise ValueError(f"Ldelta solve residual too large ({resid:.3e})")
@@ -197,7 +190,6 @@ def _single_closed(prof: Profile) -> SlopeReport:
 
 
 def _coupled_closed(prof: Profile) -> SlopeReport:
-    m = prof.model
     if prof.zeta is None:
         raise ValueError("requires the symmetric closed-form soliton")
     z1, z2 = prof.zeta
@@ -208,11 +200,7 @@ def _coupled_closed(prof: Profile) -> SlopeReport:
     omega = prof.omega[0]
     mass = float(np.sum(scalar**2) * grid.spacing)
     a_int = mass / (4.0 * omega)          # int u Lplus^{-1} u in 1D
-    b_int = vk_integral(
-        prof if prof.c == 0.0 else Profile(
-            Field((prof.field.values * conj).real.astype(complex), grid),
-            np.array([omega, omega, 0.0]), m, zeta=prof.zeta)
-    )
+    b_int = vk_integral(prof)
     df11 = (z1**2 / s) * (z1**2 * a_int + z2**2 * b_int)
     df22 = (z2**2 / s) * (z2**2 * a_int + z1**2 * b_int)
     df12 = (z1**2 * z2**2 / s) * (a_int - b_int)

@@ -1,4 +1,4 @@
-"""Dense spectral differentiation matrices and even-subspace helpers."""
+"""Dense spectral differentiation matrices and the even fold under x -> -x."""
 
 from __future__ import annotations
 
@@ -34,21 +34,19 @@ def second_derivative_matrix(grid: Grid) -> np.ndarray:
     return _diff_matrices(grid.kind, grid.extent, grid.n)[1]
 
 
-def even_indices(n: int) -> np.ndarray:
-    """Representative indices of the even subspace u_j = u_{n-j}."""
-    return np.arange(n // 2 + 1)
+def fold(op: np.ndarray, components: int = 1) -> np.ndarray:
+    """Restrict an operator on `components` stacked n-point grids to the even
+    subspace u_j = u_{n-j}: per n x n block, the rows 0..n/2 with each
+    mirrored column added onto its representative."""
+    n = op.shape[0] // components
+    h = n // 2 + 1
+    rows = op.reshape(components, n, components, n)[:, :h]
+    half = rows[..., :h].copy()
+    half[..., 1:n - h + 1] += rows[..., h:][..., ::-1]
+    return half.reshape(components * h, components * h)
 
 
-def even_expansion(n: int) -> np.ndarray:
-    """Matrix mapping half-grid values to an even full-grid vector."""
-    half = n // 2 + 1
-    s = np.zeros((n, half))
-    for j in range(n):
-        s[j, min(j, n - j)] = 1.0
-    return s
-
-
-def fold_operator(op: np.ndarray) -> np.ndarray:
-    """Restrict an n x n operator to the even subspace."""
-    n = op.shape[0]
-    return op[np.ix_(even_indices(n), np.arange(n))] @ even_expansion(n)
+def unfold(half: np.ndarray) -> np.ndarray:
+    """The even full-grid vector(s) with the half-grid values `half` (last axis)."""
+    h = half.shape[-1]
+    return half[..., np.r_[0:h, h - 2:0:-1]]

@@ -154,6 +154,9 @@ def test_unknown_config_entries_are_rejected(tmp_path):
     bad_key = tmp_path / "bad2.ini"
     bad_key.write_text("[model]\nbogus = 1\n")
     assert run(["--config", bad_key, "certify"]) == 2
+    dead_key = tmp_path / "bad3.ini"
+    dead_key.write_text("[model]\nd = 3\n")
+    assert run(["--config", dead_key, "certify"]) == 2
 
 
 def test_missing_profile_file_is_an_input_error(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 import vkstab as vk
 from vkstab.core import boundary_decay_check, gradient, h1_norm, laplacian
+from vkstab.spectral import fold, second_derivative_matrix, unfold
 
 
 def test_line_grid_nodes_and_spacing():
@@ -98,3 +99,23 @@ def test_field_arithmetic_preserves_grid():
     b = 2.0 * a + a
     assert np.allclose(b.values, 3.0)
     assert b.grid is g
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_even_fold_and_unfold(components):
+    g = vk.make_grid("line", 10.0, 64)
+    n, h = g.n, g.n // 2 + 1
+    mirror = (n - np.arange(n)) % n
+    d2 = second_derivative_matrix(g)
+    x = g.nodes
+    # d2 + diag(even potential) per component, even couplings between them
+    coupling = np.eye(components) + 1.0
+    a = np.kron(np.eye(components), d2) + np.kron(coupling, np.diag(np.exp(-x**2)))
+    v = np.array([np.cosh(x / (j + 2.0)) ** -2 for j in range(components)])
+    v = 0.5 * (v + v[:, mirror])          # exactly even
+    av = (a @ v.ravel()).reshape(components, n)
+    assert np.allclose(av[:, mirror], av, rtol=0, atol=1e-12)
+    folded = fold(a, components) @ v[:, :h].ravel()
+    assert np.allclose(folded, av[:, :h].ravel(), rtol=0, atol=1e-12)
+    assert np.array_equal(unfold(v[:, :h]), v)
+    assert np.array_equal(unfold(v[0, :h]), v[0])

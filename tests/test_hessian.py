@@ -112,3 +112,15 @@ def test_hessian_is_derivative_of_gradient(soliton):
         errs.append(np.max(np.abs(fd - op.apply(v).values)))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert order > 1.9
+
+
+def test_boosted_equilibrium_is_checked_in_the_rest_frame():
+    g = vk.make_grid("line", 20.0, 512)
+    boosted = vk.boost(vk.soliton_solve(-1.0, 3.0, g), 0.5)
+    # the 2n refinement used to fail the lab-frame residual gate
+    cert = vk.certify(boosted)
+    assert cert.verdict == "certified_coercive"
+    assert abs(cert.checks["h3_positive_gap"]["refinement_ratio"] - 1.0) < 1e-6
+    scaled = vk.Profile(vk.Field(1.1 * boosted.field.values, g), boosted.xi, boosted.model)
+    with pytest.raises(ValueError, match="not an equilibrium"):
+        vk.assemble(scaled)

@@ -133,3 +133,11 @@ def test_higher_dimension_needs_symbolic_route():
     prof3 = vk.Profile(u.field, u.xi, vk.SingleNLS(3.0, d=3))
     with pytest.raises(ValueError):
         vk.d2w_closed(prof3)
+
+
+def test_vk_integral_is_boost_invariant():
+    g = vk.make_grid("line", 20.0, 256)
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
+    rest = vk.vk_integral(prof)
+    assert abs(rest - 4.80277) < 1e-5
+    assert abs(vk.vk_integral(vk.boost(prof, 0.6)) - rest) < 1e-12
