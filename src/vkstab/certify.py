@@ -3,7 +3,9 @@
 A certificate records four checks: non-degeneracy of the slope matrix,
 kernel-equals-orbit-tangent, a positive spectral gap that is stable under
 grid refinement, and the index match between the slope matrix and the
-Hessian.  Verdicts near a decision boundary are reported as indeterminate
+Hessian.  The slope matrix is the exact one of `d2w_closed`, so certifying
+solves no other member of the family; the finite-difference slope stays the
+cross-check.  Verdicts near a decision boundary are reported as indeterminate
 rather than rounded to a side.
 """
 
@@ -18,8 +20,8 @@ import numpy as np
 from .core import make_grid
 from .hessian import assemble, kernel_matches_orbit, spectrum
 from .model import model_for
-from .profiles import Family, Profile, SolverError, make_family
-from .slope import d2w_closed, d2w_fd, d2w_tilde, signature_of, vk_integral
+from .profiles import Profile, SolverError
+from .slope import d2w_closed, d2w_tilde, signature_of, vk_integral
 
 __all__ = [
     "Certificate",
@@ -30,6 +32,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 MARGIN_FACTOR = 3.0
+KERNEL_ANGLE_TOL = 1e-5     # largest principal angle between kernel and orbit tangents
 
 
 @dataclass
@@ -85,15 +88,11 @@ def _refined_gap(prof: Profile) -> float:
     return spectrum(assemble(model_for(prof.model, grid).resolve(prof, prof.xi, fine))).gap_pos
 
 
-def certify(prof: Profile, fam: Optional[Family] = None, *,
-            refine: bool = True, subalgebra_basis: Optional[np.ndarray] = None,
-            kernel_angle_tol: float = 1e-5) -> Certificate:
+def certify(prof: Profile, *, refine: bool = True,
+            subalgebra_basis: Optional[np.ndarray] = None) -> Certificate:
     """Run the four hypothesis checks on an equilibrium and assemble a verdict."""
-    if fam is None:
-        fam = make_family(prof)
-
     try:
-        slope_rep = d2w_fd(fam, prof.xi)
+        slope_rep = d2w_closed(prof)
         op = assemble(prof)
     except (SolverError, ValueError) as exc:
         return Certificate(
@@ -127,7 +126,7 @@ def certify(prof: Profile, fam: Optional[Family] = None, *,
         indeterminate.append("h1")
 
     # h2: kernel equals the orbit tangent
-    h2_ok = kernel_matches_orbit(spec_rep, op, tol=kernel_angle_tol)
+    h2_ok = kernel_matches_orbit(spec_rep, op, tol=KERNEL_ANGLE_TOL)
     checks["h2_kernel_equals_orbit"] = {
         "ok": bool(h2_ok),
         "dim_ker": spec_rep.dim_ker,
@@ -193,9 +192,8 @@ def certify(prof: Profile, fam: Optional[Family] = None, *,
 
     provenance = {
         "slope_method": slope_rep.method,
-        "fd_step": fam.fd_step,
         "ker_tol": spec_rep.ker_tol,
-        "kernel_angle_tol": kernel_angle_tol,
+        "kernel_angle_tol": KERNEL_ANGLE_TOL,
         "refinement_surrogate": refine,
         "margin_factor": MARGIN_FACTOR,
         "grid": {"kind": prof.grid.kind, "extent": prof.grid.extent, "n": prof.grid.n},

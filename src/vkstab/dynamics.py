@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e6
+STABLE_ENVELOPE = 10.0      # a run is stable while its orbit distance stays below this times eps
 
 
 @dataclass(frozen=True)
@@ -231,8 +232,7 @@ def _fit_growth_rate(times: np.ndarray, dists: np.ndarray, eps: float) -> Option
 
 def stability_experiment(prof: Profile, eps: float, dt: float, t_end: float,
                          kind: str = "band_limited", seed: int = 0,
-                         mode_n: int = 1, sample_stride: int = 10,
-                         envelope: float = 10.0) -> OrbitDistanceSeries:
+                         mode_n: int = 1, sample_stride: int = 10) -> OrbitDistanceSeries:
     """Perturb, evolve, align each sample, and classify the orbit excursion."""
     rng = np.random.default_rng(seed)
     pert = make_perturbation(prof, kind, rng, mode_n=mode_n)
@@ -247,7 +247,7 @@ def stability_experiment(prof: Profile, eps: float, dt: float, t_end: float,
     dists = np.array(dists)
     max_d = float(np.max(dists))
     rate = _fit_growth_rate(traj.times, dists, eps)
-    verdict = "stable" if max_d <= envelope * eps else "unstable"
+    verdict = "stable" if max_d <= STABLE_ENVELOPE * eps else "unstable"
     if model_for(prof.model, prof.grid).empirical_only:
         verdict += " (empirical only)"
     return OrbitDistanceSeries(
@@ -285,9 +285,9 @@ def distances_to_csv(series: OrbitDistanceSeries) -> str:
 def dump_binary(traj: Trajectory, path: str, stride: int = 1) -> None:
     """Binary snapshot dump.
 
-    Layout: header of four little-endian int64 {N, components, then the
-    float64 pair dt, stride packed as int via struct}, followed by
-    interleaved re/im float64 samples per snapshot.
+    Layout: a 32-byte little-endian header (struct "<qqdq": int64 n, int64
+    components, float64 dt, int64 stride), then per snapshot one row per
+    component of n interleaved re/im float64 pairs.
     """
     snaps = traj.snapshots[::stride]
     n = snaps[0].grid.n

@@ -109,28 +109,26 @@ class SpectralReport:
         }
 
 
-def _check_equilibrium(prof: Profile, tol: float) -> None:
+def _check_equilibrium(prof: Profile) -> None:
     rest = boost(prof, -prof.c)
     g = grad_L(rest.field, rest.model, rest.xi)
     res = float(np.max(np.abs(g.values)))
-    if res > tol:
+    if res > EQUILIBRIUM_TOL:
         raise ValueError(f"profile is not an equilibrium (residual {res:.3e})")
 
 
-def assemble(prof: Profile, tol: float = EQUILIBRIUM_TOL) -> HessOp:
+def assemble(prof: Profile) -> HessOp:
     """Second variation of L_xi at an equilibrium profile."""
-    _check_equilibrium(prof, tol)
+    _check_equilibrium(prof)
     model = model_for(prof.model, prof.grid)
     mat, tangents, phase = model.hessian(prof)
     return HessOp(mat, prof.grid, prof.model.components, tangents, phase)
 
 
-def spectrum(op: HessOp, n_eigs: int = 12, ker_tol: Optional[float] = None) -> SpectralReport:
+def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     """Classify the lowest eigenvalues of the Hessian."""
     eigvals, eigvecs = scipy.linalg.eigh(op.matrix)
-    radius = float(np.max(np.abs(eigvals)))
-    if ker_tol is None:
-        ker_tol = 1e-6 * radius
+    ker_tol = 1e-6 * float(np.max(np.abs(eigvals)))
     n_neg = int(np.sum(eigvals < -ker_tol))
     ker_mask = np.abs(eigvals) <= ker_tol
     dim_ker = int(np.sum(ker_mask))

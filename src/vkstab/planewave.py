@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -156,8 +156,7 @@ class ModeTable:
         return buf.getvalue()
 
 
-def mode_table(params, zeta, length: float, n_max: int = 8,
-               zero_tol: Optional[float] = None) -> ModeTable:
+def mode_table(params, zeta, length: float, n_max: int = 8) -> ModeTable:
     """Tabulate per-mode spectra and render the stability verdicts."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -176,7 +175,7 @@ def mode_table(params, zeta, length: float, n_max: int = 8,
     for n in range(n_max + 1):
         eigs = hessian_mode_eigs(n, params, zeta, length)
         scale = max(abs(cp), abs(cm), params.beta * _n_L(max(n, 1), length) ** 2)
-        tol = zero_tol if zero_tol is not None else 1e-12 * scale
+        tol = 1e-12 * scale
         mult = 1 if n == 0 else 2   # modes +-n both contribute for n >= 1
         n_neg += mult * int(np.sum(eigs < -tol))
         zeros_here = int(np.sum(np.abs(eigs) <= tol))

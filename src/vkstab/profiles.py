@@ -282,11 +282,10 @@ def _continue_coupled(model, phi0, om_from, om_to, grid, max_halvings: int = 6):
     return phi
 
 
-def make_family(prof: Profile, fd_step: Optional[float] = None) -> Family:
+def make_family(prof: Profile) -> Family:
     """Build the re-solvable family through an existing equilibrium."""
-    step = fd_step if fd_step is not None else default_fd_step(prof.xi)
     solver = partial(model_for(prof.model, prof.grid).resolve, prof, grid=prof.grid)
-    fam = Family(solver, step)
+    fam = Family(solver, default_fd_step(prof.xi))
     fam._memo[tuple(np.round(prof.xi, 12))] = prof
     return fam
 

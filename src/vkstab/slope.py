@@ -2,9 +2,11 @@
 
 W(xi) is the constrained energy evaluated along the equilibrium family; its
 Hessian equals minus the Jacobian of the conserved quantities F along the
-family, which is what both the finite-difference and closed-form paths
-compute.  The restricted form on a subalgebra basis supports the comparison
-with the classical sufficient condition.
+family.  `d2w_closed` computes it exactly from the profile alone (a closed
+form, or one linear solve over L+ for the coupled soliton) and is what
+`certify` reads; `d2w_fd` differentiates re-solved family members and is
+the cross-check.  The restricted form on a subalgebra basis supports the
+comparison with the classical sufficient condition.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .model import model_for
 from .profiles import Family, Profile, SolverError
-from .spectral import first_derivative_matrix, fold, second_derivative_matrix, unfold
+from .spectral import fold, second_derivative_matrix, unfold
 
 __all__ = [
     "SlopeReport",
@@ -34,7 +36,7 @@ __all__ = [
 class SlopeReport:
     d2w: np.ndarray
     signature: tuple          # (positives, zeros, negatives)
-    method: str               # "closed_form" or "finite_difference"
+    method: str               # "closed_form", "linear_solve" or "finite_difference"
     asymmetry: float = 0.0
     condition_number: Optional[float] = None
     restricted: Optional[dict] = None
@@ -77,11 +79,11 @@ def _report_from_matrix(raw: np.ndarray, method: str, asymmetry: float = 0.0) ->
     return SlopeReport(sym, sig, method, asymmetry=asymmetry, condition_number=cond)
 
 
-def d2w_fd(fam: Family, xi, h: Optional[float] = None) -> SlopeReport:
-    """D^2 W = -D_xi F by centered differences over the family."""
+def d2w_fd(fam: Family, xi) -> SlopeReport:
+    """D^2 W = -D_xi F by centered differences over the family, with its
+    step `fam.fd_step`."""
     xi = np.asarray(xi, dtype=float)
-    if h is None:
-        h = fam.fd_step
+    h = fam.fd_step
     m = xi.size
     jac = np.empty((m, m))
     for j in range(m):
@@ -101,7 +103,7 @@ def d2w_fd(fam: Family, xi, h: Optional[float] = None) -> SlopeReport:
 def vk_slope_sign(p: float, d: int) -> int:
     """Sign of d/domega of the squared-norm invariant along the soliton family.
 
-    The scaling identity gives d/domega int u^2 proportional to
+    Scaling the soliton in omega gives d/domega int u^2 proportional to
     (d/2 - 2/(p-1)) / |omega|, so the slope is negative exactly when
     p < 1 + 4/d (the classical subcritical range).
     """
@@ -114,34 +116,24 @@ def vk_slope_sign(p: float, d: int) -> int:
 
 
 def _even_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat y = rhs restricted to even functions about x = 0."""
-    return unfold(np.linalg.solve(fold(mat), rhs[:rhs.size // 2 + 1]))
+    """Solve mat y = b for each right-hand side b = rhs[k], restricted to
+    functions even about x = 0.  Each rhs[k] holds one row per component on
+    the n-point grid; mat acts on those rows stacked."""
+    k, comps, n = rhs.shape
+    h = n // 2 + 1
+    y = np.linalg.solve(fold(mat, comps), rhs[:, :, :h].reshape(k, comps * h).T)
+    return unfold(y.T.reshape(k, comps, h))
 
 
-def single_vk_integral(prof: Profile, check_tol: float = 1e-6) -> float:
-    """int u Lplus^{-1} u for a single soliton, with a scaling-identity check.
-
-    The generator S = x d/dx + 2/(p-1) satisfies Lplus(S u) = 2 omega u
-    exactly; the residual of that identity validates the assembled operator
-    before the solve.
-    """
+def single_vk_integral(prof: Profile) -> float:
+    """int u Lplus^{-1} u for an unboosted single soliton: the omega-derivative
+    of the mass invariant int u^2 / 2, by one even solve."""
     if prof.model.model != "single_nls" or prof.c != 0.0:
         raise ValueError("requires an unboosted single-component soliton")
     grid = prof.grid
     u = np.real(prof.field.values[0])
-    p = prof.model.p
-    omega = prof.omega
-    lp = model_for(prof.model, grid).lplus(u[None], omega, second_derivative_matrix(grid))
-    su = grid.nodes * (first_derivative_matrix(grid) @ u) + 2.0 / (p - 1.0) * u
-    # The x-weight is discontinuous across the periodic wrap, which pollutes
-    # the spectral derivative near the edges; check the identity away from
-    # the boundary where the profile carries all its mass.
-    interior = np.abs(grid.nodes) <= 0.5 * grid.extent
-    resid_vec = lp @ su - 2.0 * omega * u
-    resid = np.max(np.abs(resid_vec[interior])) / max(np.max(np.abs(u)), 1.0)
-    if resid > check_tol:
-        raise ValueError(f"scaling identity violated (residual {resid:.3e})")
-    y = _even_solve(lp, u)
+    lp = model_for(prof.model, grid).lplus(u[None], prof.omega, second_derivative_matrix(grid))
+    y = _even_solve(lp, u[None, None])[0, 0]
     return float(np.sum(u * y) * grid.spacing)
 
 
@@ -161,59 +153,22 @@ def vk_integral(prof: Profile) -> float:
     scalar = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes)) / z1
     d2 = second_derivative_matrix(grid)
     ld = -d2 - np.diag((3.0 - 2.0 * m.delta * s) * scalar**2 + omega)
-    y = _even_solve(ld, scalar)
+    y = _even_solve(ld, scalar[None, None])[0, 0]
     resid = np.max(np.abs(ld @ y - scalar))
     if resid > 1e-9 * max(np.max(np.abs(scalar)), 1.0):
         raise ValueError(f"Ldelta solve residual too large ({resid:.3e})")
     return float(np.sum(scalar * y) * grid.spacing)
 
 
-def _single_closed(prof: Profile) -> SlopeReport:
-    grid = prof.grid
-    conj = np.exp(-0.5j * prof.c * grid.nodes)
-    u = np.real(prof.field.values[0] * conj)
-    omega = prof.omega
-    p = prof.model.p
-    mass = float(np.sum(u**2) * grid.spacing)
-    # Scaling law: d/domega int u^2 = (1/omega)(2/(p-1) - 1/2) int u^2 in 1D.
-    dmass = (2.0 / (p - 1.0) - 0.5) * mass / omega
-    f = -0.5 * mass
-    fprime = -0.5 * dmass
-    c = prof.c
-    mat = np.array(
-        [
-            [fprime, 0.5 * c * fprime],
-            [0.5 * c * fprime, 0.25 * c**2 * fprime + 0.5 * f],
-        ]
-    )
-    return _report_from_matrix(mat, "closed_form")
-
-
-def _coupled_closed(prof: Profile) -> SlopeReport:
-    if prof.zeta is None:
-        raise ValueError("requires the symmetric closed-form soliton")
-    z1, z2 = prof.zeta
-    s = z1**2 + z2**2
-    grid = prof.grid
-    conj = np.exp(-0.5j * prof.c * grid.nodes)
-    scalar = np.real(prof.field.values[0] * conj) / z1
-    omega = prof.omega[0]
-    mass = float(np.sum(scalar**2) * grid.spacing)
-    a_int = mass / (4.0 * omega)          # int u Lplus^{-1} u in 1D
-    b_int = vk_integral(prof)
-    df11 = (z1**2 / s) * (z1**2 * a_int + z2**2 * b_int)
-    df22 = (z2**2 / s) * (z2**2 * a_int + z1**2 * b_int)
-    df12 = (z1**2 * z2**2 / s) * (a_int - b_int)
-    w0 = -np.array([[df11, df12], [df12, df22]])
-    f1 = 0.5 * z1**2 * mass
-    f2 = 0.5 * z2**2 * mass
-    c = prof.c
-    mat = np.zeros((3, 3))
-    mat[:2, :2] = w0
-    mat[0, 2] = mat[2, 0] = 0.5 * c * (w0[0, 0] + w0[0, 1])
-    mat[1, 2] = mat[2, 1] = 0.5 * c * (w0[1, 0] + w0[1, 1])
-    mat[2, 2] = 0.25 * c**2 * np.sum(w0) - 0.5 * (f1 + f2)
-    return _report_from_matrix(mat, "closed_form")
+def _galilean_lift(w0: np.ndarray, masses: np.ndarray, c: float) -> np.ndarray:
+    """Slope matrix in xi = (omega_i - c^2/4, c) from the rest-frame block
+    w0 = -dF/domega and the component masses int phi_i^2 of the rest frame."""
+    m = len(masses)
+    mat = np.empty((m + 1, m + 1))
+    mat[:m, :m] = w0
+    mat[:m, m] = mat[m, :m] = 0.5 * c * np.sum(w0, axis=1)
+    mat[m, m] = 0.25 * c**2 * np.sum(w0) - 0.25 * np.sum(masses)
+    return mat
 
 
 def _torus_closed(m, length: float) -> SlopeReport:
@@ -225,17 +180,37 @@ def _torus_closed(m, length: float) -> SlopeReport:
 
 
 def d2w_closed(prof: Profile) -> SlopeReport:
-    """Closed-form slope matrix for the three analyzed models."""
-    if prof.model.model == "single_nls":
-        if prof.model.d != 1:
-            raise ValueError(
-                "matrix entries need grid quadrature, available for d = 1 only; "
-                "use vk_slope_sign for the symbolic criterion"
-            )
-        return _single_closed(prof)
+    """Exact slope matrix for the three analyzed models, with no family solve.
+
+    Line models: the rest-frame block w0 = -dF/domega, lifted to xi by the
+    boost.  Differentiating the stationary equation in omega_j gives
+    L+ dphi/domega_j = e_j phi_j, so the coupled block is one even solve over
+    L+ with one right-hand side per component.  The single soliton's block
+    is the 1D scaling law, the same number without the solve.  Torus: the
+    closed form.
+    """
+    m = prof.model
     if prof.is_torus:
-        return _torus_closed(prof.model, prof.grid.extent)
-    return _coupled_closed(prof)
+        return _torus_closed(m, prof.grid.extent)
+    if m.model == "single_nls" and m.d != 1:
+        raise ValueError(
+            "matrix entries need grid quadrature, available for d = 1 only; "
+            "use vk_slope_sign for the symbolic criterion"
+        )
+    grid = prof.grid
+    phi = np.real(prof.field.values * np.exp(-0.5j * prof.c * grid.nodes))
+    masses = np.sum(phi**2, axis=1) * grid.spacing
+    if m.model == "single_nls":
+        # Scaling law: d/domega int u^2 = (1/omega)(2/(p-1) - 1/2) int u^2 in 1D.
+        w0 = np.array([[-0.5 * ((2.0 / (m.p - 1.0) - 0.5) * masses[0] / prof.omega)]])
+        method = "closed_form"
+    else:
+        lp = model_for(m, grid).lplus(phi, prof.omega, second_derivative_matrix(grid))
+        dphi = _even_solve(lp, np.eye(len(phi))[:, :, None] * phi)   # rhs[j] = e_j phi_j
+        w0 = -np.einsum("in,jin->ij", phi, dphi) * grid.spacing
+        method = "linear_solve"
+    asym = float(np.max(np.abs(w0 - w0.T)))
+    return _report_from_matrix(_galilean_lift(w0, masses, prof.c), method, asymmetry=asym)
 
 
 def d2w_tilde(report: SlopeReport, basis: np.ndarray) -> SlopeReport:

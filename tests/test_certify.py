@@ -118,6 +118,32 @@ def test_continued_coupled_profile_refines_to_itself():
     base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
     target = np.array([-1.0, -1.3, 0.0])
     fam = vk.continue_family(base, target)
-    cert = vk.certify(fam.profile(target), fam)
+    cert = vk.certify(fam.profile(target))
     assert cert.verdict == "certified_coercive"
     assert abs(cert.checks["h3_positive_gap"]["refinement_ratio"] - 1.0) < 1e-6
+
+
+def test_certify_solves_no_family_member(monkeypatch):
+    g = vk.make_grid("line", 20.0, 256)
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
+    target = np.array([-1.0, -1.3, 0.0])
+    continued = vk.continue_family(base, target).profile(target)
+
+    def no_solve(self, xi):
+        raise AssertionError("certify solved a family member")
+
+    monkeypatch.setattr(vk.profiles.Family, "profile", no_solve)
+    for prof in (vk.soliton_solve(-1.0, 3.0, g), continued):
+        cert = vk.certify(prof)
+        assert cert.verdict == "certified_coercive"
+        assert "slope_method" in cert.provenance
+        assert "fd_step" not in cert.provenance
+
+
+def test_certify_refuses_a_soliton_outside_one_dimension():
+    # the slope matrix of a d = 3 soliton needs 3D quadrature; the 1D family
+    # would certify the (supercritical, unstable) 3D cubic soliton
+    g = vk.make_grid("line", 20.0, 256)
+    u = vk.soliton_solve(-1.0, 3.0, g)
+    cert = vk.certify(vk.Profile(u.field, u.xi, vk.SingleNLS(3.0, d=3)))
+    assert cert.verdict == "indeterminate(solver)"

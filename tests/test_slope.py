@@ -42,6 +42,17 @@ def test_resolvent_integral_cubic(soliton):
     assert abs(val + 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("p, n", [(3.0, 256), (4.9, 512), (5.1, 512), (6.0, 512)])
+def test_resolvent_integral_is_the_mass_slope(p, n):
+    # int u Lplus^{-1} u = d/domega int u^2 / 2, which the scaling law gives
+    # as -d2w[0, 0]; for the cubic soliton at omega = -2 it is -1/sqrt(2)
+    prof = vk.soliton_solve(-2.0, p, vk.make_grid("line", 20.0, n))
+    val = single_vk_integral(prof)
+    assert abs(val + vk.d2w_closed(prof).d2w[0, 0]) < 1e-9
+    if p == 3.0:
+        assert abs(val + 1.0 / np.sqrt(2.0)) < 1e-10
+
+
 def test_symbolic_slope_sign_threshold():
     assert vk.vk_slope_sign(3.0, 1) == -1
     assert vk.vk_slope_sign(4.9, 1) == -1
@@ -89,13 +100,18 @@ def test_coupled_slope_signatures():
     assert np.max(np.abs(fd_w.d2w - rep_w.d2w)) < 1e-4
 
 
-def test_coupled_closed_form_needs_the_symmetric_soliton():
+def test_coupled_slope_solve_covers_continued_profiles():
     g = vk.make_grid("line", 20.0, 256)
     base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
-    off = vk.make_family(base).profile(np.array([-1.05, -0.95, 0.0]))
+    fam = vk.make_family(base)
+    xi = np.array([-1.05, -0.95, 0.0])
+    off = fam.profile(xi)
     assert off.zeta is None
-    with pytest.raises(ValueError):
-        vk.d2w_closed(off)
+    exact = vk.d2w_closed(off)
+    fd = vk.d2w_fd(fam, xi)
+    assert exact.method == "linear_solve"
+    assert np.max(np.abs(exact.d2w - fd.d2w)) < 1e-6
+    assert exact.signature == fd.signature
 
 
 def test_torus_slope_matrix_closed_form():
