@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import make_grid
-from .hessian import assemble, kernel_matches_orbit, spectrum
+from .hessian import KERNEL_ANGLE_TOL, assemble, kernel_matches_orbit, spectrum
 from .model import model_for
 from .profiles import Profile, SolverError
 from .slope import d2w_closed, d2w_tilde, signature_of, vk_integral
@@ -32,7 +32,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 MARGIN_FACTOR = 3.0
-KERNEL_ANGLE_TOL = 1e-5     # largest principal angle between kernel and orbit tangents
 
 
 @dataclass
@@ -126,7 +125,7 @@ def certify(prof: Profile, *, refine: bool = True,
         indeterminate.append("h1")
 
     # h2: kernel equals the orbit tangent
-    h2_ok = kernel_matches_orbit(spec_rep, op, tol=KERNEL_ANGLE_TOL)
+    h2_ok = kernel_matches_orbit(spec_rep, op)
     checks["h2_kernel_equals_orbit"] = {
         "ok": bool(h2_ok),
         "dim_ker": spec_rep.dim_ker,
@@ -194,6 +193,7 @@ def certify(prof: Profile, *, refine: bool = True,
         "slope_method": slope_rep.method,
         "ker_tol": spec_rep.ker_tol,
         "kernel_angle_tol": KERNEL_ANGLE_TOL,
+        "spectrum_parts": [list(p) for p in spec_rep.parts],
         "refinement_surrogate": refine,
         "margin_factor": MARGIN_FACTOR,
         "grid": {"kind": prof.grid.kind, "extent": prof.grid.extent, "n": prof.grid.n},

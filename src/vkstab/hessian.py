@@ -1,15 +1,27 @@
 """Constrained-energy gradients and discretized Hessian operators.
 
 For each model the second variation of L_xi = H - xi . F at an equilibrium is
-assembled as a dense real symmetric matrix acting on the stacked (Re, Im)
-components.  Boosted solitons are handled by conjugating with the gauge phase
-exp(i c x / 2), so spectra are boost-independent.
+assembled as its dense real symmetric diagonal blocks, acting on consecutive
+slices of the stacked (Re, Im) components: [L+, L-] for the single soliton,
+[L+ (both components), L-11, L-22] for the coupled soliton and one block for
+the torus wave.  Boosted solitons are handled by conjugating with the gauge
+phase exp(i c x / 2), so spectra are boost-independent.
+
+`spectrum` eigensolves parts, never the whole operator.  A block that commutes
+with the grid reflection j -> -j (mod n, per component), as every block of an
+even profile does, splits into an even part (n/2 + 1 points per component)
+and an odd part (n/2 - 1), both cut from the block by index slicing; any
+other block is one whole part.  Each part gives its top eigenvalue (for the
+spectral radius) and its low end with eigenvectors, by LAPACK's index-subset
+driver (MRRR, `driver="evr"`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +29,7 @@ import scipy.linalg
 from .core import Field, Grid
 from .model import model_for
 from .profiles import Profile, boost
+from .spectral import fold, unfold
 
 __all__ = [
     "HessOp",
@@ -26,6 +39,10 @@ __all__ = [
     "spectrum",
     "kernel_matches_orbit",
 ]
+
+KERNEL_ANGLE_TOL = 1e-5     # largest principal angle between kernel and orbit tangents
+LOW_SUBSET = 12             # eigenpairs first taken from the low end of each part
+PARITY_TOL = 1e-13          # relative to the largest entry: a block commutes with j -> -j
 
 # The residual is taken in the rest frame, where `assemble` builds the
 # Hessian: undoing the boost removes the gauge phase, which is discontinuous
@@ -44,26 +61,33 @@ def grad_L(field: Field, model, xi) -> Field:
 
 @dataclass(frozen=True)
 class HessOp:
-    """Dense real-symmetric Hessian with its symmetry-orbit tangent vectors.
+    """Real-symmetric Hessian, held as its diagonal blocks, with its
+    symmetry-orbit tangent vectors.
 
-    The matrix acts on stacked real vectors [Re u_1, .., Im u_1, ..] in the
-    gauge-rotated frame; `phase` carries the frame change for boosted
-    profiles (identity when c = 0).
+    The blocks act on consecutive slices of stacked real vectors [Re u_1, ..,
+    Im u_1, ..] in the gauge-rotated frame; `phase` carries the frame change
+    for boosted profiles (identity when c = 0).
     """
 
-    matrix: np.ndarray
+    blocks: tuple
     grid: Grid
     components: int
     symmetry_tangent: np.ndarray      # rows: tangent vectors in real coords
     phase: Optional[np.ndarray]
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        for block in self.blocks:
+            block.setflags(write=False)
         self.symmetry_tangent.setflags(write=False)
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The dense block-diagonal matrix, built on each access."""
+        return scipy.linalg.block_diag(*self.blocks)
+
+    @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return sum(block.shape[0] for block in self.blocks)
 
     def field_to_vec(self, f: Field) -> np.ndarray:
         vals = f.values
@@ -81,7 +105,10 @@ class HessOp:
         return Field(vals, self.grid)
 
     def apply(self, f: Field) -> Field:
-        return self.vec_to_field(self.matrix @ self.field_to_vec(f))
+        v = self.field_to_vec(f)
+        cuts = np.cumsum([block.shape[0] for block in self.blocks])[:-1]
+        hv = [block @ part for block, part in zip(self.blocks, np.split(v, cuts))]
+        return self.vec_to_field(np.concatenate(hv))
 
     def tangent_fields(self) -> list:
         return [self.vec_to_field(t) for t in self.symmetry_tangent]
@@ -97,7 +124,14 @@ class SpectralReport:
     gap_pos: float
     ker_tol: float
     kernel_vectors: np.ndarray       # rows: real coordinate vectors
-    all_eigenvalues: np.ndarray
+    parts: tuple                     # (dimension, "even" | "odd" | "whole") per eigensolve
+    part_matrices: tuple = dataclasses.field(repr=False, compare=False)
+
+    @cached_property
+    def all_eigenvalues(self) -> np.ndarray:
+        """The whole spectrum, ascending: every eigenvalue of every part."""
+        return np.sort(np.concatenate(
+            [scipy.linalg.eigvalsh(a) for a in self.part_matrices]))
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +140,7 @@ class SpectralReport:
             "dim_ker": self.dim_ker,
             "gap_pos": self.gap_pos,
             "ker_tol": self.ker_tol,
+            "parts": [list(p) for p in self.parts],
         }
 
 
@@ -121,37 +156,137 @@ def assemble(prof: Profile) -> HessOp:
     """Second variation of L_xi at an equilibrium profile."""
     _check_equilibrium(prof)
     model = model_for(prof.model, prof.grid)
-    mat, tangents, phase = model.hessian(prof)
-    return HessOp(mat, prof.grid, prof.model.components, tangents, phase)
+    blocks, tangents, phase = model.hessian(prof)
+    return HessOp(tuple(blocks), prof.grid, prof.model.components, tangents, phase)
+
+
+def _is_even(block: np.ndarray, c: int, n: int) -> bool:
+    """True iff the block on c stacked n-point grids equals P block P, P the
+    reflection j -> -j (mod n) of each grid.  Rows 0..n/2 decide it: the
+    other rows are their mirrors."""
+    tol = PARITY_TOL * max(block.max(), -block.min())
+    mirror = -np.arange(n) % n
+    b4 = block.reshape(c, n, c, n)
+    h = n // 2 + 1
+    return bool(np.max(np.abs(b4[:, :h] - b4[:, mirror[:h]][..., mirror])) <= tol)
+
+
+def _even_scale(c: int, n: int) -> np.ndarray:
+    """sqrt of the number of grid points each half-grid point stands for."""
+    return np.tile(np.r_[1.0, np.full(n // 2 - 1, np.sqrt(2.0)), 1.0], c)
+
+
+def _even_part(block: np.ndarray, c: int, n: int) -> np.ndarray:
+    """The block on the orthonormal even basis e_0, e_n/2 and
+    (e_j + e_{n-j}) / sqrt(2): the fold, symmetrized by the point weights."""
+    s = _even_scale(c, n)
+    return s[:, None] * fold(block, c) / s[None, :]
+
+
+def _odd_part(block: np.ndarray, c: int, n: int) -> np.ndarray:
+    """The block on the orthonormal odd basis (e_j - e_{n-j}) / sqrt(2),
+    j = 1..n/2-1: rows and columns 1..n/2-1 minus the mirrored columns."""
+    h = n // 2 + 1
+    rows = block.reshape(c, n, c, n)[:, 1:h - 1]
+    return (rows[..., 1:h - 1] - rows[..., h:][..., ::-1]).reshape(c * (h - 2), c * (h - 2))
+
+
+def _lift(kind: str, y: np.ndarray, c: int, n: int) -> np.ndarray:
+    """Rows y of part coordinates as rows of block coordinates."""
+    if kind == "whole":
+        return y
+    h = n // 2 + 1
+    if kind == "even":
+        return unfold((y / _even_scale(c, n)).reshape(-1, c, h)).reshape(-1, c * n)
+    half = y.reshape(-1, c, h - 2) / np.sqrt(2.0)
+    v = np.zeros((len(y), c, n))
+    v[..., 1:h - 1] = half
+    v[..., h:] = -half[..., ::-1]
+    return v.reshape(-1, c * n)
+
+
+class _Part(NamedTuple):
+    """One eigensolve: a block, or its even or odd part."""
+
+    offset: int          # of the block in the stacked real coordinates
+    components: int      # n-point grids the block acts on
+    kind: str            # "even" | "odd" | "whole"
+    matrix: np.ndarray
+
+
+def _parts(op: HessOp) -> list:
+    n = op.grid.n
+    parts, offset = [], 0
+    for block in op.blocks:
+        c = block.shape[0] // n
+        if _is_even(block, c, n):
+            parts.append(_Part(offset, c, "even", _even_part(block, c, n)))
+            parts.append(_Part(offset, c, "odd", _odd_part(block, c, n)))
+        else:
+            parts.append(_Part(offset, c, "whole", block))
+        offset += block.shape[0]
+    return parts
+
+
+def _low_end(a: np.ndarray, k: int) -> tuple:
+    """The k lowest eigenpairs of a (all of them when k >= its dimension)."""
+    k = min(k, a.shape[0])
+    return scipy.linalg.eigh(a, subset_by_index=[0, k - 1], driver="evr")
 
 
 def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
-    """Classify the lowest eigenvalues of the Hessian."""
-    eigvals, eigvecs = scipy.linalg.eigh(op.matrix)
-    ker_tol = 1e-6 * float(np.max(np.abs(eigvals)))
-    n_neg = int(np.sum(eigvals < -ker_tol))
-    ker_mask = np.abs(eigvals) <= ker_tol
-    dim_ker = int(np.sum(ker_mask))
+    """Classify the low end of the Hessian's spectrum.
+
+    Each part gives at least its LOW_SUBSET lowest eigenpairs, and doubles
+    that until its largest computed eigenvalue is above the kernel tolerance
+    or the part is exhausted, so the negative, kernel and first positive
+    eigenvalues are all computed whatever n_eigs, which only trims
+    `eigenvalues`."""
+    parts = _parts(op)
+    top = max(
+        float(scipy.linalg.eigh(p.matrix, subset_by_index=[p.matrix.shape[0] - 1] * 2,
+                                eigvals_only=True, driver="evr")[0])
+        for p in parts)
+    low = [_low_end(p.matrix, max(LOW_SUBSET, n_eigs)) for p in parts]
+    while True:
+        ker_tol = 1e-6 * max(top, -min(vals[0] for vals, _ in low))
+        short = [i for i, (vals, _) in enumerate(low)
+                 if vals[-1] <= ker_tol and vals.size < parts[i].matrix.shape[0]]
+        if not short:
+            break
+        for i in short:
+            low[i] = _low_end(parts[i].matrix, 2 * low[i][0].size)
+
+    eigvals = np.sort(np.concatenate([vals for vals, _ in low]))
     above = eigvals[eigvals > ker_tol]
-    gap_pos = float(above[0]) if above.size else np.inf
-    kernel_vectors = eigvecs[:, ker_mask].T.copy()
+    kernel_vals, kernel_vectors = [], []
+    for p, (vals, vecs) in zip(parts, low):
+        ker = np.abs(vals) <= ker_tol
+        rows = _lift(p.kind, vecs[:, ker].T, p.components, op.grid.n)
+        full = np.zeros((len(rows), op.dimension))
+        full[:, p.offset:p.offset + rows.shape[1]] = rows
+        kernel_vals.append(vals[ker])
+        kernel_vectors.append(full)
+    order = np.argsort(np.concatenate(kernel_vals), kind="stable")
     return SpectralReport(
         eigenvalues=eigvals[:n_eigs].copy(),
-        n_neg=n_neg,
-        dim_ker=dim_ker,
-        gap_pos=gap_pos,
+        n_neg=int(np.sum(eigvals < -ker_tol)),
+        dim_ker=int(order.size),
+        gap_pos=float(above[0]) if above.size else np.inf,
         ker_tol=ker_tol,
-        kernel_vectors=kernel_vectors,
-        all_eigenvalues=eigvals,
+        kernel_vectors=np.concatenate(kernel_vectors)[order],
+        parts=tuple((p.matrix.shape[0], p.kind) for p in parts),
+        part_matrices=tuple(p.matrix for p in parts),
     )
 
 
-def kernel_matches_orbit(rep: SpectralReport, op: HessOp, tol: float = 1e-5) -> bool:
-    """True iff the numerical kernel coincides with the orbit tangent space."""
+def kernel_matches_orbit(rep: SpectralReport, op: HessOp) -> bool:
+    """True iff the numerical kernel coincides with the orbit tangent space,
+    to KERNEL_ANGLE_TOL in the largest principal angle."""
     n_sym = op.symmetry_tangent.shape[0]
     if rep.dim_ker != n_sym:
         return False
     if n_sym == 0:
         return True
     angles = scipy.linalg.subspace_angles(rep.kernel_vectors.T, op.symmetry_tangent.T)
-    return bool(np.max(angles) <= tol)
+    return bool(np.max(angles) <= KERNEL_ANGLE_TOL)

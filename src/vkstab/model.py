@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import Coupled, Field, Grid, boundary_decay_check, gradient, laplacian
 from .spectral import first_derivative_matrix, second_derivative_matrix
@@ -114,7 +113,8 @@ class SingleLine(_Model):
         return -d2 - np.diag(p * np.abs(phi[0]) ** (p - 1.0) + omega)
 
     def hessian(self, prof) -> tuple:
-        """(matrix, symmetry tangents, gauge phase) at an equilibrium."""
+        """(diagonal blocks [L+, L-], symmetry tangents, gauge phase) at an
+        equilibrium."""
         grid = prof.grid
         d2 = second_derivative_matrix(grid)
         omega = prof.omega
@@ -123,7 +123,7 @@ class SingleLine(_Model):
         lm = -d2 - np.diag(np.abs(phi[0]) ** (p - 1.0) + omega)
         tangents = _orbit_tangents(phi, first_derivative_matrix(grid))
         phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return scipy.linalg.block_diag(self.lplus(phi, omega, d2), lm), tangents, phase
+        return [self.lplus(phi, omega, d2), lm], tangents, phase
 
     def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
         return vals * np.exp(1j * tau * np.abs(vals) ** (self.params.p - 1.0))
@@ -223,8 +223,8 @@ class CoupledLine(_Coupled):
         return np.block([[lp11, lp12], [lp12, lp22]])
 
     def hessian(self, prof) -> tuple:
-        """Gauge-rotate the boost away; the real profile then gives
-        block-diagonal real and imaginary parts."""
+        """Gauge-rotate the boost away; the real profile then gives the
+        diagonal blocks [L+ (both components), L-11, L-22]."""
         m = self.params
         grid = prof.grid
         d2 = second_derivative_matrix(grid)
@@ -233,10 +233,9 @@ class CoupledLine(_Coupled):
         om1, om2 = prof.omega
         lm11 = -d2 - np.diag(om1 + m.alpha * p1**2 + m.delta * p2**2)
         lm22 = -d2 - np.diag(om2 + m.delta * p1**2 + m.gamma * p2**2)
-        mat = scipy.linalg.block_diag(self.lplus(phi, prof.omega, d2), lm11, lm22)
         tangents = _orbit_tangents(phi, first_derivative_matrix(grid))
         phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return mat, tangents, phase
+        return [self.lplus(phi, prof.omega, d2), lm11, lm22], tangents, phase
 
     def resolve(self, prof, xi: np.ndarray, grid: Grid):
         """The member of the family of prof at xi, on grid: continued from the
@@ -293,6 +292,8 @@ class CoupledTorus(_Coupled):
         return H - _quartic_integral(m, vals[0], vals[1], dx)
 
     def hessian(self, prof) -> tuple:
+        """One block: the drift terms 2 b k d1 couple the real and imaginary
+        parts."""
         m = self.params
         grid = prof.grid
         n = grid.n
@@ -315,7 +316,7 @@ class CoupledTorus(_Coupled):
             ]
         )
         ones = np.ones(n)
-        return mat, _orbit_tangents(np.array([z1 * ones, z2 * ones])), None
+        return [mat], _orbit_tangents(np.array([z1 * ones, z2 * ones])), None
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         k = grid.wavenumbers

@@ -147,3 +147,43 @@ def test_certify_refuses_a_soliton_outside_one_dimension():
     u = vk.soliton_solve(-1.0, 3.0, g)
     cert = vk.certify(vk.Profile(u.field, u.xi, vk.SingleNLS(3.0, d=3)))
     assert cert.verdict == "indeterminate(solver)"
+
+
+def test_rolled_soliton_certifies_like_the_centered_one():
+    # off the reflection axis the Hessian blocks do not split by parity
+    g = vk.make_grid("line", 20.0, 256)
+    centered = vk.soliton_solve(-1.0, 3.0, g)
+    rolled = vk.Profile(vk.Field(np.roll(centered.field.values, 7, axis=1), g),
+                        centered.xi, centered.model)
+    a, b = vk.certify(centered), vk.certify(rolled)
+    assert b.verdict == a.verdict == "certified_coercive"
+    assert b.provenance["spectrum_parts"] == [[256, "whole"], [256, "whole"]]
+    for check, key in (("h2_kernel_equals_orbit", "dim_ker"), ("h4_index_match", "n_d2l")):
+        assert b.checks[check][key] == a.checks[check][key]
+    for key in ("gap", "refinement_ratio"):
+        assert abs(b.checks["h3_positive_gap"][key] - a.checks["h3_positive_gap"][key]) < 1e-10
+
+
+def test_certify_never_forms_the_dense_hessian(monkeypatch):
+    def no_matrix(self):
+        raise AssertionError("certify built the dense Hessian")
+
+    monkeypatch.setattr(vk.HessOp, "matrix", property(no_matrix))
+    g = vk.make_grid("line", 20.0, 256)
+    for prof in (
+        vk.soliton_solve(-1.0, 3.0, g),
+        vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g),
+        vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5),
+                      vk.make_grid("periodic", 2 * np.pi, 64)),
+    ):
+        assert vk.certify(prof).verdict == "certified_coercive"
+
+
+def test_certificate_records_the_spectrum_parts():
+    g = vk.make_grid("line", 20.0, 256)
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
+    first, second = vk.certify(prof), vk.certify(prof)
+    assert first.to_json() == second.to_json()
+    # L+ couples the two components; L-11 and L-22 are separate blocks
+    assert json.loads(first.to_json())["provenance"]["spectrum_parts"] == [
+        [258, "even"], [254, "odd"], [129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]

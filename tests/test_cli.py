@@ -26,6 +26,16 @@ def test_profile_then_spectrum_round_trip(tmp_path):
     assert spec["dim_ker"] == 2
 
 
+def test_spectrum_lists_its_eigensolves(tmp_path):
+    spec_file = tmp_path / "spec.json"
+    assert run(["spectrum", "--model", "nls", "--omega", -1.0, "--p", 3, "--extent", 20,
+                "--n", 256, "--n-eigs", 1, "--out", spec_file]) == 0
+    spec = json.loads(spec_file.read_text())
+    assert len(spec["eigenvalues"]) == 1
+    assert (spec["n_neg"], spec["dim_ker"]) == (1, 2)
+    assert spec["parts"] == [[129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
+
+
 def test_slope_reports_both_methods(tmp_path):
     out = tmp_path / "slope.json"
     assert run(["slope", "--model", "nls", "--omega", -1.0, "--p", 3,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import vkstab as vk
 
@@ -124,3 +125,85 @@ def test_boosted_equilibrium_is_checked_in_the_rest_frame():
     scaled = vk.Profile(vk.Field(1.1 * boosted.field.values, g), boosted.xi, boosted.model)
     with pytest.raises(ValueError, match="not an equilibrium"):
         vk.assemble(scaled)
+
+
+def _line(n=256):
+    return vk.make_grid("line", 20.0, n)
+
+
+def _cubic():
+    return vk.soliton_solve(-1.0, 3.0, _line())
+
+
+def _rolled(prof, shift=7):
+    """The same equilibrium with its center moved off the reflection axis."""
+    vals = np.roll(prof.field.values, shift, axis=1)
+    return vk.Profile(vk.Field(vals, prof.grid), prof.xi, prof.model)
+
+
+def _continued():
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), _line())
+    target = np.array([-1.0, -1.3, 0.0])
+    return vk.continue_family(base, target).profile(target)
+
+
+ORACLE_CASES = {
+    "cubic": _cubic,
+    "boosted": lambda: vk.boost(_cubic(), 0.5),
+    "p6": lambda: vk.soliton_solve(-1.0, 6.0, _line()),
+    "coupled_1_1_2": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), _line()),
+    "coupled_1_1_0.5": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 0.5), _line()),
+    "continued": _continued,
+    "torus_stable": lambda: vk.plane_wave(
+        1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5), vk.make_grid("periodic", 2 * np.pi, 64)),
+    "rolled": lambda: _rolled(_cubic()),
+    # the drift terms 2 b k d1 are odd under the reflection: one whole block
+    "torus_drift": lambda: vk.plane_wave(
+        1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5, k=1.0), vk.make_grid("periodic", 2 * np.pi, 64)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_spectrum_matches_the_dense_oracle(case):
+    op = vk.assemble(ORACLE_CASES[case]())
+    rep = vk.spectrum(op)
+    vals, vecs = np.linalg.eigh(op.matrix)
+    radius = np.max(np.abs(vals))
+    ker_tol = 1e-6 * radius
+    ker = np.abs(vals) <= ker_tol
+    assert np.max(np.abs(rep.all_eigenvalues - np.linalg.eigvalsh(op.matrix))) <= 1e-9 * radius
+    assert rep.ker_tol == pytest.approx(ker_tol, rel=1e-12)
+    assert rep.n_neg == np.sum(vals < -ker_tol)
+    assert rep.dim_ker == np.sum(ker)
+    assert rep.gap_pos == pytest.approx(vals[vals > ker_tol][0], abs=1e-9 * radius)
+    angles = scipy.linalg.subspace_angles(rep.kernel_vectors.T, vecs[:, ker])
+    assert np.max(angles) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["cubic", "coupled_1_1_0.5"])
+def test_subset_size_does_not_come_from_n_eigs(case):
+    op = vk.assemble(ORACLE_CASES[case]())
+    few, many = vk.spectrum(op, n_eigs=1), vk.spectrum(op, n_eigs=12)
+    assert few.eigenvalues.size == 1
+    assert (few.n_neg, few.dim_ker, few.gap_pos) == (many.n_neg, many.dim_ker, many.gap_pos)
+
+
+def test_low_end_grows_until_it_passes_the_kernel(monkeypatch):
+    # two negative and three kernel directions: one eigenpair per part is
+    # too few, so each part's subset doubles until it reaches the gap
+    op = vk.assemble(ORACLE_CASES["coupled_1_1_0.5"]())
+    ref = vk.spectrum(op)
+    monkeypatch.setattr(vk.hessian, "LOW_SUBSET", 1)
+    rep = vk.spectrum(op, n_eigs=1)
+    assert (rep.n_neg, rep.dim_ker) == (ref.n_neg, ref.dim_ker) == (2, 3)
+    assert rep.gap_pos == pytest.approx(ref.gap_pos, rel=1e-10)
+    assert vk.kernel_matches_orbit(rep, op)
+
+
+def test_spectrum_reports_its_parts():
+    rep = vk.spectrum(vk.assemble(_cubic()))
+    # L+ and L- of the even soliton, each split by parity
+    assert rep.parts == ((129, "even"), (127, "odd"), (129, "even"), (127, "odd"))
+    assert rep.to_dict()["parts"] == [[129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
+    rolled = vk.spectrum(vk.assemble(_rolled(_cubic())))
+    assert rolled.parts == ((256, "whole"), (256, "whole"))
