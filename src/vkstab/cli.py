@@ -216,7 +216,7 @@ def _cmd_so3(args) -> int:
     times, qs, ps, energies, f_drift = integrate_so3(
         state, args.dt, args.tend, q0=state.q + scale * dq, p0=state.p + scale * dp
     )
-    dists = [orbit_distance(state, q, p) for q, p in zip(qs, ps)]
+    dists = orbit_distance(state, qs, ps)
     doc = json.loads(cert.to_json())
     doc["experiment"] = {
         "eps": args.eps,

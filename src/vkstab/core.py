@@ -207,6 +207,26 @@ def boundary_decay_check(f: Field, tol: float = BOUNDARY_DECAY_TOL) -> None:
         )
 
 
+def step_count(dt: float, t_end: float, sample_stride: int = 1) -> int:
+    """Number of steps of size dt that reach t_end, for a time stepper
+    sampling every sample_stride steps.
+
+    t_end / dt must be a non-negative integer to 1e-9 relative to
+    max(|t_end|, 1); anything else (including a zero or non-finite dt, or a
+    stride below 1) is a ValueError.
+    """
+    if not (np.isfinite(dt) and np.isfinite(t_end)) or dt == 0.0:
+        raise ValueError("dt must be nonzero and dt, t_end finite")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be at least 1")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 0:
+        raise ValueError("t_end / dt must not be negative")
+    if abs(n_steps * dt - t_end) > 1e-9 * max(abs(t_end), 1.0):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return n_steps
+
+
 def laplacian(f: Field) -> Field:
     k2 = f.grid.wavenumbers ** 2
     out = np.fft.ifft(-k2 * np.fft.fft(f.values, axis=1), axis=1)

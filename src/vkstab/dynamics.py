@@ -16,8 +16,8 @@ from typing import List, Optional
 import numpy as np
 import scipy.optimize
 
-from .core import Field, gradient, h1_norm
-from .model import model_for
+from .core import Field, gradient, h1_norm, step_count
+from .model import field_to_vec, model_for, vec_to_field
 from .profiles import Profile
 
 __all__ = [
@@ -60,11 +60,7 @@ class OrbitDistanceSeries:
 def evolve(u0: Field, params, dt: float, t_end: float,
            sample_stride: int = 1) -> Trajectory:
     """Propagate the field to t_end with Strang splitting, sampling snapshots."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(abs(t_end), 1.0):
-        raise ValueError("t_end must be an integer multiple of dt")
+    n_steps = step_count(dt, t_end, sample_stride)
     grid = u0.grid
     model = model_for(params, grid)
     lin = model.linear_phases(grid, dt)
@@ -202,20 +198,17 @@ def make_perturbation(prof: Profile, kind: str, rng: np.random.Generator,
 
     f = Field(vals, grid)
     if kind == "kernel_orthogonal":
-        from .hessian import assemble
-
-        op = assemble(prof)
-        v = op.field_to_vec(f)
-        directions = [t for t in op.symmetry_tangent]
+        tangents, phase = model_for(prof.model, grid).tangents(prof)
+        v = field_to_vec(f, phase)
+        directions = list(tangents)
         # conserved-quantity gradients: each component mass gives the profile
         # itself, the momentum gives its derivative rotated by -i.
-        pv = op.field_to_vec(prof.field)
-        directions.append(pv)
+        directions.append(field_to_vec(prof.field, phase))
         gp = gradient(prof.field)
-        directions.append(op.field_to_vec(gp.map_values(lambda x: -1j * x)))
+        directions.append(field_to_vec(gp.map_values(lambda x: -1j * x), phase))
         basis = np.linalg.qr(np.array(directions).T)[0]
         v = v - basis @ (basis.T @ v)
-        f = op.vec_to_field(v)
+        f = vec_to_field(v, grid, phase)
     nrm = h1_norm(f)
     if nrm == 0.0:
         raise ValueError("degenerate perturbation")

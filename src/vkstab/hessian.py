@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import Field, Grid
-from .model import model_for
+from .linalg import matvec
+from .model import field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
 from .spectral import fold, unfold
 
@@ -71,7 +72,6 @@ class HessOp:
 
     blocks: tuple
     grid: Grid
-    components: int
     symmetry_tangent: np.ndarray      # rows: tangent vectors in real coords
     phase: Optional[np.ndarray]
 
@@ -90,24 +90,15 @@ class HessOp:
         return sum(block.shape[0] for block in self.blocks)
 
     def field_to_vec(self, f: Field) -> np.ndarray:
-        vals = f.values
-        if self.phase is not None:
-            vals = vals * np.conj(self.phase)
-        return np.concatenate([np.real(vals).ravel(), np.imag(vals).ravel()])
+        return field_to_vec(f, self.phase)
 
     def vec_to_field(self, v: np.ndarray) -> Field:
-        half = v.size // 2
-        re = v[:half].reshape(self.components, -1)
-        im = v[half:].reshape(self.components, -1)
-        vals = re + 1j * im
-        if self.phase is not None:
-            vals = vals * self.phase
-        return Field(vals, self.grid)
+        return vec_to_field(v, self.grid, self.phase)
 
     def apply(self, f: Field) -> Field:
         v = self.field_to_vec(f)
         cuts = np.cumsum([block.shape[0] for block in self.blocks])[:-1]
-        hv = [block @ part for block, part in zip(self.blocks, np.split(v, cuts))]
+        hv = [matvec(block, part) for block, part in zip(self.blocks, np.split(v, cuts))]
         return self.vec_to_field(np.concatenate(hv))
 
     def tangent_fields(self) -> list:
@@ -156,8 +147,8 @@ def assemble(prof: Profile) -> HessOp:
     """Second variation of L_xi at an equilibrium profile."""
     _check_equilibrium(prof)
     model = model_for(prof.model, prof.grid)
-    blocks, tangents, phase = model.hessian(prof)
-    return HessOp(tuple(blocks), prof.grid, prof.model.components, tangents, phase)
+    tangents, phase = model.tangents(prof)
+    return HessOp(tuple(model.hessian(prof)), prof.grid, tangents, phase)
 
 
 def _is_even(block: np.ndarray, c: int, n: int) -> bool:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Coupled, Field, Grid, boundary_decay_check, gradient, laplacian
+from .linalg import matvec
 from .spectral import first_derivative_matrix, second_derivative_matrix
 
-__all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "model_for"]
+__all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "model_for", "field_to_vec",
+           "vec_to_field"]
 
 
 def model_for(params, grid: Grid):
@@ -26,6 +28,30 @@ def model_for(params, grid: Grid):
     if grid.kind == "periodic":
         return CoupledTorus(params)
     return CoupledLine(params)
+
+
+def field_to_vec(f: Field, phase=None) -> np.ndarray:
+    """Stacked real coordinates [Re u_1, .., Im u_1, ..] of f in the frame
+    that `phase` (from `tangents`; None is the identity) rotates away."""
+    vals = f.values
+    if phase is not None:
+        vals = vals * np.conj(phase)
+    return np.concatenate([np.real(vals).ravel(), np.imag(vals).ravel()])
+
+
+def vec_to_field(v: np.ndarray, grid: Grid, phase=None) -> Field:
+    """The field with stacked real coordinates v: the inverse of field_to_vec."""
+    half = v.size // 2
+    vals = v[:half].reshape(-1, grid.n) + 1j * v[half:].reshape(-1, grid.n)
+    if phase is not None:
+        vals = vals * phase
+    return Field(vals, grid)
+
+
+def _rest_profile(prof) -> np.ndarray:
+    """The real profile of a line equilibrium: its field with the boost's
+    gauge phase exp(i c x / 2) removed."""
+    return np.real(prof.field.values * np.exp(-0.5j * prof.c * prof.grid.nodes))
 
 
 def _orbit_tangents(phi: np.ndarray, d1=None) -> np.ndarray:
@@ -39,7 +65,7 @@ def _orbit_tangents(phi: np.ndarray, d1=None) -> np.ndarray:
         rotated[j] = phi[j]
         rows.append(np.concatenate([zero.ravel(), rotated.ravel()]))
     if d1 is not None:
-        rows.append(np.concatenate([d1 @ p for p in phi] + [zero.ravel()]))
+        rows.append(np.concatenate([matvec(d1, p) for p in phi] + [zero.ravel()]))
     return np.array(rows)
 
 
@@ -68,6 +94,15 @@ class _Model:
             F.append(0.5 * dx * np.real(
                 sum(np.sum(np.conj(u) * (-1j) * d) for u, d in zip(f.values, du))))
         return {"H": float(self.energy(f.values, du, dx)), "F": np.array(F)}
+
+    def tangents(self, prof) -> tuple:
+        """(orbit tangents, gauge phase) at an equilibrium: the tangents are
+        rows of stacked real coordinates in the frame the phase rotates away
+        (None when c = 0)."""
+        grid = prof.grid
+        tangents = _orbit_tangents(_rest_profile(prof), first_derivative_matrix(grid))
+        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
+        return tangents, phase
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         """Free flow over dt in Fourier space, one row per component."""
@@ -105,25 +140,22 @@ class SingleLine(_Model):
         (one row)."""
         u = phi[0]
         p = self.params.p
-        return (d2 @ u + np.abs(u) ** (p - 1.0) * u + omega * u)[None]
+        return (matvec(d2, u) + np.abs(u) ** (p - 1.0) * u + omega * u)[None]
 
     def lplus(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
         """L+, the real-part Hessian block: minus the Jacobian of `stationary`."""
         p = self.params.p
         return -d2 - np.diag(p * np.abs(phi[0]) ** (p - 1.0) + omega)
 
-    def hessian(self, prof) -> tuple:
-        """(diagonal blocks [L+, L-], symmetry tangents, gauge phase) at an
-        equilibrium."""
-        grid = prof.grid
-        d2 = second_derivative_matrix(grid)
+    def hessian(self, prof) -> list:
+        """Diagonal blocks [L+, L-] at an equilibrium, in the frame of
+        `tangents`."""
+        d2 = second_derivative_matrix(prof.grid)
         omega = prof.omega
-        phi = np.real(prof.field.values * np.exp(-0.5j * prof.c * grid.nodes))
+        phi = _rest_profile(prof)
         p = self.params.p
         lm = -d2 - np.diag(np.abs(phi[0]) ** (p - 1.0) + omega)
-        tangents = _orbit_tangents(phi, first_derivative_matrix(grid))
-        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return [self.lplus(phi, omega, d2), lm], tangents, phase
+        return [self.lplus(phi, omega, d2), lm]
 
     def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
         return vals * np.exp(1j * tau * np.abs(vals) ** (self.params.p - 1.0))
@@ -208,8 +240,8 @@ class CoupledLine(_Coupled):
         m = self.params
         p1, p2 = phi
         om1, om2 = omega
-        r1 = d2 @ p1 + om1 * p1 + (m.alpha * p1**2 + m.delta * p2**2) * p1
-        r2 = d2 @ p2 + om2 * p2 + (m.delta * p1**2 + m.gamma * p2**2) * p2
+        r1 = matvec(d2, p1) + om1 * p1 + (m.alpha * p1**2 + m.delta * p2**2) * p1
+        r2 = matvec(d2, p2) + om2 * p2 + (m.delta * p1**2 + m.gamma * p2**2) * p2
         return np.array([r1, r2])
 
     def lplus(self, phi: np.ndarray, omega: tuple, d2: np.ndarray) -> np.ndarray:
@@ -222,20 +254,17 @@ class CoupledLine(_Coupled):
         lp12 = -np.diag(2 * m.delta * p1 * p2)
         return np.block([[lp11, lp12], [lp12, lp22]])
 
-    def hessian(self, prof) -> tuple:
+    def hessian(self, prof) -> list:
         """Gauge-rotate the boost away; the real profile then gives the
         diagonal blocks [L+ (both components), L-11, L-22]."""
         m = self.params
-        grid = prof.grid
-        d2 = second_derivative_matrix(grid)
-        phi = np.real(prof.field.values * np.exp(-0.5j * prof.c * grid.nodes))
+        d2 = second_derivative_matrix(prof.grid)
+        phi = _rest_profile(prof)
         p1, p2 = phi
         om1, om2 = prof.omega
         lm11 = -d2 - np.diag(om1 + m.alpha * p1**2 + m.delta * p2**2)
         lm22 = -d2 - np.diag(om2 + m.delta * p1**2 + m.gamma * p2**2)
-        tangents = _orbit_tangents(phi, first_derivative_matrix(grid))
-        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return [self.lplus(phi, prof.omega, d2), lm11, lm22], tangents, phase
+        return [self.lplus(phi, prof.omega, d2), lm11, lm22]
 
     def resolve(self, prof, xi: np.ndarray, grid: Grid):
         """The member of the family of prof at xi, on grid: continued from the
@@ -291,14 +320,22 @@ class CoupledTorus(_Coupled):
         H = 0.5 * m.beta * dx * np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2)
         return H - _quartic_integral(m, vals[0], vals[1], dx)
 
-    def hessian(self, prof) -> tuple:
+    def _amplitudes(self, prof) -> np.ndarray:
+        return prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
+
+    def tangents(self, prof) -> tuple:
+        """The two phase rotations of the constant wave; no gauge phase."""
+        ones = np.ones(prof.grid.n)
+        return _orbit_tangents(np.outer(self._amplitudes(prof), ones)), None
+
+    def hessian(self, prof) -> list:
         """One block: the drift terms 2 b k d1 couple the real and imaginary
         parts."""
         m = self.params
         grid = prof.grid
         n = grid.n
         zero = np.zeros((n, n))
-        z1, z2 = prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
+        z1, z2 = self._amplitudes(prof)
         d2 = second_derivative_matrix(grid)
         d1 = first_derivative_matrix(grid)
         b, k = m.beta, m.k
@@ -315,8 +352,7 @@ class CoupledTorus(_Coupled):
                 [zero, -(-2 * b * k * d1), zero, base2 - a2c * np.eye(n)],
             ]
         )
-        ones = np.ones(n)
-        return [mat], _orbit_tangents(np.array([z1 * ones, z2 * ones])), None
+        return [mat]
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         k = grid.wavenumbers

@@ -23,6 +23,7 @@ from .core import (
     invariants_of,
     make_grid,
 )
+from .linalg import solve
 from .model import model_for
 from .spectral import fold, second_derivative_matrix, unfold
 
@@ -148,8 +149,7 @@ def _newton_even(model, phi0: np.ndarray, omega, grid: Grid,
         if np.max(np.abs(res)) < tol:
             return phi
         try:
-            step = np.linalg.solve(fold(model.lplus(phi, omega, d2), len(phi)),
-                                   res[:, :h].ravel())
+            step = solve(fold(model.lplus(phi, omega, d2), len(phi)), res[:, :h].ravel())
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular Newton system") from exc
         phi = phi + unfold(step.reshape(len(phi), h))

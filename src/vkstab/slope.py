@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import matvec, solve
 from .model import model_for
 from .profiles import Family, Profile, SolverError
 from .spectral import fold, second_derivative_matrix, unfold
@@ -121,7 +122,7 @@ def _even_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the n-point grid; mat acts on those rows stacked."""
     k, comps, n = rhs.shape
     h = n // 2 + 1
-    y = np.linalg.solve(fold(mat, comps), rhs[:, :, :h].reshape(k, comps * h).T)
+    y = solve(fold(mat, comps), rhs[:, :, :h].reshape(k, comps * h).T)
     return unfold(y.T.reshape(k, comps, h))
 
 
@@ -154,7 +155,7 @@ def vk_integral(prof: Profile) -> float:
     d2 = second_derivative_matrix(grid)
     ld = -d2 - np.diag((3.0 - 2.0 * m.delta * s) * scalar**2 + omega)
     y = _even_solve(ld, scalar[None, None])[0, 0]
-    resid = np.max(np.abs(ld @ y - scalar))
+    resid = np.max(np.abs(matvec(ld, y) - scalar))
     if resid > 1e-9 * max(np.max(np.abs(scalar)), 1.0):
         raise ValueError(f"Ldelta solve residual too large ({resid:.3e})")
     return float(np.sum(scalar * y) * grid.spacing)

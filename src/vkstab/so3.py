@@ -1,19 +1,25 @@
 """Finite-dimensional rotation-invariant central-force example.
 
-A point mass with Hamiltonian |p|^2/2 + V(|q|) - alpha |q x p|^2 has circular
-relative equilibria whose stability indices can be written in closed form;
-this module provides the equilibria, the brute-force 6x6 Hessian of the
+A point mass with Hamiltonian |p|^2/2 + omega |q|^2/2 - alpha |q x p|^2 has
+circular relative equilibria whose stability indices can be written in closed
+form; this module provides the equilibria, the brute-force 6x6 Hessian of the
 constrained energy, the reduced-energy Hessian and its restriction to the
-isotropy direction, and a symplectic integrator that conserves angular
-momentum exactly.
+isotropy direction, and the exact flow.  The flow is in closed form, because
+the oscillator and the coupling Poisson-commute: the isotropic oscillator
+followed by a rigid rotation about the conserved angular momentum, evaluated
+as arrays over all step times at once.  It conserves the angular momentum to
+roundoff at every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .core import step_count
 
 __all__ = [
     "SO3State",
@@ -43,6 +49,24 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
     return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
 
+class _AxisParts(NamedTuple):
+    """Vectors v (last axis 3) split about a unit axis a: the rotation of v
+    about a by an angle with cosine c and sine s is par + c perp + s cross."""
+
+    par: np.ndarray       # (a . v) a
+    perp: np.ndarray      # v - par
+    cross: np.ndarray     # a x perp
+
+    @classmethod
+    def of(cls, axis: np.ndarray, v: np.ndarray) -> "_AxisParts":
+        par = (v @ axis)[..., None] * axis
+        perp = v - par
+        return cls(par, perp, np.cross(axis, perp))
+
+    def rotated(self, c, s) -> np.ndarray:
+        return self.par + c * self.perp + s * self.cross
+
+
 @dataclass(frozen=True)
 class SO3State:
     q: np.ndarray
@@ -62,12 +86,22 @@ class SO3State:
         return np.cross(self.q, self.p)
 
     def energy(self) -> float:
-        f = self.angular_momentum
-        return float(
-            0.5 * np.dot(self.p, self.p)
-            + 0.5 * self.omega_pot * np.dot(self.q, self.q)
-            - self.alpha * np.dot(f, f)
-        )
+        return float(_energy(self, self.q, self.p))
+
+    @cached_property
+    def _reference(self) -> _AxisParts:
+        """(q, p) split about the angular-momentum axis, each part as one
+        6-vector (q part, then p part), for orbit_distance."""
+        mu = self.angular_momentum
+        parts = _AxisParts.of(mu / np.linalg.norm(mu), np.array([self.q, self.p]))
+        return _AxisParts(*(x.ravel() for x in parts))
+
+
+def _energy(state: SO3State, q: np.ndarray, p: np.ndarray):
+    """Energy at (q, p), broadcast over leading axes."""
+    f = np.cross(q, p)
+    return (0.5 * np.sum(p * p, axis=-1) + 0.5 * state.omega_pot * np.sum(q * q, axis=-1)
+            - state.alpha * np.sum(f * f, axis=-1))
 
 
 def circular_orbit(rho: float, omega_pot: float, alpha: float) -> SO3State:
@@ -194,89 +228,78 @@ def w_so3_fd(xi, omega_pot: float, alpha: float, h: float = 1e-5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Symplectic integration
+# Exact flow
 
-def _rotate_about(axis: np.ndarray, angle: float, v: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return c * v + s * np.cross(axis, v) + (1.0 - c) * np.dot(axis, v) * axis
+_DRIFT_CHUNK = 4096        # steps per array evaluation of the angular-momentum drift
 
 
-def _coupling_half(q, p, alpha, dt):
-    """Exact flow of the -alpha |q x p|^2 term: rigid rotation about F."""
-    f = np.cross(q, p)
-    nf = np.linalg.norm(f)
+def _flow(state: SO3State, q0: np.ndarray, p0: np.ndarray, t: np.ndarray) -> tuple:
+    """(q, p) at the times t (shape (m,)), each of shape (m, 3).
+
+    The isotropic oscillator |p|^2/2 + omega |q|^2/2 rotates (q, p) in phase
+    space; the coupling -alpha |F|^2 rotates q and p rigidly about F = q x p
+    at the rate -2 alpha |F|.  The two Hamiltonians Poisson-commute and both
+    conserve F, so the exact flow is the oscillator at time t followed by the
+    rotation about F0 by the angle -2 alpha |F0| t.
+    """
+    sw = np.sqrt(state.omega_pot)
+    c, s = np.cos(sw * t)[:, None], np.sin(sw * t)[:, None]
+    q = q0 * c + (p0 / sw) * s
+    p = p0 * c - sw * q0 * s
+    f0 = np.cross(q0, p0)
+    nf = np.linalg.norm(f0)
     if nf == 0.0:
         return q, p
-    axis = f / nf
-    angle = -2.0 * alpha * nf * dt
-    return _rotate_about(axis, angle, q), _rotate_about(axis, angle, p)
+    angle = (-2.0 * state.alpha * nf) * t[:, None]
+    parts = _AxisParts.of(f0 / nf, np.stack([q, p]))
+    q, p = parts.rotated(np.cos(angle), np.sin(angle))
+    return q, p
 
 
 def integrate_so3(state: SO3State, dt: float, t_end: float,
                   q0: Optional[np.ndarray] = None, p0: Optional[np.ndarray] = None,
                   sample_stride: int = 10):
-    """Strang-split symplectic propagation of the perturbed state.
+    """The exact flow of the perturbed state on the lattice t_k = k dt.
 
-    Both substeps are exact flows: the oscillator part rotates (q, p) in
-    phase space and the coupling part rotates rigidly about the angular
-    momentum.  The two Hamiltonians Poisson-commute (the central force
-    conserves the angular momentum), so the composition reproduces the exact
-    dynamics up to roundoff and F drifts only by roundoff.
+    The state at t_k is the closed form of `_flow`, evaluated as arrays over
+    the lattice rather than stepped: the samples are the steps k with
+    k % sample_stride == 0 and the last step, at times k * dt, and t_end / dt
+    must be a non-negative integer (`core.step_count`).  The drift of the
+    angular momentum, max_k |q x p - F0| over every step, is evaluated in
+    chunks of _DRIFT_CHUNK steps, so memory grows with the samples only.
     Returns (times, qs, ps, energies, f_norm_drift).
     """
-    q = np.array(state.q if q0 is None else q0, dtype=float)
-    p = np.array(state.p if p0 is None else p0, dtype=float)
-    n_steps = int(round(t_end / dt))
-    f0 = np.cross(q, p)
+    q0 = np.array(state.q if q0 is None else q0, dtype=float)
+    p0 = np.array(state.p if p0 is None else p0, dtype=float)
+    n_steps = step_count(dt, t_end, sample_stride)
+    f0 = np.cross(q0, p0)
 
-    times = [0.0]
-    qs = [q.copy()]
-    ps = [p.copy()]
+    steps = np.arange(0, n_steps + 1, sample_stride)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    times = steps * dt
+    qs, ps = _flow(state, q0, p0, times)
 
-    def energy(q, p):
-        f = np.cross(q, p)
-        return (
-            0.5 * np.dot(p, p)
-            + 0.5 * state.omega_pot * np.dot(q, q)
-            - state.alpha * np.dot(f, f)
-        )
-
-    energies = [energy(q, p)]
     f_drift = 0.0
-    sw = np.sqrt(state.omega_pot)
-    cw, swt = np.cos(sw * dt), np.sin(sw * dt)
-    for step in range(1, n_steps + 1):
-        q, p = _coupling_half(q, p, state.alpha, 0.5 * dt)
-        # exact isotropic-oscillator flow of |p|^2/2 + omega |q|^2 / 2
-        q, p = q * cw + (p / sw) * swt, p * cw - sw * q * swt
-        q, p = _coupling_half(q, p, state.alpha, 0.5 * dt)
-        f_drift = max(f_drift, float(np.linalg.norm(np.cross(q, p) - f0)))
-        if step % sample_stride == 0 or step == n_steps:
-            times.append(step * dt)
-            qs.append(q.copy())
-            ps.append(p.copy())
-            energies.append(energy(q, p))
-    return np.array(times), np.array(qs), np.array(ps), np.array(energies), f_drift
+    for first in range(1, n_steps + 1, _DRIFT_CHUNK):
+        t = np.arange(first, min(first + _DRIFT_CHUNK, n_steps + 1)) * dt
+        q, p = _flow(state, q0, p0, t)
+        f_drift = max(f_drift, float(np.max(np.linalg.norm(np.cross(q, p) - f0, axis=1))))
+    return times, qs, ps, _energy(state, qs, ps), f_drift
 
 
-def orbit_distance(state: SO3State, q: np.ndarray, p: np.ndarray) -> float:
+def orbit_distance(state: SO3State, q: np.ndarray, p: np.ndarray):
     """Distance to the isotropy-group orbit of the reference circular orbit.
 
     Minimizes over the rotation angle about the angular-momentum axis in
-    closed form (the objective is a single harmonic in the angle).
+    closed form (the objective is a single harmonic in the angle).  q and p
+    may carry the same leading axes (last axis 3); a float for one pair.
     """
-    mu = state.angular_momentum
-    mu_hat = mu / np.linalg.norm(mu)
-
-    a = b = 0.0
-    for v, w in ((state.q, q), (state.p, p)):
-        v_perp = v - np.dot(v, mu_hat) * mu_hat
-        a += np.dot(v_perp, w)
-        b += np.dot(np.cross(mu_hat, v_perp), w)
-    phi = np.arctan2(b, a)
+    ref = state._reference
+    w = np.concatenate([np.asarray(q, dtype=float), np.asarray(p, dtype=float)], axis=-1)
+    phi = np.arctan2(w @ ref.cross, w @ ref.perp)[..., None]
     # evaluate at the optimal angle directly; the difference of nearly equal
     # vectors keeps full precision where the expanded form cancels
-    d2 = 0.0
-    for v, w in ((state.q, q), (state.p, p)):
-        d2 += float(np.sum((_rotate_about(mu_hat, phi, v) - w) ** 2))
-    return float(np.sqrt(d2))
+    diff = ref.rotated(np.cos(phi), np.sin(phi)) - w
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    return float(d) if d.ndim == 0 else d

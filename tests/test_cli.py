@@ -171,3 +171,14 @@ def test_unknown_config_entries_are_rejected(tmp_path):
 
 def test_missing_profile_file_is_an_input_error(tmp_path):
     assert run(["spectrum", "--from", tmp_path / "nope.json"]) == 2
+
+
+@pytest.mark.parametrize("dt, tend", [
+    (0, 100),          # no step size
+    (-0.01, 100),      # steps away from the final time
+    (0.03, 1),         # the final time is not on the step lattice
+])
+def test_so3_rejects_an_invalid_time_lattice(tmp_path, dt, tend):
+    out = tmp_path / "so3.json"
+    assert run(["so3", "--dt", dt, "--tend", tend, "--out", out]) == 2
+    assert not out.exists()

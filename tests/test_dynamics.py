@@ -138,3 +138,41 @@ def test_serialization_round_trips(tmp_path, soliton):
     frames = data.reshape(len(traj.snapshots), comps, n, 2)
     rebuilt = frames[..., 0] + 1j * frames[..., 1]
     assert np.max(np.abs(rebuilt[-1] - traj.snapshots[-1].values)) < 1e-15
+
+
+@pytest.mark.parametrize("dt, t_end, stride", [
+    (0.01, -0.5, 1),        # negative step count
+    (-0.01, 0.5, 1),        # steps away from t_end
+    (0.0, 0.5, 1),          # no step size
+    (0.01, 0.5, 0),         # no sampling
+])
+def test_evolve_rejects_an_invalid_time_lattice(soliton, dt, t_end, stride):
+    with pytest.raises(ValueError):
+        vk.evolve(soliton.field, soliton.model, dt=dt, t_end=t_end, sample_stride=stride)
+
+
+@pytest.mark.parametrize("case", ["cubic_n512", "boosted", "coupled_1_1_2", "torus"])
+def test_kernel_orthogonal_perturbation_builds_no_hessian(case, monkeypatch):
+    from vkstab.model import CoupledLine, CoupledTorus, SingleLine
+
+    line = vk.make_grid("line", 20.0, 512)
+    prof = {
+        "cubic_n512": lambda: vk.soliton_solve(-1.0, 3.0, line),
+        "boosted": lambda: vk.boost(vk.soliton_solve(-1.0, 3.0, line), 0.5),
+        "coupled_1_1_2": lambda: vk.coupled_soliton(
+            -1.0, vk.Coupled(1.0, 1.0, 2.0), vk.make_grid("line", 20.0, 256)),
+        "torus": lambda: vk.plane_wave(
+            1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5), vk.make_grid("periodic", 2 * np.pi, 64)),
+    }[case]()
+    expected = make_perturbation(prof, "kernel_orthogonal", np.random.default_rng(3))
+
+    def no_hessian(self, prof):
+        raise AssertionError("make_perturbation built a Hessian")
+
+    for cls in (SingleLine, CoupledLine, CoupledTorus):
+        monkeypatch.setattr(cls, "hessian", no_hessian)
+    pert = make_perturbation(prof, "kernel_orthogonal", np.random.default_rng(3))
+    assert np.array_equal(pert.values, expected.values)
+    monkeypatch.undo()
+    for t in vk.assemble(prof).tangent_fields():
+        assert abs(vk.inner(pert, t)) < 1e-12
