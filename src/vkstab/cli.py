@@ -18,7 +18,7 @@ import numpy as np
 
 from .certify import certify, certify_so3, coupled_stability_criteria
 from .core import Coupled, make_grid
-from .dynamics import distances_to_csv, stability_experiment
+from .dynamics import BlowUpError, distances_to_csv, stability_experiment
 from .hessian import assemble, grad_L, spectrum
 from .planewave import mode_table
 from .profiles import (
@@ -191,11 +191,15 @@ def _cmd_planewave(args) -> int:
 
 def _cmd_evolve(args) -> int:
     prof = _build_profile(args)
-    series = stability_experiment(
-        prof, eps=args.eps, dt=args.dt, t_end=args.tend,
-        kind=args.perturbation, seed=args.seed, mode_n=args.mode,
-        sample_stride=args.stride,
-    )
+    try:
+        series = stability_experiment(
+            prof, eps=args.eps, dt=args.dt, t_end=args.tend,
+            kind=args.perturbation, seed=args.seed, mode_n=args.mode,
+            sample_stride=args.stride,
+        )
+    except BlowUpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     _emit(distances_to_csv(series), args.out)
     line = f"max distance {series.max_distance:.6e}; verdict {series.verdict}"
     if series.growth_rate is not None:

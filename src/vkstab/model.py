@@ -10,6 +10,7 @@ branches on the model type or the grid kind to select formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,16 +85,27 @@ class _Model:
     def invariants(self, f: Field) -> dict:
         """Energy H and momentum map F: the component masses, then the
         momentum where translations are a symmetry."""
-        if f.components != self.params.components:
+        H, F = self.stacked_invariants(f.values, f.grid)
+        return {"H": float(H), "F": F}
+
+    def check_components(self, vals: np.ndarray) -> None:
+        """Fields (..., components, n) must have the model's component count."""
+        if vals.shape[-2] != self.params.components:
             raise ValueError(
                 f"{self.tag} model requires a {self.params.components}-component field")
-        dx = f.grid.spacing
-        du = gradient(f).values
-        F = [0.5 * dx * np.sum(np.abs(u) ** 2) for u in f.values]
+
+    def stacked_invariants(self, vals: np.ndarray, grid: Grid) -> tuple:
+        """(H, F) of fields stacked along the leading axes of vals, shape
+        (..., components, n): H has shape (...), F (..., m)."""
+        self.check_components(vals)
+        dx = grid.spacing
+        ik = 1j * grid.deriv_wavenumbers()
+        du = np.fft.ifft(ik * np.fft.fft(vals, axis=-1), axis=-1)
+        F = 0.5 * dx * np.sum(np.abs(vals) ** 2, axis=-1)
         if self.translations:
-            F.append(0.5 * dx * np.real(
-                sum(np.sum(np.conj(u) * (-1j) * d) for u, d in zip(f.values, du))))
-        return {"H": float(self.energy(f.values, du, dx)), "F": np.array(F)}
+            mom = np.sum(np.sum(np.conj(vals) * (-1j) * du, axis=-1), axis=-1)
+            F = np.concatenate([F, 0.5 * dx * np.real(mom)[..., None]], axis=-1)
+        return self.energy(vals, du, dx), F
 
     def tangents(self, prof) -> tuple:
         """(orbit tangents, gauge phase) at an equilibrium: the tangents are
@@ -107,6 +119,15 @@ class _Model:
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         """Free flow over dt in Fourier space, one row per component."""
         return np.tile(np.exp(-1j * grid.wavenumbers**2 * dt), (self.params.components, 1))
+
+    def orbit_overlap(self, z: np.ndarray):
+        """Largest overlap over the phase group, from the complex overlaps z
+        of the components (axis 0)."""
+        return np.sum(np.abs(self.phase_overlaps(z)), axis=0)
+
+    def orbit_phases(self, z: np.ndarray) -> np.ndarray:
+        """The phases of the group that attain it, one row per phase."""
+        return np.angle(self.phase_overlaps(z))
 
 
 class SingleLine(_Model):
@@ -129,10 +150,11 @@ class SingleLine(_Model):
         out = -lap[0] - np.abs(u) ** (self.params.p - 1.0) * u - xi[0] * u + 1j * xi[1] * grad[0]
         return Field(out[None, :], field.grid)
 
-    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> float:
+    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
+        """Energy of stacked fields vals (..., 1, n) with derivatives du."""
         p = self.params.p
-        return 0.5 * dx * np.sum(np.abs(du[0]) ** 2) - dx / (p + 1) * np.sum(
-            np.abs(vals[0]) ** (p + 1)
+        return 0.5 * dx * np.sum(np.abs(du[..., 0, :]) ** 2, axis=-1) - dx / (p + 1) * np.sum(
+            np.abs(vals[..., 0, :]) ** (p + 1), axis=-1
         )
 
     def stationary(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
@@ -157,16 +179,14 @@ class SingleLine(_Model):
         lm = -d2 - np.diag(np.abs(phi[0]) ** (p - 1.0) + omega)
         return [self.lplus(phi, omega, d2), lm]
 
-    def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
-        return vals * np.exp(1j * tau * np.abs(vals) ** (self.params.p - 1.0))
+    def potential(self, mod: np.ndarray) -> np.ndarray:
+        """Nonlinear potential |u|^(p-1) from the modulus |u|."""
+        return mod ** (self.params.p - 1.0)
 
-    def orbit_overlap(self, z: np.ndarray):
-        """Largest overlap over the phase group, from the complex overlaps z
-        of the components (axis 0): one phase rotates the whole field."""
-        return abs(np.sum(z, axis=0))
-
-    def orbit_phases(self, z: np.ndarray) -> np.ndarray:
-        return np.array([np.angle(np.sum(z))])
+    def phase_overlaps(self, z: np.ndarray) -> np.ndarray:
+        """One phase rotates the whole field: the overlap it acts on is the
+        sum over the components (axis 0)."""
+        return np.sum(z, axis=0, keepdims=True)
 
     def resolve(self, prof, xi: np.ndarray, grid: Grid):
         """The member of the family of prof at xi, on grid: a Newton solve at
@@ -179,13 +199,14 @@ class SingleLine(_Model):
         return boost(soliton_solve(omega, self.params.p, grid), float(xi[1]))
 
 
-def _quartic_integral(params: Coupled, u1: np.ndarray, u2: np.ndarray, dx: float) -> float:
+def _quartic_integral(params: Coupled, u1: np.ndarray, u2: np.ndarray, dx: float) -> np.ndarray:
     a1 = np.abs(u1) ** 2
     a2 = np.abs(u2) ** 2
-    return float(
+    return (
         0.25
         * dx
-        * np.sum(params.alpha * a1**2 + 2.0 * params.delta * a1 * a2 + params.gamma * a2**2)
+        * np.sum(params.alpha * a1**2 + 2.0 * params.delta * a1 * a2 + params.gamma * a2**2,
+                 axis=-1)
     )
 
 
@@ -193,21 +214,21 @@ class _Coupled(_Model):
     """What the two coupled cubic models share: the nonlinear flow and the
     phase group."""
 
-    def nonlinear_phase(self, vals: np.ndarray, tau: float) -> np.ndarray:
+    @cached_property
+    def _couplings(self) -> tuple:
+        """Columns of the coupling matrix [[alpha, delta], [delta, gamma]]."""
         m = self.params
-        a1 = np.abs(vals[0]) ** 2
-        a2 = np.abs(vals[1]) ** 2
-        out = np.empty_like(vals)
-        out[0] = vals[0] * np.exp(1j * tau * (m.alpha * a1 + m.delta * a2))
-        out[1] = vals[1] * np.exp(1j * tau * (m.delta * a1 + m.gamma * a2))
-        return out
+        return np.array([[m.alpha], [m.delta]]), np.array([[m.delta], [m.gamma]])
 
-    def orbit_overlap(self, z: np.ndarray):
-        """Largest overlap over the phase group: one phase per component."""
-        return np.sum(np.abs(z), axis=0)
+    def potential(self, mod: np.ndarray) -> np.ndarray:
+        """Nonlinear potential of each component from the moduli |u_j|."""
+        a = mod * mod
+        c1, c2 = self._couplings
+        return c1 * a[0] + c2 * a[1]
 
-    def orbit_phases(self, z: np.ndarray) -> np.ndarray:
-        return np.angle(z)
+    def phase_overlaps(self, z: np.ndarray) -> np.ndarray:
+        """One phase per component: each component's overlap (axis 0)."""
+        return z
 
 
 class CoupledLine(_Coupled):
@@ -230,9 +251,10 @@ class CoupledLine(_Coupled):
         g2 = -lap[1] - (m.delta * a1 + m.gamma * a2) * u2 - xi[1] * u2 + 1j * xi[2] * grad[1]
         return Field(np.array([g1, g2]), field.grid)
 
-    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> float:
-        H = 0.5 * dx * np.sum(np.abs(du[0]) ** 2 + np.abs(du[1]) ** 2)
-        return H - _quartic_integral(self.params, vals[0], vals[1], dx)
+    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
+        """Energy of stacked fields vals (..., 2, n) with derivatives du."""
+        H = 0.5 * dx * np.sum(np.abs(du[..., 0, :]) ** 2 + np.abs(du[..., 1, :]) ** 2, axis=-1)
+        return H - _quartic_integral(self.params, vals[..., 0, :], vals[..., 1, :], dx)
 
     def stationary(self, phi: np.ndarray, omega: tuple, d2: np.ndarray) -> np.ndarray:
         """Residual of the real stationary system at the profile phi (one row
@@ -312,13 +334,14 @@ class CoupledTorus(_Coupled):
         g2 -= (m.delta * a1 + m.gamma * a2) * u2 + xi[1] * u2
         return Field(np.array([g1, g2]), field.grid)
 
-    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> float:
-        """Covariant kinetic energy with the offset k."""
+    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
+        """Covariant kinetic energy with the offset k, of stacked fields."""
         m = self.params
-        d1 = du[0] + 1j * m.k * vals[0]
-        d2 = du[1] - 1j * m.k * vals[1]
-        H = 0.5 * m.beta * dx * np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2)
-        return H - _quartic_integral(m, vals[0], vals[1], dx)
+        u1, u2 = vals[..., 0, :], vals[..., 1, :]
+        d1 = du[..., 0, :] + 1j * m.k * u1
+        d2 = du[..., 1, :] - 1j * m.k * u2
+        H = 0.5 * m.beta * dx * np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=-1)
+        return H - _quartic_integral(m, u1, u2, dx)
 
     def _amplitudes(self, prof) -> np.ndarray:
         return prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])

@@ -108,6 +108,8 @@ def circular_orbit(rho: float, omega_pot: float, alpha: float) -> SO3State:
     """Circular relative equilibrium in the x-y plane."""
     if rho <= 0:
         raise ValueError("radius must be positive")
+    if not omega_pot > 0:
+        raise ValueError(f"omega_pot must be positive (got {omega_pot:g})")
     if 2.0 * alpha <= rho**-2:
         raise ValueError("need 2*alpha > 1/rho^2 for the circular equilibrium")
     sigma = np.sqrt(omega_pot) * rho

@@ -182,3 +182,29 @@ def test_so3_rejects_an_invalid_time_lattice(tmp_path, dt, tend):
     out = tmp_path / "so3.json"
     assert run(["so3", "--dt", dt, "--tend", tend, "--out", out]) == 2
     assert not out.exists()
+
+
+EVOLVE = ["evolve", "--n", 256, "--tend", 0.5, "--dt", 0.01]
+
+
+@pytest.mark.parametrize("eps", [0, -1e-3, "nan"])
+def test_evolve_rejects_an_eps_that_is_not_positive(tmp_path, capsys, eps):
+    out = tmp_path / "dist.csv"
+    assert run(EVOLVE + ["--eps", eps, "--out", out]) == 2
+    assert "eps must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_blowup_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "dist.csv"
+    assert run(EVOLVE + ["--eps", 1e9, "--out", out]) == 2
+    assert "error: blow-up detected at t = 0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega_pot", [-1, 0])
+def test_so3_rejects_a_potential_that_is_not_confining(tmp_path, capsys, omega_pot):
+    out = tmp_path / "so3.json"
+    assert run(["so3", "--omega-pot", omega_pot, "--out", out]) == 2
+    assert "omega_pot must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,15 +1,123 @@
 """Split-step propagation, orbit alignment, and stability experiments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import vkstab as vk
+from vkstab.core import h1_norm, step_count
 from vkstab.dynamics import (
+    BLOWUP_GUARD,
+    STABLE_ENVELOPE,
+    _fit_growth_rate,
+    apply_group,
     distances_to_csv,
     dump_binary,
     make_perturbation,
     trajectory_to_csv,
 )
+from vkstab.model import SingleLine, model_for
+
+
+def strang_reference(u0, params, dt, t_end, sample_stride=1):
+    """The stepper without fused half-steps: two nonlinear half-steps per
+    step, one Field and one invariants call per sample.  Returns (times,
+    snapshot values, energies, momenta)."""
+    n_steps = step_count(dt, t_end, sample_stride)
+    grid = u0.grid
+    model = model_for(params, grid)
+    lin = model.linear_phases(grid, dt)
+
+    def half_step(vals):
+        return vals * np.exp(0.5j * dt * model.potential(np.abs(vals)))
+
+    vals = u0.values.copy()
+    times, snaps = [0.0], [u0]
+    for step in range(1, n_steps + 1):
+        vals = half_step(np.fft.ifft(lin * np.fft.fft(half_step(vals), axis=1), axis=1))
+        if np.max(np.abs(vals)) > BLOWUP_GUARD:
+            raise RuntimeError(f"blow-up detected at t = {step * dt:.4g}")
+        if step % sample_stride == 0 or step == n_steps:
+            times.append(step * dt)
+            snaps.append(vk.Field(vals.copy(), grid))
+    inv = [model.invariants(f) for f in snaps]
+    return (np.array(times), np.array([f.values for f in snaps]),
+            np.array([i["H"] for i in inv]), np.array([i["F"] for i in inv]))
+
+
+def brent_align(u, ref):
+    """Alignment by a Brent search per field around the best integer shift,
+    with the distance from the expanded square norm."""
+    grid = u.grid
+    w = 1.0 + grid.wavenumbers**2
+    scale = grid.spacing / grid.n
+    uhat = np.fft.fft(u.values, axis=1)
+    rhat = np.fft.fft(ref.field.values, axis=1)
+    norm_u2 = float(np.sum(w * np.abs(uhat) ** 2) * scale)
+    norm_r2 = float(np.sum(w * np.abs(rhat) ** 2) * scale)
+    model = model_for(ref.model, ref.grid)
+
+    def overlap_at(a):
+        ph = np.exp(1j * grid.wavenumbers * a)
+        return np.sum(w * np.conj(uhat) * ph * rhat, axis=1) * scale
+
+    def cost(a):
+        return norm_u2 + norm_r2 - 2.0 * model.orbit_overlap(overlap_at(a))
+
+    a_best = 0.0
+    if model.translations:
+        corr = np.fft.ifft(w * np.conj(uhat) * rhat, axis=1) * (scale * grid.n)
+        a0 = int(np.argmax(model.orbit_overlap(corr))) * grid.spacing
+        if a0 > grid.extent:
+            a0 -= 2.0 * grid.extent
+        a_best = float(scipy.optimize.minimize_scalar(
+            cost, bracket=(a0 - grid.spacing, a0, a0 + grid.spacing),
+            method="brent", options={"xtol": 1e-12}).x)
+    z = overlap_at(a_best)
+    group = {"theta": model.orbit_phases(z)}
+    if model.translations:
+        group["shift"] = a_best
+    dist2 = norm_u2 + norm_r2 - 2.0 * model.orbit_overlap(z)
+    return group, float(np.sqrt(max(dist2, 0.0)))
+
+
+def experiment_run(prof, eps, dt, t_end, kind="band_limited", seed=0, mode_n=1,
+                   sample_stride=10):
+    """The initial field and the `evolve` arguments of `stability_experiment`
+    with these arguments."""
+    pert = make_perturbation(prof, kind, np.random.default_rng(seed), mode_n=mode_n)
+    return prof.field + eps * pert, {"dt": dt, "t_end": t_end, "sample_stride": sample_stride}
+
+
+SOLITON_RUN = {"eps": 1e-4, "dt": 0.01, "t_end": 5.0}
+TORUS_RUN = {"eps": 1e-5, "dt": 1e-3, "t_end": 12.0, "kind": "single_mode",
+             "mode_n": 1, "sample_stride": 10}
+# (profile, experiment arguments, snapshot tolerance against the reference):
+# the unstable runs amplify the roundoff of the two schemes
+EXPERIMENTS = {
+    "cubic_n512_dense": ("cubic", dict(SOLITON_RUN, sample_stride=1), 1e-12),
+    "cubic_n512_kernel_orthogonal": ("cubic", dict(SOLITON_RUN, kind="kernel_orthogonal"), 1e-12),
+    "p6_n512": ("p6", SOLITON_RUN, 1e-10),
+    "coupled_1_1_2_n256": ("coupled", SOLITON_RUN, 1e-12),
+    "torus_mi_n64": ("torus_mi", TORUS_RUN, 1e-10),
+    "torus_stable_n64": ("torus_stable", TORUS_RUN, 1e-12),
+}
+
+
+@pytest.fixture(scope="module")
+def profiles():
+    line = vk.make_grid("line", 20.0, 512)
+    torus = vk.make_grid("periodic", 2 * np.pi, 64)
+    return {
+        "cubic": vk.soliton_solve(-1.0, 3.0, line),
+        "p6": vk.soliton_solve(-1.0, 6.0, line),
+        "coupled": vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0),
+                                      vk.make_grid("line", 20.0, 256)),
+        "torus_mi": vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -2.0), torus),
+        "torus_stable": vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5), torus),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +173,6 @@ def test_evolve_requires_commensurate_times(soliton):
 
 
 def test_alignment_recovers_group_translates(soliton):
-    from vkstab.dynamics import apply_group
-
     shifted = apply_group(
         soliton.field, {"shift": 1.37, "theta": np.array([0.8])}
     )
@@ -85,8 +191,6 @@ def test_alignment_distance_bounds_the_perturbation(soliton):
 
 
 def test_perturbations_are_h1_normalized(soliton):
-    from vkstab.core import h1_norm
-
     rng = np.random.default_rng(7)
     for kind in ("band_limited", "single_mode", "kernel_orthogonal"):
         pert = make_perturbation(soliton, kind, rng)
@@ -176,3 +280,80 @@ def test_kernel_orthogonal_perturbation_builds_no_hessian(case, monkeypatch):
     monkeypatch.undo()
     for t in vk.assemble(prof).tangent_fields():
         assert abs(vk.inner(pert, t)) < 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(EXPERIMENTS))
+def test_experiment_matches_the_per_step_reference(case, profiles):
+    name, run, snap_tol = EXPERIMENTS[case]
+    prof = profiles[name]
+    series = vk.stability_experiment(prof, **run)
+    u0, kw = experiment_run(prof, **run)
+    traj = vk.evolve(u0, prof.model, **kw)
+    times, snaps, energy, momenta = strang_reference(u0, prof.model, **kw)
+
+    assert np.array_equal(traj.times, times) and np.array_equal(series.times, times)
+    assert np.max(np.abs(traj.values - snaps)) < snap_tol
+    assert np.max(np.abs(traj.energy - energy)) < 1e-12
+    assert np.max(np.abs(traj.momenta - momenta)) < 1e-12
+
+    aligned = [brent_align(vk.Field(v, prof.grid), prof) for v in snaps]
+    dists = np.array([d for _, d in aligned])
+    if "shift" in aligned[0][0]:
+        shifts = np.array([g["shift"] for g, _ in aligned])
+        assert np.max(np.abs([g["shift"] for g in series.group_params] - shifts)) < 1e-7
+    assert np.max(np.abs(series.distances / dists - 1.0)) < 1e-4
+    verdict = "stable" if np.max(dists) <= STABLE_ENVELOPE * run["eps"] else "unstable"
+    assert series.verdict.split(" ")[0] == verdict
+    rate = _fit_growth_rate(times, dists, run["eps"])
+    assert (series.growth_rate is None) == (rate is None)
+    if rate is not None:
+        assert series.growth_rate == pytest.approx(rate, rel=1e-8)
+
+
+@pytest.mark.parametrize("case", ["cubic_n512_dense", "torus_mi_n64"])
+def test_distances_are_norms_of_the_aligned_residual(case, profiles):
+    name, run, _ = EXPERIMENTS[case]
+    prof = profiles[name]
+    series = vk.stability_experiment(prof, **run)
+    u0, kw = experiment_run(prof, **run)
+    traj = vk.evolve(u0, prof.model, **kw)
+    for snap, g, d in zip(traj.snapshots, series.group_params, series.distances):
+        group = {k: np.asarray(v) for k, v in g.items()}
+        assert h1_norm(apply_group(snap, group) - prof.field) == pytest.approx(d, rel=1e-10)
+    if name == "torus_mi":
+        # the single mode is orthogonal to the constant wave: no phase absorbs it
+        assert series.distances[0] == pytest.approx(run["eps"], rel=1e-10)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan, np.inf])
+def test_experiment_rejects_an_eps_that_is_not_positive(soliton, eps):
+    with pytest.raises(ValueError, match="eps"):
+        vk.stability_experiment(soliton, eps=eps, dt=0.01, t_end=0.5)
+
+
+def test_a_non_finite_field_mid_run_trips_the_blowup_guard(soliton, monkeypatch):
+    calls = []
+    potential = SingleLine.potential
+
+    def poisoned(self, mod):
+        calls.append(None)
+        out = potential(self, mod)
+        return out * np.nan if len(calls) == 6 else out
+
+    monkeypatch.setattr(SingleLine, "potential", poisoned)
+    # the sixth potential is the one after step 5; step 6 applies it
+    with pytest.raises(RuntimeError, match=r"blow-up detected at t = 0\.06"):
+        vk.evolve(soliton.field, soliton.model, dt=0.01, t_end=0.5)
+
+
+def test_experiment_memory_is_its_snapshot_array():
+    prof = vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 512))
+    snapshot_bytes = 5001 * 512 * 16
+    tracemalloc.start()
+    try:
+        series = vk.stability_experiment(prof, eps=1e-4, dt=1e-3, t_end=5.0, sample_stride=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.times.size == 5001
+    assert peak - snapshot_bytes < 4e6     # blocks of samples, not copies of the array

@@ -22,6 +22,12 @@ def test_orbit_requires_strong_coupling():
         vk.circular_orbit(1.0, 1.0, 0.4)
 
 
+@pytest.mark.parametrize("omega_pot", [-1.0, 0.0, np.nan])
+def test_orbit_requires_a_confining_potential(omega_pot):
+    with pytest.raises(ValueError, match="omega_pot"):
+        vk.circular_orbit(1.0, omega_pot, 1.0)
+
+
 def test_hessian_exact_spectrum(orbit):
     _, eigs, n_neg, dim_ker = vk.hessian6(orbit)
     assert np.allclose(eigs, [-4.0, -1.0, -1.0, 0.0, 2.0, 2.0], atol=1e-9)
