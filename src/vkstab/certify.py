@@ -6,7 +6,12 @@ grid refinement, and the index match between the slope matrix and the
 Hessian.  The slope matrix is the exact one of `d2w_closed`, so certifying
 solves no other member of the family; the finite-difference slope stays the
 cross-check.  Verdicts near a decision boundary are reported as indeterminate
-rather than rounded to a side.
+rather than rounded to a side.  h1 and h3 record the margin by which they
+clear their tolerance (`smallest_abs_eigenvalue / zero_tol` and
+`gap / ker_tol`), and h3 the size of its refinement grid.  The `gss` block
+restricts the slope matrix to the one-parameter subgroup generated by xi, the
+classical (Grillakis-Shatah-Strauss) condition's: it applies when that
+restricted index equals the Hessian's negative index.
 """
 
 from __future__ import annotations
@@ -117,6 +122,7 @@ def certify(prof: Profile, *, refine: bool = True,
         "signature": [p_w, z_w, n_w],
         "smallest_abs_eigenvalue": min_abs,
         "zero_tol": z_tol,
+        "margin": min_abs / z_tol,
         "asymmetry": slope_rep.asymmetry,
     }
     if not h1_ok:
@@ -138,8 +144,9 @@ def certify(prof: Profile, *, refine: bool = True,
     # h3: positive gap, stable under refinement
     gap = spec_rep.gap_pos
     h3_ok = np.isfinite(gap) and gap > spec_rep.ker_tol
-    ratio = None
+    ratio = fine_n = None
     if h3_ok and refine:
+        fine_n = 2 * prof.grid.n
         try:
             gap2 = _refined_gap(prof)
             ratio = float(gap2 / gap)
@@ -151,6 +158,8 @@ def certify(prof: Profile, *, refine: bool = True,
     checks["h3_positive_gap"] = {
         "ok": bool(h3_ok),
         "gap": float(gap),
+        "margin": float(gap / spec_rep.ker_tol),
+        "refinement_n": fine_n,
         "refinement_ratio": ratio,
     }
     if not h3_ok and "h3" not in indeterminate:
@@ -168,9 +177,10 @@ def certify(prof: Profile, *, refine: bool = True,
     if not h4_ok:
         failed.append("h4")
 
-    # restricted slope comparison (informational)
+    # restricted slope comparison (informational): by default the one-parameter
+    # subgroup generated by xi, the classical condition's, as in certify_so3
     if subalgebra_basis is None:
-        subalgebra_basis = np.eye(prof.xi.size)
+        subalgebra_basis = (prof.xi / max(np.linalg.norm(prof.xi), 1e-300))[:, None]
     try:
         tilde_rep = d2w_tilde(slope_rep, subalgebra_basis)
         p_tilde = tilde_rep.restricted["signature_tilde"][0]

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import certify, certify_so3, coupled_stability_criteria
-from .core import Coupled, make_grid
+from .core import Coupled, check_positive, make_grid
 from .dynamics import BlowUpError, distances_to_csv, stability_experiment
 from .hessian import assemble, grad_L, spectrum
 from .planewave import mode_table
@@ -209,6 +209,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_so3(args) -> int:
+    check_positive("eps", args.eps)
     cert = certify_so3(args.rho, args.omega_pot, args.so3_alpha)
     from .so3 import circular_orbit, integrate_so3, orbit_distance
 

@@ -26,6 +26,7 @@ __all__ = [
     "h1_norm",
     "invariants_of",
     "boundary_decay_check",
+    "check_positive",
 ]
 
 BOUNDARY_DECAY_TOL = 1e-7
@@ -58,11 +59,17 @@ class Grid:
         return k
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise a ValueError that names the input unless value is a finite
+    positive number."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive (got {value:g})")
+
+
 def make_grid(kind: str, extent: float, n_points: int) -> Grid:
     if kind not in ("periodic", "line"):
         raise ValueError(f"unknown grid kind {kind!r}")
-    if extent <= 0:
-        raise ValueError("grid extent must be positive")
+    check_positive("extent", extent)
     if n_points < 8 or n_points % 2 != 0:
         raise ValueError("n_points must be even and at least 8")
     if kind == "periodic" and n_points & (n_points - 1):

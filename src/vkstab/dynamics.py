@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import Field, Grid, gradient, h1_norm, step_count
+from .core import Field, Grid, check_positive, gradient, h1_norm, step_count
 from .model import field_to_vec, model_for, vec_to_field
 from .profiles import Profile
 
@@ -270,8 +270,7 @@ def stability_experiment(prof: Profile, eps: float, dt: float, t_end: float,
                          kind: str = "band_limited", seed: int = 0,
                          mode_n: int = 1, sample_stride: int = 10) -> OrbitDistanceSeries:
     """Perturb, evolve, align the samples, and classify the orbit excursion."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive (got {eps})")
+    check_positive("eps", eps)
     rng = np.random.default_rng(seed)
     pert = make_perturbation(prof, kind, rng, mode_n=mode_n)
     u0 = prof.field + eps * pert

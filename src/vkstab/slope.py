@@ -224,7 +224,10 @@ def d2w_tilde(report: SlopeReport, basis: np.ndarray) -> SlopeReport:
     if np.linalg.matrix_rank(basis) < basis.shape[1]:
         raise ValueError("rank-deficient subalgebra basis")
     tilde = basis.T @ report.d2w @ basis
-    sig = signature_of(tilde)
+    # zero to the tolerance of D^2 W itself, on the scale |B|^2 the restriction
+    # can reach: a 1x1 restriction is never zero to its own relative tolerance
+    scale = np.max(np.abs(np.linalg.eigvalsh(report.d2w))) * np.linalg.norm(basis, 2) ** 2
+    sig = signature_of(tilde, 1e-6 * max(scale, 1e-300))
     return SlopeReport(
         report.d2w,
         report.signature,

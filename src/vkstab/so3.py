@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import step_count
+from .core import check_positive, step_count
 
 __all__ = [
     "SO3State",
@@ -106,10 +106,9 @@ def _energy(state: SO3State, q: np.ndarray, p: np.ndarray):
 
 def circular_orbit(rho: float, omega_pot: float, alpha: float) -> SO3State:
     """Circular relative equilibrium in the x-y plane."""
-    if rho <= 0:
-        raise ValueError("radius must be positive")
-    if not omega_pot > 0:
-        raise ValueError(f"omega_pot must be positive (got {omega_pot:g})")
+    check_positive("rho", rho)
+    check_positive("omega_pot", omega_pot)
+    check_positive("alpha", alpha)
     if 2.0 * alpha <= rho**-2:
         raise ValueError("need 2*alpha > 1/rho^2 for the circular equilibrium")
     sigma = np.sqrt(omega_pot) * rho

@@ -187,3 +187,47 @@ def test_certificate_records_the_spectrum_parts():
     # L+ couples the two components; L-11 and L-22 are separate blocks
     assert json.loads(first.to_json())["provenance"]["spectrum_parts"] == [
         [258, "even"], [254, "odd"], [129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_cubic_soliton_certifies_across_grid_sizes(n):
+    """Newton stops at the grid's roundoff floor, so the 2n refinement
+    converges however fine the base grid."""
+    cert = vk.certify(vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, n)))
+    assert cert.verdict == "certified_coercive"
+    h3 = cert.checks["h3_positive_gap"]
+    assert h3["refinement_n"] == 2 * n
+    assert abs(h3["refinement_ratio"] - 1.0) <= 1e-9
+
+
+def test_certificate_records_margins_and_is_reproducible():
+    g = vk.make_grid("line", 20.0, 256)
+    cert = vk.certify(vk.soliton_solve(-1.0, 3.0, g))
+    h1, h3 = cert.checks["h1_nondegenerate_W"], cert.checks["h3_positive_gap"]
+    assert h1["margin"] == h1["smallest_abs_eigenvalue"] / h1["zero_tol"]
+    assert h3["margin"] == h3["gap"] / cert.checks["h2_kernel_equals_orbit"]["ker_tol"]
+    assert h3["margin"] > 3.0
+    assert h3["refinement_n"] == 512
+    assert vk.certify(vk.soliton_solve(-1.0, 3.0, g), refine=False).checks[
+        "h3_positive_gap"]["refinement_n"] is None
+    # the margins are ratios of recorded values: the JSON repeats byte for byte
+    again = vk.certify(vk.soliton_solve(-1.0, 3.0, g))
+    assert again.to_json() == cert.to_json()
+
+
+@pytest.mark.parametrize("case, applies, n_neg", [
+    ("cubic", True, 1),
+    (vk.Coupled(1.0, 1.0, 2.0), True, 1),
+    (vk.Coupled(1.0, 1.0, 0.5), False, 2),
+])
+def test_gss_comparison_restricts_to_the_subgroup_of_xi(case, applies, n_neg):
+    """Coupled(1,1,0.5) is coercive with two negative Hessian directions, but
+    the slope matrix on span(xi) has index 1: the one-parameter condition is
+    silent there."""
+    g = vk.make_grid("line", 20.0, 256)
+    prof = (vk.soliton_solve(-1.0, 3.0, g) if case == "cubic"
+            else vk.coupled_soliton(-1.0, case, g))
+    cert = vk.certify(prof)
+    assert cert.certified
+    assert cert.checks["h4_index_match"]["n_d2l"] == n_neg
+    assert cert.gss == {"p_w_tilde": 1, "applies": applies, "chain_ok": True}

@@ -206,5 +206,19 @@ def test_evolve_blowup_is_an_input_error(tmp_path, capsys):
 def test_so3_rejects_a_potential_that_is_not_confining(tmp_path, capsys, omega_pot):
     out = tmp_path / "so3.json"
     assert run(["so3", "--omega-pot", omega_pot, "--out", out]) == 2
-    assert "omega_pot must be positive" in capsys.readouterr().err
+    assert "omega_pot must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["so3", "--eps", "nan", "--tend", 1], "eps"),
+    (["so3", "--eps", -1, "--tend", 1], "eps"),
+    (["so3", "--rho", "nan"], "rho"),
+    (["so3", "--alpha", "nan"], "alpha"),
+    (EVOLVE + ["--extent", "nan"], "extent"),
+])
+def test_an_input_that_is_not_finite_and_positive_is_named(tmp_path, capsys, args, name):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 2
+    assert f"error: {name} must be finite and positive" in capsys.readouterr().err
     assert not out.exists()

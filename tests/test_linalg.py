@@ -1,5 +1,8 @@
 """Dense solves and products on scipy's LAPACK and BLAS."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,3 +58,57 @@ def test_certify_makes_no_numpy_solve(monkeypatch):
         assert vk.certify(prof).verdict == "certified_coercive"
     assert vk.soliton_solve(-1.0, 6.0, g).omega == -1.0
     assert vk.coupled_stability_criteria(profs[1])["stable"]
+
+
+SRC = Path(vk.__file__).parent
+# The numpy products and solves allowed in the modules of the dense n x n
+# operators, by qualified function name, each with its reason.  Any other one
+# would run on numpy's OpenBLAS pool next to scipy's eigensolves.
+NUMPY_BLAS_ALLOWED = {
+    "model.py": {"CoupledTorus.resolve": "the 2 x 2 solve of the dispersion relation"},
+    "slope.py": {"d2w_tilde": "basis.T @ d2w @ basis, of the size of xi"},
+}
+
+
+def _numpy_blas_calls(tree):
+    """(qualified function name, line, what) of every `@`, `dot`, `matmul`
+    and `np.linalg.solve` in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        what = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            what = "@"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if node.func.attr in ("dot", "matmul") or name == "np.linalg.solve":
+                what = name
+        if what:
+            found.append((".".join(scope), node.lineno, what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("module", ["profiles.py", "hessian.py", "model.py", "slope.py"])
+def test_no_numpy_blas_outside_the_allowlist(module):
+    """Dense products and solves go through vkstab.linalg (scipy's BLAS)."""
+    tree = ast.parse((SRC / module).read_text())
+    allowed = NUMPY_BLAS_ALLOWED.get(module, {})
+    stray = [f"{module}:{line} {what} in {fn}" for fn, line, what in _numpy_blas_calls(tree)
+             if fn not in allowed]
+    assert not stray, "numpy BLAS call outside vkstab.linalg: " + "; ".join(stray)
+
+
+def test_the_blas_guard_sees_what_it_guards():
+    tree = ast.parse("class A:\n    def f(self, a, b):\n        return a @ b + np.dot(a, b)\n"
+                     "def g(a, b):\n    return a.dot(b), np.linalg.solve(a, b)\n")
+    assert [(fn, what) for fn, _, what in _numpy_blas_calls(tree)] == [
+        ("A.f", "@"), ("A.f", "np.dot"), ("g", "a.dot"), ("g", "np.linalg.solve")]
+    for module, entries in NUMPY_BLAS_ALLOWED.items():     # no stale entry
+        calls = {fn for fn, _, _ in _numpy_blas_calls(ast.parse((SRC / module).read_text()))}
+        assert set(entries) <= calls

@@ -134,6 +134,11 @@ def test_restricted_slope_matrix(soliton):
     rep = vk.d2w_closed(soliton)
     sub = vk.d2w_tilde(rep, np.array([[1.0], [0.0]]))
     assert sub.restricted["signature_tilde"] == (1, 0, 0)
+    # a restriction zero to the tolerance of D^2 W is zero, also when 1 x 1
+    rep = vk.SlopeReport(np.diag([1.0, -1.0]), (1, 0, 1), "closed_form")
+    near_null = np.array([[1.0], [1.0 + 1e-9]]) / np.sqrt(2.0)
+    assert vk.d2w_tilde(rep, near_null).restricted["signature_tilde"] == (0, 1, 0)
+    assert vk.d2w_tilde(rep, 1e3 * near_null).restricted["signature_tilde"] == (0, 1, 0)
     with pytest.raises(ValueError):
         vk.d2w_tilde(rep, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
@@ -157,3 +162,14 @@ def test_vk_integral_is_boost_invariant():
     rest = vk.vk_integral(prof)
     assert abs(rest - 4.80277) < 1e-5
     assert abs(vk.vk_integral(vk.boost(prof, 0.6)) - rest) < 1e-12
+
+
+@pytest.mark.parametrize("p, omega", [(2.0, -2.0), (2.0, -4.0), (2.5, -4.0)])
+def test_narrow_soliton_family_solves_at_n1024(p, omega):
+    """These solves (and their fd stencils) stalled on the grid's roundoff
+    floor under an absolute Newton tolerance."""
+    prof = vk.soliton_solve(omega, p, vk.make_grid("line", 20.0, 1024))
+    fd = vk.d2w_fd(vk.make_family(prof), prof.xi).d2w[0, 0]
+    closed = vk.d2w_closed(prof).d2w[0, 0]
+    assert abs(fd - closed) <= 1e-6 * abs(closed)
+    assert int(np.sign(-closed)) == vk.vk_slope_sign(p, 1)
