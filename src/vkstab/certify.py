@@ -3,11 +3,14 @@
 A certificate records four checks: non-degeneracy of the slope matrix,
 kernel-equals-orbit-tangent, a positive spectral gap that is stable under
 grid refinement, and the index match between the slope matrix and the
-Hessian.  The slope matrix is the exact one of `d2w_closed`, so certifying
-solves no other member of the family; the finite-difference slope stays the
-cross-check.  Verdicts near a decision boundary are reported as indeterminate
-rather than rounded to a side.  h1 and h3 record the margin by which they
-clear their tolerance (`smallest_abs_eigenvalue / zero_tol` and
+Hessian.  They are assembled once, by `_certificate`, for the grid models
+(`certify`) and for the central-force orbit (`certify_so3`, whose analytic
+6x6 Hessian is one gridless block).  The slope matrix is the exact one of
+`d2w_closed`, so certifying solves no other member of the family; the
+finite-difference slope stays the cross-check.  Verdicts near a decision
+boundary are reported as indeterminate rather than rounded to a side.  h1,
+h2 and h3 record the margin by which they clear their tolerance
+(`smallest_abs_eigenvalue / zero_tol`, the spectrum's `kernel_margin`,
 `gap / ker_tol`), and h3 the size of its refinement grid.  The `gss` block
 restricts the slope matrix to the one-parameter subgroup generated by xi, the
 classical (Grillakis-Shatah-Strauss) condition's: it applies when that
@@ -18,15 +21,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .core import make_grid
-from .hessian import KERNEL_ANGLE_TOL, assemble, kernel_matches_orbit, spectrum
+from .hessian import (
+    KERNEL_ANGLE_TOL,
+    HessOp,
+    SpectralReport,
+    assemble,
+    kernel_matches_orbit,
+    spectrum,
+)
 from .model import model_for
 from .profiles import Profile, SolverError
-from .slope import d2w_closed, d2w_tilde, signature_of, vk_integral
+from .so3 import circular_orbit, hessian6, symmetry_tangent, w_so3
+from .slope import SlopeReport, _report_from_matrix, d2w_closed, d2w_tilde, vk_integral
 
 __all__ = [
     "Certificate",
@@ -92,21 +103,13 @@ def _refined_gap(prof: Profile) -> float:
     return spectrum(assemble(model_for(prof.model, grid).resolve(prof, prof.xi, fine))).gap_pos
 
 
-def certify(prof: Profile, *, refine: bool = True,
-            subalgebra_basis: Optional[np.ndarray] = None) -> Certificate:
-    """Run the four hypothesis checks on an equilibrium and assemble a verdict."""
-    try:
-        slope_rep = d2w_closed(prof)
-        op = assemble(prof)
-    except (SolverError, ValueError) as exc:
-        return Certificate(
-            checks={"error": {"ok": False, "detail": str(exc)}},
-            gss={},
-            verdict="indeterminate(solver)",
-            provenance={"error": str(exc)},
-        )
-    spec_rep = spectrum(op)
-
+def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, xi,
+                 provenance: dict,
+                 refinement: Optional[Tuple[int, Callable[[], float]]] = None) -> Certificate:
+    """The four checks and the verdict, from the slope matrix and the Hessian
+    of an equilibrium with generator xi.  `refinement` is (grid size, gap on
+    that grid): the h3 gap must hold there too.  `provenance` adds to the
+    tolerances recorded here."""
     checks = {}
     indeterminate = []
     failed = []
@@ -130,26 +133,31 @@ def certify(prof: Profile, *, refine: bool = True,
     elif min_abs < MARGIN_FACTOR * z_tol:
         indeterminate.append("h1")
 
-    # h2: kernel equals the orbit tangent
+    # h2: kernel equals the orbit tangent.  An eigenvalue within
+    # MARGIN_FACTOR of ker_tol makes the kernel and negative counts, so h2
+    # and h4 both, undecided.
     h2_ok = kernel_matches_orbit(spec_rep, op)
+    counts_sharp = spec_rep.kernel_margin >= MARGIN_FACTOR
     checks["h2_kernel_equals_orbit"] = {
         "ok": bool(h2_ok),
         "dim_ker": spec_rep.dim_ker,
         "n_symmetries": int(op.symmetry_tangent.shape[0]),
         "ker_tol": spec_rep.ker_tol,
+        "margin": spec_rep.kernel_margin,
     }
-    if not h2_ok:
+    if not counts_sharp:
+        indeterminate.append("h2")
+    elif not h2_ok:
         failed.append("h2")
 
     # h3: positive gap, stable under refinement
     gap = spec_rep.gap_pos
     h3_ok = np.isfinite(gap) and gap > spec_rep.ker_tol
     ratio = fine_n = None
-    if h3_ok and refine:
-        fine_n = 2 * prof.grid.n
+    if h3_ok and refinement is not None:
+        fine_n, refined_gap = refinement
         try:
-            gap2 = _refined_gap(prof)
-            ratio = float(gap2 / gap)
+            ratio = float(refined_gap() / gap)
             h3_ok = abs(ratio - 1.0) <= 0.05
         except (SolverError, ValueError) as exc:
             h3_ok = False
@@ -174,15 +182,13 @@ def certify(prof: Profile, *, refine: bool = True,
         "p_d2w": p_w,
         "n_d2l": spec_rep.n_neg,
     }
-    if not h4_ok:
+    if not h4_ok and counts_sharp:
         failed.append("h4")
 
-    # restricted slope comparison (informational): by default the one-parameter
-    # subgroup generated by xi, the classical condition's, as in certify_so3
-    if subalgebra_basis is None:
-        subalgebra_basis = (prof.xi / max(np.linalg.norm(prof.xi), 1e-300))[:, None]
+    # restricted slope comparison (informational): the one-parameter
+    # subgroup generated by xi, the classical condition's
     try:
-        tilde_rep = d2w_tilde(slope_rep, subalgebra_basis)
+        tilde_rep = d2w_tilde(slope_rep, (xi / max(np.linalg.norm(xi), 1e-300))[:, None])
         p_tilde = tilde_rep.restricted["signature_tilde"][0]
         gss = {
             "p_w_tilde": p_tilde,
@@ -204,53 +210,44 @@ def certify(prof: Profile, *, refine: bool = True,
         "ker_tol": spec_rep.ker_tol,
         "kernel_angle_tol": KERNEL_ANGLE_TOL,
         "spectrum_parts": [list(p) for p in spec_rep.parts],
-        "refinement_surrogate": refine,
         "margin_factor": MARGIN_FACTOR,
-        "grid": {"kind": prof.grid.kind, "extent": prof.grid.extent, "n": prof.grid.n},
+        **provenance,
     }
     return Certificate(checks=checks, gss=gss, verdict=verdict, provenance=provenance)
+
+
+def certify(prof: Profile, *, refine: bool = True) -> Certificate:
+    """Run the four hypothesis checks on an equilibrium and assemble a verdict."""
+    try:
+        slope_rep = d2w_closed(prof)
+        op = assemble(prof)
+    except (SolverError, ValueError) as exc:
+        return Certificate(
+            checks={"error": {"ok": False, "detail": str(exc)}},
+            gss={},
+            verdict="indeterminate(solver)",
+            provenance={"error": str(exc)},
+        )
+    grid = prof.grid
+    return _certificate(
+        slope_rep, op, spectrum(op), prof.xi,
+        {"refinement_surrogate": refine,
+         "grid": {"kind": grid.kind, "extent": grid.extent, "n": grid.n}},
+        refinement=(2 * grid.n, lambda: _refined_gap(prof)) if refine else None,
+    )
 
 
 def certify_so3(rho: float, omega_pot: float, alpha: float) -> Certificate:
-    """Certificate for the rotation-invariant mechanical example."""
-    from .so3 import circular_orbit, hessian6, symmetry_tangent, w_so3, w_so3_fd
-
+    """Certificate for the rotation-invariant mechanical example: its analytic
+    6x6 Hessian is one block, with the residual rotation as its orbit tangent,
+    and its slope matrix the closed-form one."""
     state = circular_orbit(rho, omega_pot, alpha)
-    mat, eigs, n_neg, dim_ker = hessian6(state)
-    _, d2w = w_so3(state.xi, omega_pot, alpha)
-    fd = w_so3_fd(state.xi, omega_pot, alpha)
-    fd_err = float(np.max(np.abs(d2w - fd)))
-    sig = signature_of(d2w)
-    p_w = sig[0]
-
-    tangent = symmetry_tangent(state)
-    # kernel alignment of the 6x6 brute-force Hessian
-    evals, evecs = np.linalg.eigh(mat)
-    ker = evecs[:, np.abs(evals) <= 1e-8]
-    t_hat = tangent / np.linalg.norm(tangent)
-    aligned = ker.shape[1] == 1 and abs(np.dot(ker[:, 0], t_hat)) > 1.0 - 1e-8
-
-    xi_hat = state.xi / np.linalg.norm(state.xi)
-    tilde = float(xi_hat @ d2w @ xi_hat)
-    p_tilde = 1 if tilde > 1e-12 else 0
-
-    above = evals[evals > 1e-8]
-    gap = float(above[0]) if above.size else np.inf
-
-    checks = {
-        "h1_nondegenerate_W": {"ok": sig[1] == 0, "signature": list(sig), "fd_mismatch": fd_err},
-        "h2_kernel_equals_orbit": {"ok": bool(aligned), "dim_ker": dim_ker},
-        "h3_positive_gap": {"ok": gap > 0, "gap": gap, "refinement_ratio": None},
-        "h4_index_match": {"ok": p_w == n_neg, "p_d2w": p_w, "n_d2l": n_neg},
-    }
-    ok = all(c["ok"] for c in checks.values())
-    gss = {"p_w_tilde": p_tilde, "applies": bool(p_tilde == n_neg)}
-    verdict = "certified_coercive" if ok else "failed(" + ",".join(
-        k[:2] for k, c in checks.items() if not c["ok"]
-    ) + ")"
-    provenance = {"example": "so3_central_force", "rho": rho, "omega_pot": omega_pot,
-                  "alpha": alpha, "ker_tol": 1e-8}
-    return Certificate(checks=checks, gss=gss, verdict=verdict, provenance=provenance)
+    op = HessOp((hessian6(state),), None, symmetry_tangent(state)[None], None)
+    slope_rep = _report_from_matrix(w_so3(state.xi, omega_pot, alpha)[1], "closed_form")
+    return _certificate(
+        slope_rep, op, spectrum(op), state.xi,
+        {"example": "so3_central_force", "rho": rho, "omega_pot": omega_pot, "alpha": alpha},
+    )
 
 
 def coupled_stability_criteria(prof: Profile) -> dict:

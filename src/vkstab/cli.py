@@ -73,6 +73,15 @@ def _load_config(path: str) -> dict:
     return flat
 
 
+def _exit_code(cert) -> int:
+    """The exit code of a certificate's verdict."""
+    if cert.certified:
+        return EXIT_OK
+    if cert.verdict.startswith("indeterminate"):
+        return EXIT_INDETERMINATE
+    return EXIT_FAILED
+
+
 def _emit(doc, out: str) -> None:
     text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True)
     if out:
@@ -169,11 +178,7 @@ def _cmd_certify(args) -> int:
     else:
         print(f"closed-form case {crit['case']}: "
               f"{'stable' if crit['stable'] else 'unstable'}", file=sys.stderr)
-    if cert.certified:
-        return EXIT_OK
-    if cert.verdict.startswith("indeterminate"):
-        return EXIT_INDETERMINATE
-    return EXIT_FAILED
+    return _exit_code(cert)
 
 
 def _cmd_planewave(args) -> int:
@@ -230,9 +235,7 @@ def _cmd_so3(args) -> int:
         "angular_momentum_drift": f_drift,
     }
     _emit(doc, args.out)
-    if cert.certified:
-        return EXIT_OK
-    return EXIT_FAILED
+    return _exit_code(cert)
 
 
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:

@@ -3,8 +3,8 @@
 The propagator is a Strang splitting: the nonlinear flow only rotates the
 phase pointwise (the modulus is conserved), so both half-steps are exact and
 the scheme conserves every quadratic invariant to roundoff.  Samples are kept
-in one array; their invariants and their alignment to the orbit are computed
-as stacked arrays, in blocks of `CHUNK` samples.
+in one array; their alignment to the orbit, and their invariants when first
+asked for, are computed as stacked arrays, in blocks of `CHUNK` samples.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray        # shape (samples, components, n), read-only
     grid: Grid
-    energy: np.ndarray
-    momenta: np.ndarray       # shape (samples, m)
+    params: object            # the model parameters of the evolution
     dt: float
     scheme: str = "strang"
 
@@ -62,6 +61,24 @@ class Trajectory:
     def snapshots(self) -> List[Field]:
         """The samples as Fields, built on first access."""
         return [Field(v, self.grid) for v in self.values]
+
+    @cached_property
+    def _invariants(self) -> tuple:
+        model = model_for(self.params, self.grid)
+        inv = [model.stacked_invariants(self.values[lo:lo + CHUNK], self.grid)
+               for lo in range(0, len(self.values), CHUNK)]
+        return np.concatenate([h for h, _ in inv]), np.concatenate([f for _, f in inv])
+
+    @property
+    def energy(self) -> np.ndarray:
+        """Energy of each sample, computed on first access."""
+        return self._invariants[0]
+
+    @property
+    def momenta(self) -> np.ndarray:
+        """Momentum map of each sample, shape (samples, m), computed on first
+        access."""
+        return self._invariants[1]
 
 
 @dataclass(frozen=True)
@@ -117,17 +134,7 @@ def evolve(u0: Field, params, dt: float, t_end: float,
             tau = dt
         values[s] = vals * _cis(half * pot)
     values.setflags(write=False)
-
-    inv = [model.stacked_invariants(values[lo:lo + CHUNK], grid)
-           for lo in range(0, len(values), CHUNK)]
-    return Trajectory(
-        times=sample_steps * dt,
-        values=values,
-        grid=grid,
-        energy=np.concatenate([h for h, _ in inv]),
-        momenta=np.concatenate([f for _, f in inv]),
-        dt=dt,
-    )
+    return Trajectory(times=sample_steps * dt, values=values, grid=grid, params=params, dt=dt)
 
 
 # ---------------------------------------------------------------------------

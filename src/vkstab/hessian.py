@@ -11,9 +11,10 @@ phase exp(i c x / 2), so spectra are boost-independent.
 with the grid reflection j -> -j (mod n, per component), as every block of an
 even profile does, splits into an even part (n/2 + 1 points per component)
 and an odd part (n/2 - 1), both cut from the block by index slicing; any
-other block is one whole part.  Each part gives its top eigenvalue (for the
-spectral radius) and its low end with eigenvectors, by LAPACK's index-subset
-driver (MRRR, `driver="evr"`).
+other block, and every block of an operator without a grid, is one whole
+part.  Each part gives its top eigenvalue (for the spectral radius) and its
+low end with eigenvectors, by LAPACK's index-subset driver (MRRR,
+`driver="evr"`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class HessOp:
     """
 
     blocks: tuple
-    grid: Grid
+    grid: Optional[Grid]              # None: a finite-dimensional system
     symmetry_tangent: np.ndarray      # rows: tangent vectors in real coords
     phase: Optional[np.ndarray]
 
@@ -114,6 +115,7 @@ class SpectralReport:
     dim_ker: int
     gap_pos: float
     ker_tol: float
+    kernel_margin: float             # factor (>= 1) by which the eigenvalues by 0 clear ker_tol
     kernel_vectors: np.ndarray       # rows: real coordinate vectors
     parts: tuple                     # (dimension, "even" | "odd" | "whole") per eigensolve
     part_matrices: tuple = dataclasses.field(repr=False, compare=False)
@@ -201,20 +203,21 @@ class _Part(NamedTuple):
 
     offset: int          # of the block in the stacked real coordinates
     components: int      # n-point grids the block acts on
+    n: int               # grid points (the block's dimension when there is no grid)
     kind: str            # "even" | "odd" | "whole"
     matrix: np.ndarray
 
 
 def _parts(op: HessOp) -> list:
-    n = op.grid.n
     parts, offset = [], 0
     for block in op.blocks:
+        n = block.shape[0] if op.grid is None else op.grid.n
         c = block.shape[0] // n
-        if _is_even(block, c, n):
-            parts.append(_Part(offset, c, "even", _even_part(block, c, n)))
-            parts.append(_Part(offset, c, "odd", _odd_part(block, c, n)))
+        if op.grid is not None and _is_even(block, c, n):
+            parts.append(_Part(offset, c, n, "even", _even_part(block, c, n)))
+            parts.append(_Part(offset, c, n, "odd", _odd_part(block, c, n)))
         else:
-            parts.append(_Part(offset, c, "whole", block))
+            parts.append(_Part(offset, c, n, "whole", block))
         offset += block.shape[0]
     return parts
 
@@ -253,18 +256,25 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     kernel_vals, kernel_vectors = [], []
     for p, (vals, vecs) in zip(parts, low):
         ker = np.abs(vals) <= ker_tol
-        rows = _lift(p.kind, vecs[:, ker].T, p.components, op.grid.n)
+        rows = _lift(p.kind, vecs[:, ker].T, p.components, p.n)
         full = np.zeros((len(rows), op.dimension))
         full[:, p.offset:p.offset + rows.shape[1]] = rows
         kernel_vals.append(vals[ker])
         kernel_vectors.append(full)
     order = np.argsort(np.concatenate(kernel_vals), kind="stable")
+    # the factor by which the kernel eigenvalues clear ker_tol from below,
+    # and the negative ones from above
+    kernel = np.abs(eigvals[np.abs(eigvals) <= ker_tol])
+    below = eigvals[eigvals < -ker_tol]
+    kernel_margin = min(ker_tol / kernel.max() if kernel.any() else np.inf,
+                        -below.max() / ker_tol if below.size else np.inf)
     return SpectralReport(
         eigenvalues=eigvals[:n_eigs].copy(),
         n_neg=int(np.sum(eigvals < -ker_tol)),
         dim_ker=int(order.size),
         gap_pos=float(above[0]) if above.size else np.inf,
         ker_tol=ker_tol,
+        kernel_margin=float(kernel_margin),
         kernel_vectors=np.concatenate(kernel_vectors)[order],
         parts=tuple((p.matrix.shape[0], p.kind) for p in parts),
         part_matrices=tuple(p.matrix for p in parts),

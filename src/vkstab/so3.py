@@ -2,13 +2,13 @@
 
 A point mass with Hamiltonian |p|^2/2 + omega |q|^2/2 - alpha |q x p|^2 has
 circular relative equilibria whose stability indices can be written in closed
-form; this module provides the equilibria, the brute-force 6x6 Hessian of the
-constrained energy, the reduced-energy Hessian and its restriction to the
-isotropy direction, and the exact flow.  The flow is in closed form, because
-the oscillator and the coupling Poisson-commute: the isotropic oscillator
-followed by a rigid rotation about the conserved angular momentum, evaluated
-as arrays over all step times at once.  It conserves the angular momentum to
-roundoff at every time.
+form; this module provides the equilibria, the analytic 6x6 Hessian of the
+constrained energy, the closed-form reduced energy and its Hessian, and the
+exact flow.  The flow is in closed form, because the oscillator and the
+coupling Poisson-commute: the isotropic oscillator followed by a rigid
+rotation about the conserved angular momentum, evaluated as arrays over all
+step times at once.  It conserves the angular momentum to roundoff at every
+time.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def grad_L6(state: SO3State, q: Optional[np.ndarray] = None,
     return np.concatenate([gq, gp])
 
 
-def _hessian6_analytic(state: SO3State) -> np.ndarray:
+def hessian6(state: SO3State) -> np.ndarray:
+    """Analytic 6x6 Hessian of the constrained energy at the state, in (q, p)."""
     q, p = state.q, state.p
     alpha, xi = state.alpha, state.xi
     _, vp, vpp = _quadratic_potential(state.omega_pot)
@@ -149,37 +150,6 @@ def _hessian6_analytic(state: SO3State) -> np.ndarray:
         2.0 * np.outer(q, p) - np.outer(p, q) - np.dot(q, p) * eye
     ) + _cross_matrix(xi)
     return np.block([[hqq, hqp], [hqp.T, hpp]])
-
-
-def _hessian6_fd(state: SO3State, h: float = 1e-5) -> np.ndarray:
-    mat = np.empty((6, 6))
-    base = np.concatenate([state.q, state.p])
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = h
-        up = base + e
-        dn = base - e
-        gp = grad_L6(state, up[:3], up[3:])
-        gm = grad_L6(state, dn[:3], dn[3:])
-        mat[:, j] = (gp - gm) / (2.0 * h)
-    return 0.5 * (mat + mat.T)
-
-
-def hessian6(state: SO3State, ker_tol: float = 1e-8, cross_check_tol: float = 1e-6):
-    """6x6 Hessian of the constrained energy with its index counts.
-
-    Analytic second derivatives cross-validated against central differences.
-    Returns (matrix, eigenvalues, n_neg, dim_ker).
-    """
-    mat = _hessian6_analytic(state)
-    fd = _hessian6_fd(state)
-    mismatch = float(np.max(np.abs(mat - fd)))
-    if mismatch > cross_check_tol:
-        raise RuntimeError(f"analytic/finite-difference Hessian mismatch {mismatch:.3e}")
-    eigs = np.linalg.eigvalsh(mat)
-    n_neg = int(np.sum(eigs < -ker_tol))
-    dim_ker = int(np.sum(np.abs(eigs) <= ker_tol))
-    return mat, eigs, n_neg, dim_ker
 
 
 def symmetry_tangent(state: SO3State) -> np.ndarray:
@@ -205,27 +175,6 @@ def w_so3(xi, omega_pot: float, alpha: float):
         sw / (2.0 * alpha * r)
     ) * np.outer(xh, xh)
     return float(w_val), d2w
-
-
-def w_so3_fd(xi, omega_pot: float, alpha: float, h: float = 1e-5) -> np.ndarray:
-    """Finite-difference Hessian of the closed-form W, for cross-validation."""
-    xi = np.asarray(xi, dtype=float)
-
-    def w(v):
-        r = np.linalg.norm(v)
-        return (omega_pot / (4.0 * alpha)) * (1.0 + r / np.sqrt(omega_pot)) ** 2
-
-    mat = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            ei = np.zeros(3)
-            ej = np.zeros(3)
-            ei[i] = h
-            ej[j] = h
-            mat[i, j] = (
-                w(xi + ei + ej) - w(xi + ei - ej) - w(xi - ei + ej) + w(xi - ei - ej)
-            ) / (4.0 * h**2)
-    return 0.5 * (mat + mat.T)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 import vkstab as vk
 
+from test_so3 import ORBIT_SWEEP
+
 
 def test_cubic_soliton_is_certified():
     g = vk.make_grid("line", 20.0, 256)
@@ -111,6 +113,48 @@ def test_so3_certificate_and_separating_example():
     # sufficient condition would stay silent here
     assert cert.gss["p_w_tilde"] == 1
     assert not cert.gss["applies"]
+
+
+@pytest.mark.parametrize("rho, omega_pot, alpha", ORBIT_SWEEP)
+def test_so3_certificates_across_the_orbit_sweep(rho, omega_pot, alpha):
+    """Every circular orbit of the sweep is certified with slope index and
+    Morse index 3 while the one-parameter restriction has index 1, with the
+    fields and margins of a grid certificate."""
+    cert = vk.certify_so3(rho, omega_pot, alpha)
+    assert cert.verdict == "certified_coercive"
+    h1, h2, h3, h4 = (cert.checks[k] for k in sorted(cert.checks))
+    assert (h4["p_d2w"], h4["n_d2l"], h2["dim_ker"], h2["n_symmetries"]) == (3, 3, 1, 1)
+    assert cert.gss == {"p_w_tilde": 1, "applies": False, "chain_ok": True}
+    assert min(h1["margin"], h2["margin"], h3["margin"]) > 1e3
+    assert h3["margin"] == h3["gap"] / h2["ker_tol"] and h3["refinement_n"] is None
+    assert cert.provenance["spectrum_parts"] == [[6, "whole"]]
+    assert cert.to_json() == vk.certify_so3(rho, omega_pot, alpha).to_json()
+
+
+def _near_threshold(rho, omega_pot, eps):
+    """alpha a relative eps above the existence threshold 2 alpha rho^2 = 1,
+    where two Hessian eigenvalues are of size eps."""
+    return vk.certify_so3(rho, omega_pot, (1.0 + eps) / (2.0 * rho**2))
+
+
+@pytest.mark.parametrize("eps", [1.8e-6, 3.2e-6])
+def test_so3_near_the_threshold_is_indeterminate(eps):
+    """The eigenvalues -eps sit within a factor MARGIN_FACTOR of ker_tol = 2e-6:
+    neither the kernel nor the negative count is decided."""
+    cert = _near_threshold(1.0, 1.0, eps)
+    assert cert.verdict.startswith("indeterminate(") and "h2" in cert.verdict
+    assert cert.checks["h2_kernel_equals_orbit"]["margin"] < 3.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("omega_pot", [0.25, 1.0, 4.0])
+def test_so3_near_the_threshold_never_fails_a_nondegenerate_slope(rho, omega_pot):
+    for eps in (1.2e-6, 1.8e-6, 2.5e-6, 3.2e-6, 5e-6, 1e-5, 1e-4, 1e-3):
+        cert = _near_threshold(rho, omega_pot, eps)
+        assert not cert.verdict.startswith("failed"), (eps, cert.verdict)
+    # below eps = 1e-6 the slope matrix is degenerate to its own tolerance
+    for eps in (1e-8, 1e-7, 6e-7, 1e-6):
+        assert _near_threshold(rho, omega_pot, eps).verdict.startswith("failed(h1")
 
 
 def test_continued_coupled_profile_refines_to_itself():

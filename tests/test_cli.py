@@ -93,6 +93,15 @@ def test_so3_subcommand(tmp_path):
     assert doc["experiment"]["max_distance"] <= 1e-2
 
 
+def test_so3_exit_code_follows_the_verdict(tmp_path):
+    """alpha = 0.5000016 is 3.2e-6 above the existence threshold: two Hessian
+    eigenvalues are too close to ker_tol to count, so the certificate is
+    indeterminate, exit 4, as from `certify`."""
+    out = tmp_path / "so3.json"
+    assert run(["so3", "--alpha", 0.5000016, "--tend", 1, "--out", out]) == 4
+    assert json.loads(out.read_text())["verdict"] == "indeterminate(h2)"
+
+
 def test_ini_config_supplies_defaults(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

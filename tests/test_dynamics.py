@@ -357,3 +357,22 @@ def test_experiment_memory_is_its_snapshot_array():
         tracemalloc.stop()
     assert series.times.size == 5001
     assert peak - snapshot_bytes < 4e6     # blocks of samples, not copies of the array
+
+
+def test_invariants_are_computed_only_when_asked_for(soliton, monkeypatch):
+    from vkstab.model import _Model
+
+    calls = []
+    stacked = _Model.stacked_invariants
+
+    def counted(self, vals, grid):
+        calls.append(len(vals))
+        return stacked(self, vals, grid)
+
+    monkeypatch.setattr(_Model, "stacked_invariants", counted)
+    vk.stability_experiment(soliton, eps=1e-3, dt=0.01, t_end=1.0, sample_stride=1)
+    assert calls == []
+    traj = vk.evolve(soliton.field, soliton.model, dt=0.01, t_end=1.0)
+    assert calls == []
+    assert traj.energy.shape == (101,) and traj.momenta.shape == (101, 2)
+    assert calls == [32, 32, 32, 5]          # blocks of CHUNK samples, once for both

@@ -94,7 +94,8 @@ def _numpy_blas_calls(tree):
     return found
 
 
-@pytest.mark.parametrize("module", ["profiles.py", "hessian.py", "model.py", "slope.py"])
+@pytest.mark.parametrize("module", ["profiles.py", "hessian.py", "model.py", "slope.py",
+                                    "certify.py"])
 def test_no_numpy_blas_outside_the_allowlist(module):
     """Dense products and solves go through vkstab.linalg (scipy's BLAS)."""
     tree = ast.parse((SRC / module).read_text())

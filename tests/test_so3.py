@@ -4,7 +4,48 @@ import numpy as np
 import pytest
 
 import vkstab as vk
-from vkstab.so3 import grad_L6, symmetry_tangent, w_so3_fd
+from vkstab.so3 import grad_L6, symmetry_tangent
+
+# Every admissible (rho, omega_pot, alpha) of a grid: 2 alpha rho^2 > 1.
+ORBIT_SWEEP = [(rho, omega_pot, alpha)
+               for rho in (0.5, 1.0, 2.0, 3.0)
+               for omega_pot in (0.25, 1.0, 4.0)
+               for alpha in (0.2, 0.6, 1.0, 3.0, 10.0)
+               if 2.0 * alpha * rho**2 > 1.0]
+
+
+def hessian6_fd(state, h=1e-5):
+    """Central differences of grad_L6: the oracle of the analytic Hessian."""
+    mat = np.empty((6, 6))
+    base = np.concatenate([state.q, state.p])
+    for j in range(6):
+        e = np.zeros(6)
+        e[j] = h
+        up = base + e
+        dn = base - e
+        mat[:, j] = (grad_L6(state, up[:3], up[3:]) - grad_L6(state, dn[:3], dn[3:])) / (2.0 * h)
+    return 0.5 * (mat + mat.T)
+
+
+def w_so3_fd(xi, omega_pot, alpha, h=1e-5):
+    """Second differences of the closed-form W: the oracle of its Hessian."""
+    xi = np.asarray(xi, dtype=float)
+
+    def w(v):
+        r = np.linalg.norm(v)
+        return (omega_pot / (4.0 * alpha)) * (1.0 + r / np.sqrt(omega_pot)) ** 2
+
+    mat = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            ei = np.zeros(3)
+            ej = np.zeros(3)
+            ei[i] = h
+            ej[j] = h
+            mat[i, j] = (
+                w(xi + ei + ej) - w(xi + ei - ej) - w(xi - ei + ej) + w(xi - ei - ej)
+            ) / (4.0 * h**2)
+    return 0.5 * (mat + mat.T)
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +70,23 @@ def test_orbit_requires_a_confining_potential(omega_pot):
 
 
 def test_hessian_exact_spectrum(orbit):
-    _, eigs, n_neg, dim_ker = vk.hessian6(orbit)
+    eigs = np.linalg.eigvalsh(vk.hessian6(orbit))
     assert np.allclose(eigs, [-4.0, -1.0, -1.0, 0.0, 2.0, 2.0], atol=1e-9)
-    assert n_neg == 3
-    assert dim_ker == 1
+    assert np.sum(eigs < -1e-8) == 3
+    assert np.sum(np.abs(eigs) <= 1e-8) == 1
+
+
+@pytest.mark.parametrize("rho, omega_pot, alpha", ORBIT_SWEEP)
+def test_hessian_matches_finite_differences(rho, omega_pot, alpha):
+    state = vk.circular_orbit(rho, omega_pot, alpha)
+    assert np.max(np.abs(vk.hessian6(state) - hessian6_fd(state))) < 1e-6
+    # second differences of W carry a roundoff of about eps W / h^2 = 2e-6 W
+    w_val, d2w = vk.w_so3(state.xi, omega_pot, alpha)
+    assert np.max(np.abs(d2w - w_so3_fd(state.xi, omega_pot, alpha))) < 1e-5 * max(w_val, 1.0)
 
 
 def test_kernel_is_residual_rotation(orbit):
-    mat, eigs, _, _ = vk.hessian6(orbit)
+    mat = vk.hessian6(orbit)
     t = symmetry_tangent(orbit)
     assert np.max(np.abs(mat @ t)) < 1e-12
 
@@ -57,7 +107,7 @@ def test_restricted_slope_separates_from_full_index(orbit):
     tilde = float(xi_hat @ d2w @ xi_hat)
     assert np.isclose(tilde, 0.5)
     # restricted positive index 1 < full positive index 3 = Morse index
-    _, _, n_neg, _ = vk.hessian6(orbit)
+    n_neg = int(np.sum(np.linalg.eigvalsh(vk.hessian6(orbit)) < -1e-8))
     assert 1 < 3 == n_neg
 
 
