@@ -17,8 +17,10 @@ from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .core import Field, Grid, check_positive, gradient, h1_norm, step_count
+from .linalg import matvec
 from .model import field_to_vec, model_for, vec_to_field
 from .profiles import Profile
 
@@ -256,8 +258,8 @@ def make_perturbation(prof: Profile, kind: str, rng: np.random.Generator,
         directions.append(field_to_vec(prof.field, phase))
         gp = gradient(prof.field)
         directions.append(field_to_vec(gp.map_values(lambda x: -1j * x), phase))
-        basis = np.linalg.qr(np.array(directions).T)[0]
-        v = v - basis @ (basis.T @ v)
+        basis = scipy.linalg.qr(np.array(directions).T, mode="economic")[0]
+        v = v - matvec(basis, matvec(basis.T, v))
         f = vec_to_field(v, grid, phase)
     nrm = h1_norm(f)
     if nrm == 0.0:

@@ -12,9 +12,11 @@ with the grid reflection j -> -j (mod n, per component), as every block of an
 even profile does, splits into an even part (n/2 + 1 points per component)
 and an odd part (n/2 - 1), both cut from the block by index slicing; any
 other block, and every block of an operator without a grid, is one whole
-part.  Each part gives its top eigenvalue (for the spectral radius) and its
-low end with eigenvectors, by LAPACK's index-subset driver (MRRR,
-`driver="evr"`).
+part.  Each part is reduced once to tridiagonal form by Householder
+reflections (LAPACK `dsytrd`), and every query is answered from that one
+tridiagonal: its top eigenvalue (for the spectral radius) and its low end by
+bisection (`dstebz`), the kernel eigenvectors by inverse iteration (`dstein`)
+mapped back through the reflections (`dormqr`), as `dsyevr` does in one call.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .core import Field, Grid
 from .linalg import matvec
@@ -43,7 +46,7 @@ __all__ = [
 ]
 
 KERNEL_ANGLE_TOL = 1e-5     # largest principal angle between kernel and orbit tangents
-LOW_SUBSET = 12             # eigenpairs first taken from the low end of each part
+LOW_SUBSET = 12             # eigenvalues first taken from the low end of each part
 PARITY_TOL = 1e-13          # relative to the largest entry: a block commutes with j -> -j
 
 # The residual is taken in the rest frame, where `assemble` builds the
@@ -155,13 +158,16 @@ def assemble(prof: Profile) -> HessOp:
 
 def _is_even(block: np.ndarray, c: int, n: int) -> bool:
     """True iff the block on c stacked n-point grids equals P block P, P the
-    reflection j -> -j (mod n) of each grid.  Rows 0..n/2 decide it: the
-    other rows are their mirrors."""
+    reflection j -> -j (mod n) of each grid.  Rows 0..n/2 decide it (the
+    other rows are their mirrors), compared on reversed views: row 0 and
+    column 0 are their own mirrors, rows and columns j >= 1 mirror to n - j."""
     tol = PARITY_TOL * max(block.max(), -block.min())
-    mirror = -np.arange(n) % n
     b4 = block.reshape(c, n, c, n)
     h = n // 2 + 1
-    return bool(np.max(np.abs(b4[:, :h] - b4[:, mirror[:h]][..., mirror])) <= tol)
+    rows, mirrors = b4[:, 1:h], b4[:, ::-1][:, :h - 1]      # rows j and n - j
+    return bool(max(np.max(np.abs(b4[:, 0, :, 1:] - b4[:, 0, :, :0:-1])),
+                    np.max(np.abs(rows[..., 0] - mirrors[..., 0])),
+                    np.max(np.abs(rows[..., 1:] - mirrors[..., :0:-1]))) <= tol)
 
 
 def _even_scale(c: int, n: int) -> np.ndarray:
@@ -222,45 +228,78 @@ def _parts(op: HessOp) -> list:
     return parts
 
 
-def _low_end(a: np.ndarray, k: int) -> tuple:
-    """The k lowest eigenpairs of a (all of them when k >= its dimension)."""
-    k = min(k, a.shape[0])
-    return scipy.linalg.eigh(a, subset_by_index=[0, k - 1], driver="evr")
+class _Tridiagonal(NamedTuple):
+    """A part reduced to T = Q^T a Q by Householder reflections (LAPACK
+    `dsytrd`, lower): T's diagonal d and off-diagonal e, and Q as its
+    reflectors (below the subdiagonal of c) and their factors tau."""
+
+    c: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    tau: np.ndarray
+
+    @classmethod
+    def reduce(cls, a: np.ndarray) -> "_Tridiagonal":
+        lwork, _ = lapack.dsytrd_lwork(a.shape[0], lower=1)
+        # a is symmetric, so its transpose is the same matrix in Fortran order
+        c, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsytrd failed (info {info})")
+        return cls(c, d, e, tau)
+
+    def eigenvalues(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvalues lo..hi (0-based, ascending, clipped to T's dimension)."""
+        hi = min(hi, self.d.size - 1)
+        return scipy.linalg.eigh_tridiagonal(self.d, self.e, eigvals_only=True, select="i",
+                                             select_range=(lo, hi), lapack_driver="stebz")
+
+    def eigenvectors(self, lo: int, hi: int) -> np.ndarray:
+        """Columns: the eigenvectors lo..hi of a, by inverse iteration on T
+        mapped back by Q (`dormqr` on the reflectors is `dormtr` for lower)."""
+        z = scipy.linalg.eigh_tridiagonal(self.d, self.e, select="i", select_range=(lo, hi),
+                                          lapack_driver="stebz")[1]
+        n = self.d.size
+        if n > 1:       # Q = 1 on a 1 x 1 part, which has no reflectors
+            z[1:], _, info = lapack.dormqr(b"L", b"N", self.c[1:, :n - 1], self.tau, z[1:],
+                                           lwork=max(1, z.shape[1]))
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dormqr failed (info {info})")
+        return z
 
 
 def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     """Classify the low end of the Hessian's spectrum.
 
-    Each part gives at least its LOW_SUBSET lowest eigenpairs, and doubles
-    that until its largest computed eigenvalue is above the kernel tolerance
-    or the part is exhausted, so the negative, kernel and first positive
-    eigenvalues are all computed whatever n_eigs, which only trims
-    `eigenvalues`."""
+    Each part is reduced to tridiagonal form once.  It gives at least its
+    LOW_SUBSET lowest eigenvalues, and doubles that until its largest computed
+    eigenvalue is above the kernel tolerance or the part is exhausted, so the
+    negative, kernel and first positive eigenvalues are all computed whatever
+    n_eigs, which only trims `eigenvalues`.  Eigenvectors are computed for the
+    kernel eigenvalues only."""
     parts = _parts(op)
-    top = max(
-        float(scipy.linalg.eigh(p.matrix, subset_by_index=[p.matrix.shape[0] - 1] * 2,
-                                eigvals_only=True, driver="evr")[0])
-        for p in parts)
-    low = [_low_end(p.matrix, max(LOW_SUBSET, n_eigs)) for p in parts]
+    tri = [_Tridiagonal.reduce(p.matrix) for p in parts]
+    top = max(float(t.eigenvalues(t.d.size - 1, t.d.size - 1)[0]) for t in tri)
+    low = [t.eigenvalues(0, max(LOW_SUBSET, n_eigs) - 1) for t in tri]
     while True:
-        ker_tol = 1e-6 * max(top, -min(vals[0] for vals, _ in low))
-        short = [i for i, (vals, _) in enumerate(low)
-                 if vals[-1] <= ker_tol and vals.size < parts[i].matrix.shape[0]]
+        ker_tol = 1e-6 * max(top, -min(vals[0] for vals in low))
+        short = [i for i, vals in enumerate(low)
+                 if vals[-1] <= ker_tol and vals.size < tri[i].d.size]
         if not short:
             break
         for i in short:
-            low[i] = _low_end(parts[i].matrix, 2 * low[i][0].size)
+            low[i] = tri[i].eigenvalues(0, 2 * low[i].size - 1)
 
-    eigvals = np.sort(np.concatenate([vals for vals, _ in low]))
+    eigvals = np.sort(np.concatenate(low))
     above = eigvals[eigvals > ker_tol]
-    kernel_vals, kernel_vectors = [], []
-    for p, (vals, vecs) in zip(parts, low):
-        ker = np.abs(vals) <= ker_tol
-        rows = _lift(p.kind, vecs[:, ker].T, p.components, p.n)
-        full = np.zeros((len(rows), op.dimension))
-        full[:, p.offset:p.offset + rows.shape[1]] = rows
-        kernel_vals.append(vals[ker])
-        kernel_vectors.append(full)
+    kernel_vals, kernel_vectors = [np.zeros(0)], [np.zeros((0, op.dimension))]
+    for p, t, vals in zip(parts, tri, low):
+        ker = np.flatnonzero(np.abs(vals) <= ker_tol)      # one run: vals ascend
+        if ker.size:
+            rows = _lift(p.kind, t.eigenvectors(ker[0], ker[-1]).T, p.components, p.n)
+            full = np.zeros((len(rows), op.dimension))
+            full[:, p.offset:p.offset + rows.shape[1]] = rows
+            kernel_vals.append(vals[ker])
+            kernel_vectors.append(full)
     order = np.argsort(np.concatenate(kernel_vals), kind="stable")
     # the factor by which the kernel eigenvalues clear ker_tol from below,
     # and the negative ones from above

@@ -5,9 +5,10 @@ worker threads, and a pool keeps its workers spinning for a while after each
 threaded call.  Alternating threaded calls between the two (a numpy Newton
 solve, a scipy eigensolve, numpy again) leaves one pool spinning while the
 other works; with as many BLAS threads as cores that stalls calls at random
-by tens to hundreds of milliseconds.  The eigensolves need scipy (`eigh`
-with `subset_by_index`), so the package's other dense O(n^2) and O(n^3)
-operations go through scipy as well, by these two functions.
+by tens to hundreds of milliseconds.  The eigensolves need scipy (the
+tridiagonal reduction `dsytrd` and its bisection, inverse iteration and
+back-transform), so the package's other dense O(n^2) and O(n^3) operations
+go through scipy as well, by these two functions and `scipy.linalg`.
 """
 
 from __future__ import annotations

@@ -55,6 +55,14 @@ def _rest_profile(prof) -> np.ndarray:
     return np.real(prof.field.values * np.exp(-0.5j * prof.c * prof.grid.nodes))
 
 
+def _minus_d2(d2: np.ndarray, diag: np.ndarray, out=None) -> np.ndarray:
+    """-d2 - diag(diag), written into one new array (or into out) without
+    the n x n temporaries of np.diag and the subtraction."""
+    out = np.negative(d2, out=out)
+    out[np.diag_indices(len(diag))] -= diag
+    return out
+
+
 def _orbit_tangents(phi: np.ndarray, d1=None) -> np.ndarray:
     """Orbit tangents of a real profile (one row per component) in stacked
     (Re, Im) coordinates: the phase rotation i phi_j of each component, then
@@ -167,7 +175,7 @@ class SingleLine(_Model):
     def lplus(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
         """L+, the real-part Hessian block: minus the Jacobian of `stationary`."""
         p = self.params.p
-        return -d2 - np.diag(p * np.abs(phi[0]) ** (p - 1.0) + omega)
+        return _minus_d2(d2, p * np.abs(phi[0]) ** (p - 1.0) + omega)
 
     def hessian(self, prof) -> list:
         """Diagonal blocks [L+, L-] at an equilibrium, in the frame of
@@ -176,7 +184,7 @@ class SingleLine(_Model):
         omega = prof.omega
         phi = _rest_profile(prof)
         p = self.params.p
-        lm = -d2 - np.diag(np.abs(phi[0]) ** (p - 1.0) + omega)
+        lm = _minus_d2(d2, np.abs(phi[0]) ** (p - 1.0) + omega)
         return [self.lplus(phi, omega, d2), lm]
 
     def potential(self, mod: np.ndarray) -> np.ndarray:
@@ -271,10 +279,13 @@ class CoupledLine(_Coupled):
         m = self.params
         p1, p2 = phi
         om1, om2 = omega
-        lp11 = -d2 - np.diag(om1 + 3 * m.alpha * p1**2 + m.delta * p2**2)
-        lp22 = -d2 - np.diag(om2 + 3 * m.gamma * p2**2 + m.delta * p1**2)
-        lp12 = -np.diag(2 * m.delta * p1 * p2)
-        return np.block([[lp11, lp12], [lp12, lp22]])
+        n = p1.size
+        lp = np.zeros((2 * n, 2 * n))
+        _minus_d2(d2, om1 + 3 * m.alpha * p1**2 + m.delta * p2**2, out=lp[:n, :n])
+        _minus_d2(d2, om2 + 3 * m.gamma * p2**2 + m.delta * p1**2, out=lp[n:, n:])
+        i = np.arange(n)
+        lp[i, i + n] = lp[i + n, i] = -2 * m.delta * p1 * p2
+        return lp
 
     def hessian(self, prof) -> list:
         """Gauge-rotate the boost away; the real profile then gives the
@@ -284,8 +295,8 @@ class CoupledLine(_Coupled):
         phi = _rest_profile(prof)
         p1, p2 = phi
         om1, om2 = prof.omega
-        lm11 = -d2 - np.diag(om1 + m.alpha * p1**2 + m.delta * p2**2)
-        lm22 = -d2 - np.diag(om2 + m.delta * p1**2 + m.gamma * p2**2)
+        lm11 = _minus_d2(d2, om1 + m.alpha * p1**2 + m.delta * p2**2)
+        lm22 = _minus_d2(d2, om2 + m.delta * p1**2 + m.gamma * p2**2)
         return [self.lplus(phi, prof.omega, d2), lm11, lm22]
 
     def resolve(self, prof, xi: np.ndarray, grid: Grid):

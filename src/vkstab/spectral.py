@@ -5,22 +5,27 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .core import Grid
 
 
 @lru_cache(maxsize=32)
 def _diff_matrices(kind: str, extent: float, n: int):
+    """D1 and D2 as circulant matrices, entry (i, j) = col[(i - j) % n], built
+    from their first columns ifft(i k) and ifft(-k^2).  Each column is made
+    exactly odd (D1) or even (D2) under m -> -m (mod n), so D1 is exactly
+    antisymmetric, D2 exactly symmetric (which keeps the assembled Hessians
+    self-adjoint to roundoff), and the reflection j -> -j maps D1 to -D1 and
+    D2 to itself exactly."""
     from .core import make_grid
 
     g = make_grid(kind, extent, n)
-    eye = np.eye(n)
-    spec = np.fft.fft(eye, axis=0)
-    d1 = np.real(np.fft.ifft(1j * g.deriv_wavenumbers()[:, None] * spec, axis=0))
-    d2 = np.real(np.fft.ifft(-(g.wavenumbers[:, None] ** 2) * spec, axis=0))
-    # Exact symmetry keeps the assembled Hessians self-adjoint to roundoff.
-    d1 = 0.5 * (d1 - d1.T)
-    d2 = 0.5 * (d2 + d2.T)
+    col1 = np.real(np.fft.ifft(1j * g.deriv_wavenumbers()))
+    col2 = np.real(np.fft.ifft(-g.wavenumbers**2))
+    mirror = -np.arange(n) % n
+    d1 = scipy.linalg.circulant(0.5 * (col1 - col1[mirror]))
+    d2 = scipy.linalg.circulant(0.5 * (col2 + col2[mirror]))
     d1.setflags(write=False)
     d2.setflags(write=False)
     return d1, d2

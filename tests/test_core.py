@@ -5,7 +5,7 @@ import pytest
 
 import vkstab as vk
 from vkstab.core import boundary_decay_check, gradient, h1_norm, laplacian
-from vkstab.spectral import fold, second_derivative_matrix, unfold
+from vkstab.spectral import first_derivative_matrix, fold, second_derivative_matrix, unfold
 
 
 def test_line_grid_nodes_and_spacing():
@@ -119,3 +119,24 @@ def test_even_fold_and_unfold(components):
     assert np.allclose(folded, av[:, :h].ravel(), rtol=0, atol=1e-12)
     assert np.array_equal(unfold(v[:, :h]), v)
     assert np.array_equal(unfold(v[0, :h]), v[0])
+
+
+def _fft_of_identity(g):
+    """D1 and D2 by FFTs of the n x n identity, symmetrized."""
+    spec = np.fft.fft(np.eye(g.n), axis=0)
+    d1 = np.real(np.fft.ifft(1j * g.deriv_wavenumbers()[:, None] * spec, axis=0))
+    d2 = np.real(np.fft.ifft(-(g.wavenumbers[:, None] ** 2) * spec, axis=0))
+    return 0.5 * (d1 - d1.T), 0.5 * (d2 + d2.T)
+
+
+@pytest.mark.parametrize("kind, extent, n", [("line", 20.0, 256), ("periodic", 2 * np.pi, 64)])
+def test_circulant_diff_matrices_match_the_fft_of_the_identity(kind, extent, n):
+    g = vk.make_grid(kind, extent, n)
+    d1, d2 = first_derivative_matrix(g), second_derivative_matrix(g)
+    for built, ref in zip((d1, d2), _fft_of_identity(g)):
+        assert np.max(np.abs(built - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # exactly antisymmetric and symmetric, odd and even under j -> -j
+    mirror = -np.arange(n) % n
+    assert np.array_equal(d1.T, -d1) and np.array_equal(d2.T, d2)
+    assert np.array_equal(d1[mirror][:, mirror], -d1)
+    assert np.array_equal(d2[mirror][:, mirror], d2)

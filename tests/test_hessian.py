@@ -190,11 +190,27 @@ def test_subset_size_does_not_come_from_n_eigs(case):
 
 def test_low_end_grows_until_it_passes_the_kernel(monkeypatch):
     # two negative and three kernel directions: one eigenpair per part is
-    # too few, so each part's subset doubles until it reaches the gap
+    # too few, so each part's subset doubles until it reaches the gap, each
+    # time from the part's one tridiagonal reduction
     op = vk.assemble(ORACLE_CASES["coupled_1_1_0.5"]())
     ref = vk.spectrum(op)
+    reductions, subsets = [], []
+    dsytrd, tridiagonal = scipy.linalg.lapack.dsytrd, scipy.linalg.eigh_tridiagonal
+
+    def counted_dsytrd(*args, **kwargs):
+        reductions.append(1)
+        return dsytrd(*args, **kwargs)
+
+    def counted_subset(*args, **kwargs):
+        subsets.append(kwargs["select_range"])
+        return tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted_dsytrd)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_subset)
     monkeypatch.setattr(vk.hessian, "LOW_SUBSET", 1)
     rep = vk.spectrum(op, n_eigs=1)
+    assert len(reductions) == len(rep.parts) == 6
+    assert (0, 1) in subsets                                  # a subset doubled
     assert (rep.n_neg, rep.dim_ker) == (ref.n_neg, ref.dim_ker) == (2, 3)
     assert rep.gap_pos == pytest.approx(ref.gap_pos, rel=1e-10)
     assert vk.kernel_matches_orbit(rep, op)
@@ -207,3 +223,92 @@ def test_spectrum_reports_its_parts():
     assert rep.to_dict()["parts"] == [[129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
     rolled = vk.spectrum(vk.assemble(_rolled(_cubic())))
     assert rolled.parts == ((256, "whole"), (256, "whole"))
+
+
+EVEN_CASES = ["cubic", "coupled_1_1_2", "torus_stable"]
+
+
+@pytest.mark.parametrize("case", EVEN_CASES)
+def test_every_block_of_an_even_profile_is_even(case):
+    op = vk.assemble(ORACLE_CASES[case]())
+    n = op.grid.n
+    for block in op.blocks:
+        assert vk.hessian._is_even(block, block.shape[0] // n, n)
+
+
+# (row, column) within one n x n component block; n = 256, so 128 is Nyquist
+BROKEN_AT = {
+    "row_0": (0, 3),
+    "column_0": (3, 0),
+    "nyquist_row": (128, 3),
+    "interior": (5, 9),
+    "interior_mirror": (256 - 5, 256 - 9),
+}
+
+
+@pytest.mark.parametrize("where", list(BROKEN_AT))
+@pytest.mark.parametrize("case, c", [("cubic", 1), ("coupled_1_1_2", 2)])
+def test_a_block_broken_by_one_entry_is_not_even(case, c, where):
+    op = vk.assemble(ORACLE_CASES[case]())
+    block, n = op.blocks[0], op.grid.n
+    assert block.shape[0] == c * n
+    row, col = BROKEN_AT[where]
+    # for c = 2 the entry sits in the coupling block of component 2 to 1
+    broken = block.copy()
+    broken[(c - 1) * n + row, col] += 1e-6 * np.max(np.abs(block))
+    assert not vk.hessian._is_even(broken, c, n)
+
+
+def _gridless(*blocks):
+    return vk.HessOp(tuple(blocks), None, np.zeros((0, sum(b.shape[0] for b in blocks))), None)
+
+
+def _so3():
+    state = vk.circular_orbit(1.0, 1.0, 1.0)
+    return vk.HessOp((vk.hessian6(state),), None, vk.so3.symmetry_tangent(state)[None], None)
+
+
+SMALL_PARTS = {
+    "so3": _so3,
+    # 1 x 1 parts (no reflectors), one of them a kernel direction, and 2 x 2
+    "1x1_and_2x2": lambda: _gridless(np.array([[0.0]]), np.array([[-2.0]]),
+                                     np.array([[1.0, 3.0], [3.0, 1.0]]),
+                                     np.array([[1.0, 1.0], [1.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES) + list(SMALL_PARTS))
+def test_one_reduction_per_part_gives_the_whole_low_end(monkeypatch, case):
+    op = SMALL_PARTS[case]() if case in SMALL_PARTS else vk.assemble(ORACLE_CASES[case]())
+    reductions = []
+    dsytrd = scipy.linalg.lapack.dsytrd
+
+    def counted(a, *args, **kwargs):
+        reductions.append(a.shape[0])
+        return dsytrd(a, *args, **kwargs)
+
+    def no_dense_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense_eigh)
+    rep = vk.spectrum(op)
+    assert reductions == [dim for dim, _ in rep.parts]
+    monkeypatch.undo()
+    every = rep.all_eigenvalues
+    top = np.max(np.abs(every))
+    assert np.max(np.abs(rep.eigenvalues - every[:rep.eigenvalues.size])) <= 1e-12 * top
+    assert rep.ker_tol == pytest.approx(1e-6 * top, rel=1e-12)
+    for vec in rep.kernel_vectors:          # unit eigenvectors of eigenvalue ~0
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(op.matrix @ vec) <= rep.ker_tol
+
+
+def test_small_parts_keep_their_kernel():
+    op = SMALL_PARTS["1x1_and_2x2"]()
+    rep = vk.spectrum(op)
+    assert rep.parts == ((1, "whole"), (1, "whole"), (2, "whole"), (2, "whole"))
+    assert (rep.n_neg, rep.dim_ker) == (2, 2)
+    expected = np.array([[1.0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1.0, -1.0]])
+    angles = scipy.linalg.subspace_angles(rep.kernel_vectors.T, expected.T)
+    assert np.max(angles) < 1e-12

@@ -95,7 +95,7 @@ def _numpy_blas_calls(tree):
 
 
 @pytest.mark.parametrize("module", ["profiles.py", "hessian.py", "model.py", "slope.py",
-                                    "certify.py"])
+                                    "certify.py", "dynamics.py", "spectral.py"])
 def test_no_numpy_blas_outside_the_allowlist(module):
     """Dense products and solves go through vkstab.linalg (scipy's BLAS)."""
     tree = ast.parse((SRC / module).read_text())

@@ -167,7 +167,7 @@ def test_torus_family_inverts_dispersion():
 def test_newton_stops_at_the_roundoff_floor(request, n):
     """From n = 2048 the dense D2's roundoff keeps the residual above 1e-11;
     Newton stops at NEWTON_FLOOR times eps k_max^2 max|u| instead."""
-    request.addfinalizer(_diff_matrices.cache_clear)   # 2 x 128 MB at n = 4096
+    request.addfinalizer(_diff_matrices.cache_clear)   # D1, D2: 2 x 134 MB at n = 4096
     g = vk.make_grid("line", 20.0, n)
     prof = vk.soliton_solve(-1.0, 3.0, g)
     u = np.real(prof.field.values)
