@@ -114,9 +114,10 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
     indeterminate = []
     failed = []
 
-    # h1: slope matrix non-degenerate
+    # h1: slope matrix non-degenerate, judged on the eigenvalues of its
+    # best-conditioned congruent form (the rest-frame form of a boost)
     p_w, z_w, n_w = slope_rep.signature
-    eigs_w = np.linalg.eigvalsh(slope_rep.d2w)
+    eigs_w = slope_rep._eigenvalues
     z_tol = 1e-6 * max(np.max(np.abs(eigs_w)), 1e-300)
     min_abs = float(np.min(np.abs(eigs_w)))
     h1_ok = z_w == 0

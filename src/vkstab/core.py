@@ -139,8 +139,9 @@ class SingleNLS:
     d: int = 1
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError("nonlinearity exponent must exceed 1")
+        if not (np.isfinite(self.p) and self.p > 1):
+            raise ValueError(f"nonlinearity exponent p must be finite and exceed 1 "
+                             f"(got {self.p:g})")
         if self.d not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
 
@@ -168,8 +169,11 @@ class Coupled:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        for name in ("alpha", "gamma", "delta", "k"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value:g})")
+        check_positive("beta", self.beta)
 
     @property
     def model(self) -> str:

@@ -276,6 +276,8 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     negative, kernel and first positive eigenvalues are all computed whatever
     n_eigs, which only trims `eigenvalues`.  Eigenvectors are computed for the
     kernel eigenvalues only."""
+    if n_eigs < 0:
+        raise ValueError(f"n_eigs must not be negative (got {n_eigs})")
     parts = _parts(op)
     tri = [_Tridiagonal.reduce(p.matrix) for p in parts]
     top = max(float(t.eigenvalues(t.d.size - 1, t.d.size - 1)[0]) for t in tri)

@@ -1,10 +1,15 @@
-"""One description per model: residual, invariants, Hessian, flow and family.
+"""One description per model: its nonlinearity and its geometry.
 
 The toolkit treats three relative equilibria with one theory: the single NLS
 soliton on the line, the coupled soliton on the line and the coupled plane
-wave on the torus.  Each has one small object here that holds everything
-model-specific.  `model_for(params, grid)` picks it, and is the only code that
-branches on the model type or the grid kind to select formulas.
+wave on the torus.  Each has H = kinetic term - int G(|u|), so each model
+object holds only its nonlinearity (the potential V_j(|u|), the Jacobian of
+V(phi) phi at a real profile, the primitive G) and its geometry (the line's,
+or the torus's covariant kinetic term with offset k).  `_Model` writes from
+them, once, the gradient of L_xi = H - xi . F, the stationary equation, L+,
+L- and the energy.  `model_for(params, grid)` picks the object; the closed
+forms of one model (`slope.d2w_closed`, `slope.vk_integral`,
+`certify.coupled_stability_criteria`) branch on the model themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Coupled, Field, Grid, boundary_decay_check, gradient, laplacian
+from .core import Field, Grid, boundary_decay_check, gradient, laplacian
 from .linalg import matvec
 from .spectral import first_derivative_matrix, second_derivative_matrix
 
@@ -80,8 +85,10 @@ def _orbit_tangents(phi: np.ndarray, d1=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Model:
-    """What the three models share.  The defaults are those of a line model:
-    xi ends with the boost velocity c, and translations are a symmetry."""
+    """What the three models share, written once from each one's `potential`,
+    `jacobian` and `primitive`.  The defaults are those of a line model: xi =
+    (omega_j - c^2/4, c) ends with the boost velocity c, translations are a
+    symmetry, and the kinetic energy is 1/2 int |u'|^2."""
 
     params: object
     translations = True
@@ -89,6 +96,68 @@ class _Model:
 
     def c(self, xi) -> float:
         return float(xi[-1])
+
+    def omega(self, xi):
+        """The frequencies omega_j = xi_j + c^2/4: a float for one component,
+        a tuple for two."""
+        shift = self.c(xi) ** 2 / 4.0
+        om = tuple(float(x + shift) for x in xi[:-1])
+        return om if len(om) > 1 else om[0]
+
+    def _kinetic_gradient(self, field: Field, xi) -> np.ndarray:
+        """-u'' + i c u': the gradient of the kinetic energy minus c times
+        the momentum."""
+        return -laplacian(field).values + 1j * self.c(xi) * gradient(field).values
+
+    def _kinetic_energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
+        """1/2 int |u'|^2 of fields stacked along the leading axes of vals,
+        with derivatives du."""
+        return 0.5 * dx * np.sum(np.abs(du) ** 2, axis=(-2, -1))
+
+    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
+        """L2-gradient of L_xi = H - xi . F at field: the kinetic gradient
+        minus (V_j(|u|) + xi_j) u_j."""
+        u = field.values
+        pot = self.potential(np.abs(u)) + np.reshape(xi[:len(u)], (-1, 1))
+        return Field(self._kinetic_gradient(field, xi) - pot * u, field.grid)
+
+    def _lminus_diagonals(self, phi: np.ndarray, omega) -> np.ndarray:
+        """omega_j + V_j(phi), one row per component: L-_j is -d2 minus its
+        diagonal, and L- phi = 0 is the stationary equation."""
+        return np.reshape(omega, (-1, 1)) + self.potential(np.abs(phi))
+
+    def stationary(self, phi: np.ndarray, omega, d2: np.ndarray) -> np.ndarray:
+        """Residual phi_j'' + (omega_j + V_j(phi)) phi_j of the real stationary
+        equation at the profile phi (one row per component)."""
+        d2phi = np.array([matvec(d2, p) for p in phi])
+        return d2phi + self._lminus_diagonals(phi, omega) * phi
+
+    def lplus(self, phi: np.ndarray, omega, d2: np.ndarray) -> np.ndarray:
+        """L+ = -d2 - omega - J, the real-part Hessian block: minus the
+        Jacobian of `stationary`.  Its blocks are -d2 - omega_j - J_jj on the
+        diagonal and -J_jk on the diagonals of the others."""
+        jac = self.jacobian(phi)
+        om = np.reshape(omega, -1)
+        comps, n = phi.shape
+        out = np.empty((phi.size, phi.size))    # each block written whole below
+        for j in range(comps):
+            for k in range(comps):
+                block = out[j * n:(j + 1) * n, k * n:(k + 1) * n]
+                if j == k:
+                    _minus_d2(d2, om[j] + jac[j, j], out=block)
+                else:
+                    block[...] = 0.0
+                    block[np.diag_indices(n)] = -jac[j, k]
+        return out
+
+    def hessian(self, prof) -> list:
+        """Diagonal blocks [L+, L-_1, ..] at an equilibrium, in the frame of
+        `tangents`: those of the rest profile, with the boost's gauge phase
+        rotated away."""
+        d2 = second_derivative_matrix(prof.grid)
+        phi, omega = _rest_profile(prof), prof.omega
+        lminus = [_minus_d2(d2, diag) for diag in self._lminus_diagonals(phi, omega)]
+        return [self.lplus(phi, omega, d2)] + lminus
 
     def invariants(self, f: Field) -> dict:
         """Energy H and momentum map F: the component masses, then the
@@ -109,11 +178,13 @@ class _Model:
         dx = grid.spacing
         ik = 1j * grid.deriv_wavenumbers()
         du = np.fft.ifft(ik * np.fft.fft(vals, axis=-1), axis=-1)
-        F = 0.5 * dx * np.sum(np.abs(vals) ** 2, axis=-1)
+        mod = np.abs(vals)
+        F = 0.5 * dx * np.sum(mod * mod, axis=-1)
         if self.translations:
             mom = np.sum(np.sum(np.conj(vals) * (-1j) * du, axis=-1), axis=-1)
             F = np.concatenate([F, 0.5 * dx * np.real(mom)[..., None]], axis=-1)
-        return self.energy(vals, du, dx), F
+        H = self._kinetic_energy(vals, du, dx) - dx * np.sum(self.primitive(mod), axis=-1)
+        return H, F
 
     def tangents(self, prof) -> tuple:
         """(orbit tangents, gauge phase) at an equilibrium: the tangents are
@@ -147,49 +218,19 @@ class SingleLine(_Model):
     def empirical_only(self) -> bool:
         return self.params.p < 3.0
 
-    def omega(self, xi) -> float:
-        shift = self.c(xi) ** 2 / 4.0
-        return float(xi[0] + shift)
-
-    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
-        lap = laplacian(field).values
-        grad = gradient(field).values
-        u = field.values[0]
-        out = -lap[0] - np.abs(u) ** (self.params.p - 1.0) * u - xi[0] * u + 1j * xi[1] * grad[0]
-        return Field(out[None, :], field.grid)
-
-    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
-        """Energy of stacked fields vals (..., 1, n) with derivatives du."""
-        p = self.params.p
-        return 0.5 * dx * np.sum(np.abs(du[..., 0, :]) ** 2, axis=-1) - dx / (p + 1) * np.sum(
-            np.abs(vals[..., 0, :]) ** (p + 1), axis=-1
-        )
-
-    def stationary(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
-        """Residual of D2 u + |u|^(p-1) u + omega u = 0 at the real profile phi
-        (one row)."""
-        u = phi[0]
-        p = self.params.p
-        return (matvec(d2, u) + np.abs(u) ** (p - 1.0) * u + omega * u)[None]
-
-    def lplus(self, phi: np.ndarray, omega: float, d2: np.ndarray) -> np.ndarray:
-        """L+, the real-part Hessian block: minus the Jacobian of `stationary`."""
-        p = self.params.p
-        return _minus_d2(d2, p * np.abs(phi[0]) ** (p - 1.0) + omega)
-
-    def hessian(self, prof) -> list:
-        """Diagonal blocks [L+, L-] at an equilibrium, in the frame of
-        `tangents`."""
-        d2 = second_derivative_matrix(prof.grid)
-        omega = prof.omega
-        phi = _rest_profile(prof)
-        p = self.params.p
-        lm = _minus_d2(d2, np.abs(phi[0]) ** (p - 1.0) + omega)
-        return [self.lplus(phi, omega, d2), lm]
-
     def potential(self, mod: np.ndarray) -> np.ndarray:
         """Nonlinear potential |u|^(p-1) from the modulus |u|."""
         return mod ** (self.params.p - 1.0)
+
+    def jacobian(self, phi: np.ndarray) -> np.ndarray:
+        """p |phi|^(p-1), the 1 x 1 x n Jacobian of V(phi) phi."""
+        p = self.params.p
+        return (p * np.abs(phi) ** (p - 1.0))[None]
+
+    def primitive(self, mod: np.ndarray) -> np.ndarray:
+        """G = |u|^(p+1) / (p+1) from the moduli (..., 1, n)."""
+        p = self.params.p
+        return np.sum(mod ** (p + 1.0), axis=-2) / (p + 1.0)
 
     def phase_overlaps(self, z: np.ndarray) -> np.ndarray:
         """One phase rotates the whole field: the overlap it acts on is the
@@ -207,32 +248,34 @@ class SingleLine(_Model):
         return boost(soliton_solve(omega, self.params.p, grid), float(xi[1]))
 
 
-def _quartic_integral(params: Coupled, u1: np.ndarray, u2: np.ndarray, dx: float) -> np.ndarray:
-    a1 = np.abs(u1) ** 2
-    a2 = np.abs(u2) ** 2
-    return (
-        0.25
-        * dx
-        * np.sum(params.alpha * a1**2 + 2.0 * params.delta * a1 * a2 + params.gamma * a2**2,
-                 axis=-1)
-    )
-
-
 class _Coupled(_Model):
-    """What the two coupled cubic models share: the nonlinear flow and the
-    phase group."""
+    """The cubic nonlinearity of the two coupled models, and their phase
+    group: one phase per component."""
 
     @cached_property
     def _couplings(self) -> tuple:
-        """Columns of the coupling matrix [[alpha, delta], [delta, gamma]]."""
+        """The columns of the coupling matrix C = [[alpha, delta], [delta,
+        gamma]], each of shape (2, 1)."""
         m = self.params
         return np.array([[m.alpha], [m.delta]]), np.array([[m.delta], [m.gamma]])
 
     def potential(self, mod: np.ndarray) -> np.ndarray:
-        """Nonlinear potential of each component from the moduli |u_j|."""
+        """V_j = sum_k C_jk |u_k|^2 from the moduli (..., 2, n), in broadcast
+        form: it runs once per split step."""
         a = mod * mod
         c1, c2 = self._couplings
-        return c1 * a[0] + c2 * a[1]
+        return c1 * a[..., :1, :] + c2 * a[..., 1:, :]
+
+    def jacobian(self, phi: np.ndarray) -> np.ndarray:
+        """J_jk = V_j delta_jk + 2 C_jk phi_j phi_k, the 2 x 2 x n Jacobian of
+        V(phi) phi."""
+        jac = 2.0 * np.hstack(self._couplings)[:, :, None] * phi[:, None] * phi[None]
+        jac[[0, 1], [0, 1]] += self.potential(np.abs(phi))
+        return jac
+
+    def primitive(self, mod: np.ndarray) -> np.ndarray:
+        """G = 1/4 sum_j V_j |u_j|^2 from the moduli (..., 2, n)."""
+        return 0.25 * np.sum(self.potential(mod) * mod * mod, axis=-2)
 
     def phase_overlaps(self, z: np.ndarray) -> np.ndarray:
         """One phase per component: each component's overlap (axis 0)."""
@@ -243,61 +286,6 @@ class CoupledLine(_Coupled):
     """Two-component cubic soliton on the line; xi = (omega_i - c^2/4, c)."""
 
     tag = "coupled"
-
-    def omega(self, xi) -> tuple:
-        shift = self.c(xi) ** 2 / 4.0
-        return (float(xi[0] + shift), float(xi[1] + shift))
-
-    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
-        m = self.params
-        lap = laplacian(field).values
-        grad = gradient(field).values
-        u1, u2 = field.values
-        a1 = np.abs(u1) ** 2
-        a2 = np.abs(u2) ** 2
-        g1 = -lap[0] - (m.alpha * a1 + m.delta * a2) * u1 - xi[0] * u1 + 1j * xi[2] * grad[0]
-        g2 = -lap[1] - (m.delta * a1 + m.gamma * a2) * u2 - xi[1] * u2 + 1j * xi[2] * grad[1]
-        return Field(np.array([g1, g2]), field.grid)
-
-    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
-        """Energy of stacked fields vals (..., 2, n) with derivatives du."""
-        H = 0.5 * dx * np.sum(np.abs(du[..., 0, :]) ** 2 + np.abs(du[..., 1, :]) ** 2, axis=-1)
-        return H - _quartic_integral(self.params, vals[..., 0, :], vals[..., 1, :], dx)
-
-    def stationary(self, phi: np.ndarray, omega: tuple, d2: np.ndarray) -> np.ndarray:
-        """Residual of the real stationary system at the profile phi (one row
-        per component)."""
-        m = self.params
-        p1, p2 = phi
-        om1, om2 = omega
-        r1 = matvec(d2, p1) + om1 * p1 + (m.alpha * p1**2 + m.delta * p2**2) * p1
-        r2 = matvec(d2, p2) + om2 * p2 + (m.delta * p1**2 + m.gamma * p2**2) * p2
-        return np.array([r1, r2])
-
-    def lplus(self, phi: np.ndarray, omega: tuple, d2: np.ndarray) -> np.ndarray:
-        """L+, the real-part Hessian block: minus the Jacobian of `stationary`."""
-        m = self.params
-        p1, p2 = phi
-        om1, om2 = omega
-        n = p1.size
-        lp = np.zeros((2 * n, 2 * n))
-        _minus_d2(d2, om1 + 3 * m.alpha * p1**2 + m.delta * p2**2, out=lp[:n, :n])
-        _minus_d2(d2, om2 + 3 * m.gamma * p2**2 + m.delta * p1**2, out=lp[n:, n:])
-        i = np.arange(n)
-        lp[i, i + n] = lp[i + n, i] = -2 * m.delta * p1 * p2
-        return lp
-
-    def hessian(self, prof) -> list:
-        """Gauge-rotate the boost away; the real profile then gives the
-        diagonal blocks [L+ (both components), L-11, L-22]."""
-        m = self.params
-        d2 = second_derivative_matrix(prof.grid)
-        phi = _rest_profile(prof)
-        p1, p2 = phi
-        om1, om2 = prof.omega
-        lm11 = _minus_d2(d2, om1 + m.alpha * p1**2 + m.delta * p2**2)
-        lm22 = _minus_d2(d2, om2 + m.delta * p1**2 + m.gamma * p2**2)
-        return [self.lplus(phi, prof.omega, d2), lm11, lm22]
 
     def resolve(self, prof, xi: np.ndarray, grid: Grid):
         """The member of the family of prof at xi, on grid: continued from the
@@ -317,9 +305,14 @@ class CoupledLine(_Coupled):
         return boost(Profile(f, np.array([om1, om2, 0.0]), params), float(xi[2]))
 
 
+# The wavenumber offset of each component of the torus wave: +k, then -k.
+_OFFSET_SIGNS = np.array([[1.0], [-1.0]])
+
+
 class CoupledTorus(_Coupled):
     """Two-component plane wave on the torus with wavenumber offset k; xi =
-    (xi1, xi2) from the dispersion relation, no translation invariant."""
+    (xi1, xi2) from the dispersion relation, no translation invariant.  The
+    kinetic energy is beta/2 int |u_j' +- i k u_j|^2."""
 
     tag = "torus"
     translations = False
@@ -330,29 +323,15 @@ class CoupledTorus(_Coupled):
     def omega(self, xi) -> None:
         return None
 
-    def grad_L(self, field: Field, xi: np.ndarray) -> Field:
+    def _kinetic_gradient(self, field: Field, xi) -> np.ndarray:
         m = self.params
-        lap = laplacian(field).values
-        grad = gradient(field).values
-        u1, u2 = field.values
-        a1 = np.abs(u1) ** 2
-        a2 = np.abs(u2) ** 2
-        k = m.k
-        b = m.beta
-        g1 = -b * lap[0] - 2j * b * k * grad[0] + b * k**2 * u1
-        g2 = -b * lap[1] + 2j * b * k * grad[1] + b * k**2 * u2
-        g1 -= (m.alpha * a1 + m.delta * a2) * u1 + xi[0] * u1
-        g2 -= (m.delta * a1 + m.gamma * a2) * u2 + xi[1] * u2
-        return Field(np.array([g1, g2]), field.grid)
+        return m.beta * (m.k**2 * field.values - laplacian(field).values
+                         - 2j * m.k * _OFFSET_SIGNS * gradient(field).values)
 
-    def energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
-        """Covariant kinetic energy with the offset k, of stacked fields."""
+    def _kinetic_energy(self, vals: np.ndarray, du: np.ndarray, dx: float) -> np.ndarray:
         m = self.params
-        u1, u2 = vals[..., 0, :], vals[..., 1, :]
-        d1 = du[..., 0, :] + 1j * m.k * u1
-        d2 = du[..., 1, :] - 1j * m.k * u2
-        H = 0.5 * m.beta * dx * np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2, axis=-1)
-        return H - _quartic_integral(m, u1, u2, dx)
+        cov = du + 1j * m.k * _OFFSET_SIGNS * vals
+        return 0.5 * m.beta * dx * np.sum(np.abs(cov) ** 2, axis=(-2, -1))
 
     def _amplitudes(self, prof) -> np.ndarray:
         return prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
@@ -363,39 +342,28 @@ class CoupledTorus(_Coupled):
         return _orbit_tangents(np.outer(self._amplitudes(prof), ones)), None
 
     def hessian(self, prof) -> list:
-        """One block: the drift terms 2 b k d1 couple the real and imaginary
-        parts."""
+        """One block: L+ and L- with beta d2 in place of d2 and xi - beta k^2
+        in place of omega, the real and imaginary parts of each component
+        coupled by its drift +-2 beta k d1."""
         m = self.params
-        grid = prof.grid
-        n = grid.n
-        zero = np.zeros((n, n))
-        z1, z2 = self._amplitudes(prof)
-        d2 = second_derivative_matrix(grid)
-        d1 = first_derivative_matrix(grid)
-        b, k = m.beta, m.k
-        base1 = -b * d2 + (b * k**2 - prof.xi[0]) * np.eye(n)
-        base2 = -b * d2 + (b * k**2 - prof.xi[1]) * np.eye(n)
-        a1c = m.alpha * z1**2 + m.delta * z2**2
-        a2c = m.delta * z1**2 + m.gamma * z2**2
-        cross = -2.0 * m.delta * z1 * z2 * np.eye(n)
-        mat = np.block(
-            [
-                [base1 - (a1c + 2 * m.alpha * z1**2) * np.eye(n), cross, 2 * b * k * d1, zero],
-                [cross, base2 - (a2c + 2 * m.gamma * z2**2) * np.eye(n), zero, -2 * b * k * d1],
-                [-2 * b * k * d1, zero, base1 - a1c * np.eye(n), zero],
-                [zero, -(-2 * b * k * d1), zero, base2 - a2c * np.eye(n)],
-            ]
-        )
+        n = prof.grid.n
+        phi = np.outer(self._amplitudes(prof), np.ones(n))
+        omega = prof.xi - m.beta * m.k**2
+        d2 = m.beta * second_derivative_matrix(prof.grid)
+        drift = 2.0 * m.beta * m.k * first_derivative_matrix(prof.grid)
+        mat = np.zeros((4 * n, 4 * n))
+        mat[:2 * n, :2 * n] = self.lplus(phi, omega, d2)
+        diags = self._lminus_diagonals(phi, omega)
+        for j, sign in enumerate(_OFFSET_SIGNS[:, 0]):
+            re, im = slice(j * n, (j + 1) * n), slice((2 + j) * n, (3 + j) * n)
+            _minus_d2(d2, diags[j], out=mat[im, im])
+            np.multiply(drift, sign, out=mat[re, im])
+            np.multiply(drift, -sign, out=mat[im, re])
         return [mat]
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
-        k = grid.wavenumbers
-        return np.array(
-            [
-                np.exp(-1j * self.params.beta * (k + self.params.k) ** 2 * dt),
-                np.exp(-1j * self.params.beta * (k - self.params.k) ** 2 * dt),
-            ]
-        )
+        m = self.params
+        return np.exp(-1j * m.beta * (grid.wavenumbers + m.k * _OFFSET_SIGNS) ** 2 * dt)
 
     def resolve(self, prof, xi: np.ndarray, grid: Grid):
         """The member of the family of prof at xi, on grid: the plane wave
@@ -404,9 +372,8 @@ class CoupledTorus(_Coupled):
 
         params = self.params
         bk2 = params.beta * params.k**2
-        mat = np.array([[params.alpha, params.delta], [params.delta, params.gamma]])
         try:
-            z = np.linalg.solve(mat, np.array([bk2 - xi[0], bk2 - xi[1]]))
+            z = np.linalg.solve(np.hstack(self._couplings), bk2 - np.asarray(xi))
         except np.linalg.LinAlgError as exc:
             raise SolverError("dispersion relation not invertible") from exc
         if z[0] <= 0 or z[1] <= 0:

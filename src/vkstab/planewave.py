@@ -17,6 +17,8 @@ from typing import List, Union
 
 import numpy as np
 
+from .core import check_positive
+
 __all__ = [
     "ModeTable",
     "c_plusminus",
@@ -29,6 +31,9 @@ __all__ = [
 
 def _zeta_pair(zeta) -> tuple:
     z1, z2 = float(zeta[0]), float(zeta[1])
+    if not (np.isfinite(z1) and np.isfinite(z2)):
+        raise ValueError(f"plane-wave amplitudes zeta1, zeta2 must be finite "
+                         f"(got {z1:g}, {z2:g})")
     if z1 == 0.0 or z2 == 0.0:
         raise ValueError("plane-wave amplitudes must be nonzero")
     return z1, z2
@@ -45,6 +50,9 @@ def c_plusminus(params, zeta) -> tuple:
 
 
 def _n_L(n: int, length: float) -> float:
+    """The wavenumber 2 pi n / L of mode n; every public function with a
+    torus length reaches it."""
+    check_positive("length", length)
     return 2.0 * np.pi * n / length
 
 
@@ -68,7 +76,7 @@ def coercivity_condition(params, zeta, length: float) -> tuple:
     if abs(params.alpha * params.gamma - params.delta**2) < 1e-14:
         raise ValueError("condition undefined when alpha*gamma = delta^2")
     _, cm = c_plusminus(params, zeta)
-    margin = params.beta * (2.0 * np.pi / length) ** 2 + cm - 4.0 * params.beta * params.k**2
+    margin = params.beta * _n_L(1, length) ** 2 + cm - 4.0 * params.beta * params.k**2
     return margin > 0.0, float(margin)
 
 

@@ -224,12 +224,11 @@ def plane_wave(zeta1: float, zeta2: float, params: Coupled, grid: Grid) -> Profi
     if grid.kind != "periodic":
         raise ValueError("plane waves live on a periodic grid")
     params.validate_torus_offset(grid)
-    bk2 = params.beta * params.k**2
-    xi1 = bk2 - (params.alpha * zeta1**2 + params.delta * zeta2**2)
-    xi2 = bk2 - (params.delta * zeta1**2 + params.gamma * zeta2**2)
+    # the dispersion relation xi_j = beta k^2 - V_j(zeta)
+    xi = params.beta * params.k**2 - model_for(params, grid).potential(np.abs([[zeta1], [zeta2]]))
     ones = np.ones(grid.n, dtype=complex)
     f = Field(np.array([zeta1 * ones, zeta2 * ones]), grid)
-    return Profile(f, np.array([xi1, xi2]), params, zeta=(zeta1, zeta2))
+    return Profile(f, xi[:, 0], params, zeta=(zeta1, zeta2))
 
 
 def boost(prof: Profile, c: float) -> Profile:

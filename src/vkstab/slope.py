@@ -11,6 +11,7 @@ comparison with the classical sufficient condition.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,11 @@ class SlopeReport:
     asymmetry: float = 0.0
     condition_number: Optional[float] = None
     restricted: Optional[dict] = None
+    # The eigenvalues of d2w, or of a better-conditioned matrix congruent to
+    # it (the same signature by Sylvester's law of inertia): the signature,
+    # the condition number and certify's h1 are read from them.
+    _eigenvalues: Optional[np.ndarray] = dataclasses.field(default=None, repr=False,
+                                                           compare=False)
 
     def to_dict(self) -> dict:
         doc = {
@@ -62,22 +68,29 @@ class SlopeReport:
 
 def signature_of(mat: np.ndarray, z_tol: Optional[float] = None) -> tuple:
     """Inertia (p, z, n) of a symmetric matrix."""
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    return _signature(np.linalg.eigvalsh(0.5 * (mat + mat.T)), z_tol)
+
+
+def _signature(eigs: np.ndarray, z_tol: Optional[float] = None) -> tuple:
     if z_tol is None:
         z_tol = 1e-6 * max(np.max(np.abs(eigs)), 1e-300)
     p = int(np.sum(eigs > z_tol))
     n = int(np.sum(eigs < -z_tol))
-    return (p, mat.shape[0] - p - n, n)
+    return (p, eigs.size - p - n, n)
 
 
-def _report_from_matrix(raw: np.ndarray, method: str, asymmetry: float = 0.0) -> SlopeReport:
+def _report_from_matrix(raw: np.ndarray, method: str, asymmetry: float = 0.0,
+                        congruent: Optional[np.ndarray] = None) -> SlopeReport:
+    """The report of raw's symmetric part, with the eigenvalues of
+    `congruent` when given, a symmetric matrix congruent to it."""
     sym = 0.5 * (raw + raw.T)
-    sig = signature_of(sym)
+    eigs = np.linalg.eigvalsh(sym if congruent is None else congruent)
+    sig = _signature(eigs)
     cond = None
     if sig[1] == 0:
-        eigs = np.abs(np.linalg.eigvalsh(sym))
-        cond = float(np.max(eigs) / np.min(eigs))
-    return SlopeReport(sym, sig, method, asymmetry=asymmetry, condition_number=cond)
+        cond = float(np.max(np.abs(eigs)) / np.min(np.abs(eigs)))
+    return SlopeReport(sym, sig, method, asymmetry=asymmetry, condition_number=cond,
+                       _eigenvalues=eigs)
 
 
 def d2w_fd(fam: Family, xi) -> SlopeReport:
@@ -161,15 +174,21 @@ def vk_integral(prof: Profile) -> float:
     return float(np.sum(scalar * y) * grid.spacing)
 
 
-def _galilean_lift(w0: np.ndarray, masses: np.ndarray, c: float) -> np.ndarray:
+def _galilean_lift(w0: np.ndarray, masses: np.ndarray, c: float) -> tuple:
     """Slope matrix in xi = (omega_i - c^2/4, c) from the rest-frame block
-    w0 = -dF/domega and the component masses int phi_i^2 of the rest frame."""
+    w0 = -dF/domega and the component masses int phi_i^2 of the rest frame,
+    and the matrix D it is congruent to.  The slope matrix is L^T D L with
+    L = [[I, (c/2) 1], [0, 1]] and D = blockdiag(w0, -sum(masses) / 4): it has
+    D's signature, but its eigenvalue ratio falls like c^-4 where D's does not
+    depend on c."""
     m = len(masses)
-    mat = np.empty((m + 1, m + 1))
-    mat[:m, :m] = w0
+    d = np.zeros((m + 1, m + 1))
+    d[:m, :m] = 0.5 * (w0 + w0.T)
+    d[m, m] = -0.25 * np.sum(masses)
+    mat = d.copy()
     mat[:m, m] = mat[m, :m] = 0.5 * c * np.sum(w0, axis=1)
-    mat[m, m] = 0.25 * c**2 * np.sum(w0) - 0.25 * np.sum(masses)
-    return mat
+    mat[m, m] += 0.25 * c**2 * np.sum(w0)
+    return mat, d
 
 
 def _torus_closed(m, length: float) -> SlopeReport:
@@ -211,7 +230,8 @@ def d2w_closed(prof: Profile) -> SlopeReport:
         w0 = -np.einsum("in,jin->ij", phi, dphi) * grid.spacing
         method = "linear_solve"
     asym = float(np.max(np.abs(w0 - w0.T)))
-    return _report_from_matrix(_galilean_lift(w0, masses, prof.c), method, asymmetry=asym)
+    mat, rest = _galilean_lift(w0, masses, prof.c)
+    return _report_from_matrix(mat, method, asymmetry=asym, congruent=rest)
 
 
 def d2w_tilde(report: SlopeReport, basis: np.ndarray) -> SlopeReport:
@@ -228,11 +248,5 @@ def d2w_tilde(report: SlopeReport, basis: np.ndarray) -> SlopeReport:
     # can reach: a 1x1 restriction is never zero to its own relative tolerance
     scale = np.max(np.abs(np.linalg.eigvalsh(report.d2w))) * np.linalg.norm(basis, 2) ** 2
     sig = signature_of(tilde, 1e-6 * max(scale, 1e-300))
-    return SlopeReport(
-        report.d2w,
-        report.signature,
-        report.method,
-        asymmetry=report.asymmetry,
-        condition_number=report.condition_number,
-        restricted={"basis": basis, "d2w_tilde": tilde, "signature_tilde": sig},
-    )
+    return dataclasses.replace(
+        report, restricted={"basis": basis, "d2w_tilde": tilde, "signature_tilde": sig})

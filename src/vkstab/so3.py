@@ -32,19 +32,6 @@ __all__ = [
 ]
 
 
-def _quadratic_potential(omega_pot: float):
-    def v(r):
-        return 0.5 * omega_pot * r**2
-
-    def vp(r):
-        return omega_pot * r
-
-    def vpp(r):
-        return omega_pot
-
-    return v, vp, vpp
-
-
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
     return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
@@ -125,10 +112,8 @@ def grad_L6(state: SO3State, q: Optional[np.ndarray] = None,
     q = state.q if q is None else np.asarray(q, dtype=float)
     p = state.p if p is None else np.asarray(p, dtype=float)
     alpha, xi = state.alpha, state.xi
-    _, vp, _ = _quadratic_potential(state.omega_pot)
-    r = np.linalg.norm(q)
     qp = np.dot(q, p)
-    gq = vp(r) * q / r - 2.0 * alpha * (np.dot(p, p) * q - qp * p) - np.cross(p, xi)
+    gq = state.omega_pot * q - 2.0 * alpha * (np.dot(p, p) * q - qp * p) - np.cross(p, xi)
     gp = p - 2.0 * alpha * (np.dot(q, q) * p - qp * q) - np.cross(xi, q)
     return np.concatenate([gq, gp])
 
@@ -137,14 +122,8 @@ def hessian6(state: SO3State) -> np.ndarray:
     """Analytic 6x6 Hessian of the constrained energy at the state, in (q, p)."""
     q, p = state.q, state.p
     alpha, xi = state.alpha, state.xi
-    _, vp, vpp = _quadratic_potential(state.omega_pot)
-    r = np.linalg.norm(q)
-    qhat = q / r
     eye = np.eye(3)
-    proj = np.outer(qhat, qhat)
-    hqq = vpp(r) * proj + vp(r) / r * (eye - proj) - 2.0 * alpha * (
-        np.dot(p, p) * eye - np.outer(p, p)
-    )
+    hqq = state.omega_pot * eye - 2.0 * alpha * (np.dot(p, p) * eye - np.outer(p, p))
     hpp = eye - 2.0 * alpha * (np.dot(q, q) * eye - np.outer(q, q))
     hqp = -2.0 * alpha * (
         2.0 * np.outer(q, p) - np.outer(p, q) - np.dot(q, p) * eye

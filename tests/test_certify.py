@@ -275,3 +275,25 @@ def test_gss_comparison_restricts_to_the_subgroup_of_xi(case, applies, n_neg):
     assert cert.certified
     assert cert.checks["h4_index_match"]["n_d2l"] == n_neg
     assert cert.gss == {"p_w_tilde": 1, "applies": applies, "chain_ok": True}
+
+
+def _cubic_n1024():
+    return vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 1024))
+
+
+@pytest.mark.parametrize("make, c", [
+    (_cubic_n1024, 60.0),
+    (_cubic_n1024, 80.0),
+    (lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0),
+                                vk.make_grid("line", 20.0, 256)), 60.0),
+], ids=["cubic-60", "cubic-80", "coupled_1_1_2-60"])
+def test_a_strong_boost_keeps_the_h1_margin_of_the_rest_frame(make, c):
+    """The boost maps D^2 W to L^T D L with D the rest-frame form: the same
+    signature, but an eigenvalue ratio that falls like c^-4.  h1 reads D."""
+    rest = make()
+    at_rest = vk.certify(rest, refine=False).checks["h1_nondegenerate_W"]
+    cert = vk.certify(vk.boost(rest, c), refine=False)
+    assert cert.verdict == "certified_coercive"
+    h1 = cert.checks["h1_nondegenerate_W"]
+    assert h1["signature"] == at_rest["signature"]
+    assert h1["margin"] == pytest.approx(at_rest["margin"], rel=1e-9)

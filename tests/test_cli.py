@@ -231,3 +231,34 @@ def test_an_input_that_is_not_finite_and_positive_is_named(tmp_path, capsys, arg
     assert run(args + ["--out", out]) == 2
     assert f"error: {name} must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+PLANEWAVE = ["planewave", "--alpha", 1, "--gamma", 1, "--delta", 2]
+
+
+@pytest.mark.parametrize("args, name", [
+    (PLANEWAVE + ["--length", 0], "length"),
+    (PLANEWAVE + ["--length", -1], "length"),
+    (PLANEWAVE + ["--length", "nan"], "length"),
+    (PLANEWAVE + ["--length", "inf"], "length"),
+    (PLANEWAVE + ["--alpha", "nan"], "alpha"),
+    (PLANEWAVE + ["--beta", "nan"], "beta"),
+    (PLANEWAVE + ["--k", "nan"], "k"),
+    (PLANEWAVE + ["--zeta2", "inf"], "zeta2"),
+    (["certify", "--model", "coupled", "--grid-kind", "periodic", "--extent", 2 * np.pi,
+      "--n", 64, "--beta", "nan"], "beta"),
+    (["profile", "--p", "nan", "--n", 64], "p"),
+])
+def test_a_model_or_plane_wave_input_that_is_not_finite_is_named(tmp_path, capsys, args,
+                                                                 name):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_rejects_a_negative_eigenvalue_count(tmp_path, capsys):
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", "--n", 256, "--n-eigs", -3, "--out", out]) == 2
+    assert "n_eigs must not be negative" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 import vkstab as vk
+from vkstab.model import model_for
+from vkstab.spectral import second_derivative_matrix
 
 
 @pytest.fixture(scope="module")
@@ -97,22 +99,61 @@ def test_torus_hessian_kernel_is_two_phases():
     assert vk.kernel_matches_orbit(rep, op)
 
 
-def test_hessian_is_derivative_of_gradient(soliton):
-    op = vk.assemble(soliton)
+def _torus(k):
+    return vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5, k=k),
+                         vk.make_grid("periodic", 2 * np.pi, 64))
+
+
+GRADIENT_CASES = {
+    "cubic": lambda: vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 512)),
+    "p4.5": lambda: vk.soliton_solve(-1.0, 4.5, vk.make_grid("line", 20.0, 512)),
+    "boosted_coupled_1_1_2": lambda: vk.boost(
+        vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), vk.make_grid("line", 20.0, 256)), 0.5),
+    "coupled_1_1_0.5": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 0.5),
+                                                  vk.make_grid("line", 20.0, 256)),
+    "torus_k0": lambda: _torus(0.0),
+    "torus_k1": lambda: _torus(1.0),      # k = 2 pi / L: the drift blocks
+}
+
+
+@pytest.mark.parametrize("case", list(GRADIENT_CASES))
+def test_hessian_is_derivative_of_gradient(case):
+    prof = GRADIENT_CASES[case]()
+    g = prof.grid
+    op = vk.assemble(prof)
     rng = np.random.default_rng(1)
-    v = vk.Field(
-        (rng.standard_normal((1, soliton.grid.n))
-         + 1j * rng.standard_normal((1, soliton.grid.n))),
-        soliton.grid,
-    )
+    shape = prof.field.values.shape
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if prof.c != 0.0:
+        # the boost's gauge phase wraps discontinuously at the ends of the
+        # line: a smooth perturbation that vanishes there
+        v = np.fft.ifft(np.fft.fft(v) * (np.abs(g.wavenumbers) < 2.0)) * np.exp(-g.nodes**2 / 8)
+    v = vk.Field(v, g)
     errs = []
     for h in (1e-3, 5e-4):
-        gp = vk.grad_L(soliton.field + h * v, soliton.model, soliton.xi)
-        gm = vk.grad_L(soliton.field + (-h) * v, soliton.model, soliton.xi)
+        gp = vk.grad_L(prof.field + h * v, prof.model, prof.xi)
+        gm = vk.grad_L(prof.field + (-h) * v, prof.model, prof.xi)
         fd = (gp.values - gm.values) / (2 * h)
         errs.append(np.max(np.abs(fd - op.apply(v).values)))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert order > 1.9
+
+
+@pytest.mark.parametrize("params", [vk.SingleNLS(4.5), vk.Coupled(1.0, 1.0, 2.0)],
+                         ids=["p4.5", "coupled_1_1_2"])
+def test_lplus_is_minus_the_jacobian_of_stationary(params):
+    g = vk.make_grid("line", 10.0, 32)
+    model = model_for(params, g)
+    d2 = second_derivative_matrix(g)
+    phi = 0.5 + np.random.default_rng(4).random((params.components, g.n))
+    omega = -1.0 if params.components == 1 else (-1.0, -1.3)
+    h = 1e-6
+    jac = np.empty((phi.size, phi.size))
+    for j in range(phi.size):
+        step = h * np.eye(phi.size)[j].reshape(phi.shape)
+        diff = model.stationary(phi + step, omega, d2) - model.stationary(phi - step, omega, d2)
+        jac[:, j] = diff.ravel() / (2 * h)
+    assert np.max(np.abs(model.lplus(phi, omega, d2) + jac)) < 1e-7 * np.max(np.abs(jac))
 
 
 def test_boosted_equilibrium_is_checked_in_the_rest_frame():

@@ -61,12 +61,20 @@ def test_certify_makes_no_numpy_solve(monkeypatch):
 
 
 SRC = Path(vk.__file__).parent
-# The numpy products and solves allowed in the modules of the dense n x n
-# operators, by qualified function name, each with its reason.  Any other one
-# would run on numpy's OpenBLAS pool next to scipy's eigensolves.
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
+# The numpy products and solves allowed in the package, by module and
+# qualified function name, each with its reason.  Any other one would run on
+# numpy's OpenBLAS pool next to scipy's eigensolves.
 NUMPY_BLAS_ALLOWED = {
+    "cli.py": {"_cmd_so3": "the norm of a random 6-vector perturbation"},
     "model.py": {"CoupledTorus.resolve": "the 2 x 2 solve of the dispersion relation"},
     "slope.py": {"d2w_tilde": "basis.T @ d2w @ basis, of the size of xi"},
+    "so3.py": {
+        "_AxisParts.of": "3-vectors projected on the rotation axis",
+        "grad_L6": "dot products of the 3-vectors q and p",
+        "hessian6": "dot products of the 3-vectors q and p",
+        "orbit_distance": "6-vectors projected on the reference orbit's plane",
+    },
 }
 
 
@@ -94,8 +102,7 @@ def _numpy_blas_calls(tree):
     return found
 
 
-@pytest.mark.parametrize("module", ["profiles.py", "hessian.py", "model.py", "slope.py",
-                                    "certify.py", "dynamics.py", "spectral.py"])
+@pytest.mark.parametrize("module", MODULES)
 def test_no_numpy_blas_outside_the_allowlist(module):
     """Dense products and solves go through vkstab.linalg (scipy's BLAS)."""
     tree = ast.parse((SRC / module).read_text())
