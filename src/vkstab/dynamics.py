@@ -43,6 +43,12 @@ STABLE_ENVELOPE = 10.0      # a run is stable while its orbit distance stays bel
 CHUNK = 32                  # samples per stacked block of invariants and alignment
 NEWTON_STEPS = 8            # cap on the Newton steps of the sub-grid shift
 NEWTON_TOL = 1e-14          # shift step below which the Newton search stops
+# Largest Fourier amplitude, relative to the peak, that a line profile may
+# have in the outer eighth of the band.  Measured on Coupled(1, 1, 2) at
+# n = 256, R = 20, eps = 1e-4, dt = 0.01: boosts whose fields reach 1.3e-5
+# (c = 20) and above evolve to a wrong "unstable"; 2.8e-6 (c = 18) and below
+# stay stable, as does the unboosted cubic soliton at n = 128 (2.1e-6).
+RESOLVED_TAIL = 1e-5
 
 
 class BlowUpError(RuntimeError):
@@ -275,11 +281,35 @@ def _fit_growth_rate(times: np.ndarray, dists: np.ndarray, eps: float) -> Option
     return float(coeffs[0])
 
 
+def _check_resolved(prof: Profile) -> None:
+    """ValueError unless the grid resolves the lab-frame field of a line
+    profile: the boost's carrier wavenumber |c|/2 lies below the Nyquist
+    wavenumber, and the field's Fourier amplitudes in the outer eighth of the
+    band stay within RESOLVED_TAIL of its peak."""
+    grid = prof.grid
+    if grid.kind != "line":
+        return
+    k = np.abs(grid.wavenumbers)
+    k_nyq = k[grid.n // 2]
+    if abs(prof.c) / 2.0 >= k_nyq:
+        raise ValueError(f"boost c = {prof.c:g} puts the carrier wavenumber |c|/2 at or "
+                         f"beyond the grid's Nyquist wavenumber {k_nyq:.4g}")
+    amp = np.abs(np.fft.fft(prof.field.values, axis=-1))
+    tail = float(np.max(amp[:, k >= 0.875 * k_nyq]) / np.max(amp))
+    if tail > RESOLVED_TAIL:
+        raise ValueError(f"the grid does not resolve the lab-frame field: its Fourier "
+                         f"amplitude in the outer eighth of the band is {tail:.1e} of the "
+                         f"peak (limit {RESOLVED_TAIL:g})")
+
+
 def stability_experiment(prof: Profile, eps: float, dt: float, t_end: float,
                          kind: str = "band_limited", seed: int = 0,
                          mode_n: int = 1, sample_stride: int = 10) -> OrbitDistanceSeries:
-    """Perturb, evolve, align the samples, and classify the orbit excursion."""
+    """Perturb, evolve, align the samples, and classify the orbit excursion.
+    A line profile whose lab-frame field the grid does not resolve (see
+    `_check_resolved`) is a ValueError."""
     check_positive("eps", eps)
+    _check_resolved(prof)
     rng = np.random.default_rng(seed)
     pert = make_perturbation(prof, kind, rng, mode_n=mode_n)
     u0 = prof.field + eps * pert

@@ -34,7 +34,7 @@ from .core import Field, Grid
 from .linalg import matvec
 from .model import field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
-from .spectral import fold, unfold
+from .spectral import even_scale, fold, unfold
 
 __all__ = [
     "HessOp",
@@ -172,7 +172,7 @@ def _is_even(block: np.ndarray, c: int, n: int) -> bool:
 
 def _even_scale(c: int, n: int) -> np.ndarray:
     """sqrt of the number of grid points each half-grid point stands for."""
-    return np.tile(np.r_[1.0, np.full(n // 2 - 1, np.sqrt(2.0)), 1.0], c)
+    return np.tile(even_scale(n), c)
 
 
 def _even_part(block: np.ndarray, c: int, n: int) -> np.ndarray:

@@ -6,10 +6,12 @@ wave on the torus.  Each has H = kinetic term - int G(|u|), so each model
 object holds only its nonlinearity (the potential V_j(|u|), the Jacobian of
 V(phi) phi at a real profile, the primitive G) and its geometry (the line's,
 or the torus's covariant kinetic term with offset k).  `_Model` writes from
-them, once, the gradient of L_xi = H - xi . F, the stationary equation, L+,
-L- and the energy.  `model_for(params, grid)` picks the object; the closed
-forms of one model (`slope.d2w_closed`, `slope.vk_integral`,
-`certify.coupled_stability_criteria`) branch on the model themselves.
+them, once, the gradient of L_xi = H - xi . F, the stationary equation, L+
+(dense for the Hessian, and as a matrix-free even solve for Newton and the
+slope matrix), L- and the energy.  `model_for(params, grid)` picks the
+object; the closed forms of one model (`slope.d2w_closed`,
+`slope.vk_integral`, `certify.coupled_stability_criteria`) branch on the
+model themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ import numpy as np
 
 from .core import Field, Grid, boundary_decay_check, gradient, laplacian
 from .linalg import matvec
-from .spectral import first_derivative_matrix, second_derivative_matrix
+from .spectral import (
+    even_solve,
+    first_derivative_matrix,
+    second_derivative,
+    second_derivative_matrix,
+)
 
 __all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "model_for", "field_to_vec",
            "vec_to_field"]
@@ -126,11 +133,10 @@ class _Model:
         diagonal, and L- phi = 0 is the stationary equation."""
         return np.reshape(omega, (-1, 1)) + self.potential(np.abs(phi))
 
-    def stationary(self, phi: np.ndarray, omega, d2: np.ndarray) -> np.ndarray:
+    def stationary(self, phi: np.ndarray, omega, grid: Grid) -> np.ndarray:
         """Residual phi_j'' + (omega_j + V_j(phi)) phi_j of the real stationary
-        equation at the profile phi (one row per component)."""
-        d2phi = np.array([matvec(d2, p) for p in phi])
-        return d2phi + self._lminus_diagonals(phi, omega) * phi
+        equation at the profile phi (one row per component), by FFT."""
+        return second_derivative(phi, grid) + self._lminus_diagonals(phi, omega) * phi
 
     def lplus(self, phi: np.ndarray, omega, d2: np.ndarray) -> np.ndarray:
         """L+ = -d2 - omega - J, the real-part Hessian block: minus the
@@ -149,6 +155,11 @@ class _Model:
                     block[...] = 0.0
                     block[np.diag_indices(n)] = -jac[j, k]
         return out
+
+    def lplus_solve(self, phi: np.ndarray, omega, grid: Grid, rhs: np.ndarray) -> np.ndarray:
+        """The even y with L+ y = rhs at the even profile phi, matrix-free: the
+        Newton step and the slope solves."""
+        return even_solve(grid, omega, self.jacobian(phi), rhs)
 
     def hessian(self, prof) -> list:
         """Diagonal blocks [L+, L-_1, ..] at an equilibrium, in the frame of

@@ -23,9 +23,8 @@ from .core import (
     invariants_of,
     make_grid,
 )
-from .linalg import solve
+from .linalg import SolverError
 from .model import model_for
-from .spectral import fold, second_derivative_matrix, unfold
 
 __all__ = [
     "Profile",
@@ -39,10 +38,6 @@ __all__ = [
     "make_family",
     "continue_family",
 ]
-
-
-class SolverError(RuntimeError):
-    """Newton or continuation failure."""
 
 
 @dataclass(frozen=True)
@@ -136,10 +131,10 @@ def soliton_explicit(omega: float, grid: Grid) -> Profile:
 
 
 # Newton stops when max|residual| falls to NEWTON_TOL or to NEWTON_FLOOR times
-# the roundoff floor of the dense spectral D2, eps * k_max^2 * max|phi| (k_max^2
-# is the spectral radius of D2), whichever is larger.  Measured from the
-# closed-form seed, the residual stalls at up to 6x that estimate (n >= 2048,
-# or narrow solitons at n = 1024), so 32 leaves at least 5x headroom; where
+# the roundoff floor of the FFT second derivative, eps * k_max^2 * max|phi|,
+# whichever is larger.  Measured from the closed-form seed at n = 2048-16384
+# (R = 20; p = 2, 3, 4.5 and 6), the residual stalls at 0.4-0.9x that estimate
+# (the dense D2's stalled at up to 6x), so 32 leaves over 30x headroom; where
 # the floor is below NEWTON_TOL the stop is the absolute one.
 NEWTON_TOL = 1e-11
 NEWTON_FLOOR = 32.0
@@ -148,25 +143,19 @@ NEWTON_FLOOR = 32.0
 def _newton_even(model, phi0: np.ndarray, omega, grid: Grid, max_iter: int) -> np.ndarray:
     """Newton solve of model.stationary(phi) = 0 for a real profile phi (one
     row per component) even about x = 0.  The stationary Jacobian is -L+, so
-    each step solves fold(L+) step = residual on the half grid."""
-    d2 = second_derivative_matrix(grid)
+    each step is one matrix-free even solve L+ step = residual."""
     roundoff = np.finfo(float).eps * float(np.max(grid.wavenumbers**2))
     n = grid.n
-    h = n // 2 + 1
     phi = 0.5 * (phi0 + phi0[:, (n - np.arange(n)) % n])   # symmetrize the seed
     for it in range(max_iter + 1):
-        res = model.stationary(phi, omega, d2)
+        res = model.stationary(phi, omega, grid)
         err = float(np.max(np.abs(res)))
         tol = max(NEWTON_TOL, NEWTON_FLOOR * roundoff * float(np.max(np.abs(phi))))
         if err < tol:
             return phi
         if it == max_iter:
             break
-        try:
-            step = solve(fold(model.lplus(phi, omega, d2), len(phi)), res[:, :h].ravel())
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Newton system") from exc
-        phi = phi + unfold(step.reshape(len(phi), h))
+        phi = phi + model.lplus_solve(phi, omega, grid, res)
     raise SolverError(f"Newton did not converge in {max_iter} iterations "
                       f"(residual {err:.3e}, floor {tol:.3e})")
 

@@ -3,7 +3,7 @@
 W(xi) is the constrained energy evaluated along the equilibrium family; its
 Hessian equals minus the Jacobian of the conserved quantities F along the
 family.  `d2w_closed` computes it exactly from the profile alone (a closed
-form, or one linear solve over L+ for the coupled soliton) and is what
+form, or matrix-free even solves over L+ for the coupled soliton) and is what
 `certify` reads; `d2w_fd` differentiates re-solved family members and is
 the cross-check.  The restricted form on a subalgebra basis supports the
 comparison with the classical sufficient condition.
@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import matvec, solve
 from .model import model_for
 from .profiles import Family, Profile, SolverError
-from .spectral import fold, second_derivative_matrix, unfold
+from .spectral import even_solve, second_derivative
 
 __all__ = [
     "SlopeReport",
@@ -129,25 +128,14 @@ def vk_slope_sign(p: float, d: int) -> int:
     return 1 if val > 0 else -1
 
 
-def _even_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat y = b for each right-hand side b = rhs[k], restricted to
-    functions even about x = 0.  Each rhs[k] holds one row per component on
-    the n-point grid; mat acts on those rows stacked."""
-    k, comps, n = rhs.shape
-    h = n // 2 + 1
-    y = solve(fold(mat, comps), rhs[:, :, :h].reshape(k, comps * h).T)
-    return unfold(y.T.reshape(k, comps, h))
-
-
 def single_vk_integral(prof: Profile) -> float:
     """int u Lplus^{-1} u for an unboosted single soliton: the omega-derivative
     of the mass invariant int u^2 / 2, by one even solve."""
     if prof.model.model != "single_nls" or prof.c != 0.0:
         raise ValueError("requires an unboosted single-component soliton")
     grid = prof.grid
-    u = np.real(prof.field.values[0])
-    lp = model_for(prof.model, grid).lplus(u[None], prof.omega, second_derivative_matrix(grid))
-    y = _even_solve(lp, u[None, None])[0, 0]
+    u = np.real(prof.field.values)
+    y = model_for(prof.model, grid).lplus_solve(u, prof.omega, grid, u)
     return float(np.sum(u * y) * grid.spacing)
 
 
@@ -165,10 +153,9 @@ def vk_integral(prof: Profile) -> float:
     grid = prof.grid
     omega = prof.omega[0]
     scalar = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes)) / z1
-    d2 = second_derivative_matrix(grid)
-    ld = -d2 - np.diag((3.0 - 2.0 * m.delta * s) * scalar**2 + omega)
-    y = _even_solve(ld, scalar[None, None])[0, 0]
-    resid = np.max(np.abs(matvec(ld, y) - scalar))
+    pot = (3.0 - 2.0 * m.delta * s) * scalar**2       # Ldelta = -d2 - omega - pot
+    y = even_solve(grid, omega, pot[None, None], scalar[None])[0]
+    resid = np.max(np.abs(-second_derivative(y, grid) - (omega + pot) * y - scalar))
     if resid > 1e-9 * max(np.max(np.abs(scalar)), 1.0):
         raise ValueError(f"Ldelta solve residual too large ({resid:.3e})")
     return float(np.sum(scalar * y) * grid.spacing)
@@ -204,10 +191,9 @@ def d2w_closed(prof: Profile) -> SlopeReport:
 
     Line models: the rest-frame block w0 = -dF/domega, lifted to xi by the
     boost.  Differentiating the stationary equation in omega_j gives
-    L+ dphi/domega_j = e_j phi_j, so the coupled block is one even solve over
-    L+ with one right-hand side per component.  The single soliton's block
-    is the 1D scaling law, the same number without the solve.  Torus: the
-    closed form.
+    L+ dphi/domega_j = e_j phi_j, so the coupled block is one matrix-free even
+    solve over L+ per component.  The single soliton's block is the 1D
+    scaling law, the same number without the solve.  Torus: the closed form.
     """
     m = prof.model
     if prof.is_torus:
@@ -225,8 +211,9 @@ def d2w_closed(prof: Profile) -> SlopeReport:
         w0 = np.array([[-0.5 * ((2.0 / (m.p - 1.0) - 0.5) * masses[0] / prof.omega)]])
         method = "closed_form"
     else:
-        lp = model_for(m, grid).lplus(phi, prof.omega, second_derivative_matrix(grid))
-        dphi = _even_solve(lp, np.eye(len(phi))[:, :, None] * phi)   # rhs[j] = e_j phi_j
+        model = model_for(m, grid)
+        dphi = np.array([model.lplus_solve(phi, prof.omega, grid, rhs)   # rhs = e_j phi_j
+                         for rhs in np.eye(len(phi))[:, :, None] * phi])
         w0 = -np.einsum("in,jin->ij", phi, dphi) * grid.spacing
         method = "linear_solve"
     asym = float(np.max(np.abs(w0 - w0.T)))

@@ -204,6 +204,13 @@ def test_evolve_rejects_an_eps_that_is_not_positive(tmp_path, capsys, eps):
     assert not out.exists()
 
 
+def test_evolve_rejects_a_boost_the_grid_does_not_resolve(tmp_path, capsys):
+    out = tmp_path / "dist.csv"
+    assert run(EVOLVE + ["--model", "coupled", "--c", 45, "--eps", 1e-4, "--out", out]) == 2
+    assert "beyond the grid's Nyquist wavenumber" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_blowup_is_an_input_error(tmp_path, capsys):
     out = tmp_path / "dist.csv"
     assert run(EVOLVE + ["--eps", 1e9, "--out", out]) == 2

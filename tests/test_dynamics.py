@@ -331,6 +331,29 @@ def test_experiment_rejects_an_eps_that_is_not_positive(soliton, eps):
         vk.stability_experiment(soliton, eps=eps, dt=0.01, t_end=0.5)
 
 
+@pytest.fixture(scope="module")
+def coupled_n256():
+    return vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), vk.make_grid("line", 20.0, 256))
+
+
+@pytest.mark.parametrize("c, reason", [
+    (20.0, "outer eighth of the band is 1.3e-05 of the peak"),
+    (30.0, "outer eighth of the band is 3.4e-02 of the peak"),   # spectrum reaches Nyquist
+    (45.0, "carrier wavenumber"),                                 # c/2 beyond Nyquist (20.1)
+    (60.0, "carrier wavenumber"),
+])
+def test_a_boost_the_grid_does_not_resolve_is_rejected(coupled_n256, c, reason):
+    """These boosts certify in the rest frame, but their lab-frame fields
+    alias: evolved, they read unstable."""
+    with pytest.raises(ValueError, match=reason):
+        vk.stability_experiment(vk.boost(coupled_n256, c), eps=1e-4, dt=0.01, t_end=1.0)
+
+
+def test_a_resolved_boost_still_runs(coupled_n256):
+    series = vk.stability_experiment(vk.boost(coupled_n256, 15.0), eps=1e-4, dt=0.01, t_end=1.0)
+    assert series.verdict == "stable"
+
+
 def test_a_non_finite_field_mid_run_trips_the_blowup_guard(soliton, monkeypatch):
     calls = []
     potential = SingleLine.potential

@@ -151,7 +151,7 @@ def test_lplus_is_minus_the_jacobian_of_stationary(params):
     jac = np.empty((phi.size, phi.size))
     for j in range(phi.size):
         step = h * np.eye(phi.size)[j].reshape(phi.shape)
-        diff = model.stationary(phi + step, omega, d2) - model.stationary(phi - step, omega, d2)
+        diff = model.stationary(phi + step, omega, g) - model.stationary(phi - step, omega, g)
         jac[:, j] = diff.ravel() / (2 * h)
     assert np.max(np.abs(model.lplus(phi, omega, d2) + jac)) < 1e-7 * np.max(np.abs(jac))
 

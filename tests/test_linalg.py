@@ -5,40 +5,61 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import vkstab as vk
-from vkstab.linalg import matvec, solve
+from vkstab import linalg
+from vkstab.linalg import matvec, minres
 
 
 @pytest.fixture
 def system():
+    """A symmetric indefinite operator on (2, 150) arrays, its positive
+    diagonal preconditioner and a right-hand side."""
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((300, 300)) + 30.0 * np.eye(300)
-    return a, rng.standard_normal(300), rng.standard_normal((300, 3))
+    diag = np.linspace(1.0, 1e4, 300)
+    g = rng.standard_normal((300, 300))
+    a = np.diag(diag) - 30.0 * (g + g.T) - 200.0 * np.eye(300)
+    return a, diag.reshape(2, 150), rng.standard_normal((2, 150))
 
 
-def test_solve_matches_numpy(system):
-    a, b, rhs = system
-    for right in (b, rhs):
-        x = solve(a, right)
-        assert x.shape == right.shape
-        assert np.allclose(x, np.linalg.solve(a, right), rtol=1e-12, atol=1e-14)
+def _apply(a):
+    return lambda x: (a @ x.ravel()).reshape(x.shape)
 
 
-def test_solve_leaves_its_inputs_alone(system):
-    a, b, _ = system
-    a0, b0 = a.copy(), b.copy()
-    solve(a, b)
-    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+def test_minres_matches_a_dense_solve(system):
+    a, precond, b = system
+    assert np.min(np.linalg.eigvalsh(a)) < 0 < np.max(np.linalg.eigvalsh(a))
+    x = minres(_apply(a), b, precond)
+    assert x.shape == b.shape
+    ref = scipy.linalg.solve(a, b.ravel()).reshape(b.shape)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_singular_solve_raises_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError):
-        solve(np.zeros((4, 4)), np.ones(4))
+def test_minres_leaves_its_inputs_alone(system):
+    a, precond, b = system
+    a0, p0, b0 = a.copy(), precond.copy(), b.copy()
+    minres(_apply(a), b, precond)
+    assert np.array_equal(a, a0) and np.array_equal(precond, p0) and np.array_equal(b, b0)
+    assert np.array_equal(minres(_apply(a), np.zeros_like(b), precond), np.zeros_like(b))
+
+
+def test_minres_on_a_singular_operator_raises_solver_error():
+    with pytest.raises(vk.SolverError, match="singular operator"):
+        minres(lambda x: 0.0 * x, np.ones(4), np.ones(4))
+
+
+def test_minres_that_does_not_converge_names_its_iterations_and_residual(monkeypatch, system):
+    a, precond, b = system
+    monkeypatch.setattr(linalg, "MINRES_MAXITER", 1)
+    with pytest.raises(vk.SolverError, match=r"MINRES did not converge in 1 iterations "
+                                             r"\(relative residual \d\.\d{3}e[-+]\d\d\)"):
+        minres(_apply(a), b, precond)
 
 
 def test_matvec_matches_matmul(system):
-    a, b, _ = system
+    a, _, b = system
+    b = b.ravel()
     assert np.allclose(matvec(a, b), a @ b, rtol=1e-14, atol=1e-12)
     strided = a[::2, ::2]
     assert np.allclose(matvec(strided, b[::2]), strided @ b[::2], rtol=1e-14, atol=1e-12)

@@ -1,0 +1,195 @@
+"""Matrix-free even solves over L+ and Ldelta, against the folded dense LU."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import vkstab as vk
+from vkstab import linalg, spectral
+from vkstab.model import model_for
+from vkstab.slope import single_vk_integral
+from vkstab.spectral import even_solve, fold, second_derivative_matrix, unfold
+
+
+def line(n):
+    return vk.make_grid("line", 20.0, n)
+
+
+def dense_even_solve(mat, rhs):
+    """The oracle: mat restricted to even functions by the fold, solved by
+    LU on the half grid.  rhs holds one row per component."""
+    comps, n = rhs.shape
+    h = n // 2 + 1
+    y = scipy.linalg.solve(fold(mat, comps), rhs[:, :h].ravel())
+    return unfold(y.reshape(comps, h))
+
+
+def assert_close(got, ref, rel):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def _continued():
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256))
+    target = (-1.0, -1.3, 0.0)
+    return vk.continue_family(base, target).profile(target)
+
+
+LPLUS_CASES = {
+    "p3": lambda: vk.soliton_solve(-1.0, 3.0, line(512)),
+    "p4.5": lambda: vk.soliton_solve(-1.0, 4.5, line(512)),
+    "p6": lambda: vk.soliton_solve(-1.0, 6.0, line(512)),
+    "coupled_1_1_2": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256)),
+    "coupled_1_1_0.5": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 0.5), line(256)),
+    "continued_asymmetric": _continued,
+}
+
+
+@pytest.mark.parametrize("case", list(LPLUS_CASES))
+def test_lplus_solve_matches_the_folded_dense_lu(case):
+    prof = LPLUS_CASES[case]()
+    grid = prof.grid
+    model = model_for(prof.model, grid)
+    phi = np.real(prof.field.values)
+    lplus = model.lplus(phi, prof.omega, second_derivative_matrix(grid))
+    bump = grid.nodes**2 * np.exp(-grid.nodes**2)
+    # the slope solves' right-hand sides e_j phi_j, and an even bump in each
+    rhs = list(np.eye(len(phi))[:, :, None] * phi) + [np.tile(bump, (len(phi), 1))]
+    for r in rhs:
+        assert_close(model.lplus_solve(phi, prof.omega, grid, r), dense_even_solve(lplus, r),
+                     1e-10)
+
+
+@pytest.mark.parametrize("delta", [2.0, 0.5])
+def test_ldelta_solve_matches_the_folded_dense_lu(delta):
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, delta), line(256))
+    grid = prof.grid
+    z1, z2 = prof.zeta
+    scalar = np.real(prof.field.values[0]) / z1
+    pot = (3.0 - 2.0 * delta * (z1**2 + z2**2)) * scalar**2
+    ldelta = -second_derivative_matrix(grid) - np.diag(pot - 1.0)
+    got = even_solve(grid, -1.0, pot[None, None], scalar[None])
+    assert_close(got, dense_even_solve(ldelta, scalar[None]), 1e-10)
+
+
+@pytest.mark.parametrize("case", ["p4.5", "coupled_1_1_2"])
+def test_minres_gets_a_symmetric_operator_and_a_positive_preconditioner(case, monkeypatch):
+    """MINRES needs both: the operator it is handed, written out column by
+    column on a small grid, is symmetric, and the symbol is positive."""
+    seen = []
+
+    def checked(apply, b, precond):
+        cols = [apply(e.reshape(b.shape)).ravel() for e in np.eye(b.size)]
+        seen.append((np.array(cols).T, precond))
+        return linalg.minres(apply, b, precond)
+
+    monkeypatch.setattr(spectral, "minres", checked)
+    g = line(32) if case == "p4.5" else vk.make_grid("line", 8.0, 32)
+    params = vk.SingleNLS(4.5) if case == "p4.5" else vk.Coupled(1.0, 1.0, 2.0)
+    x = g.nodes
+    phi = np.array([np.exp(-x**2 / (j + 1.0)) for j in range(params.components)])
+    omega = -1.0 if params.components == 1 else (-1.0, -1.3)
+    model_for(params, g).lplus_solve(phi, omega, g, phi)
+    (mat, precond), = seen
+    assert np.max(np.abs(mat - mat.T)) <= 1e-13 * np.max(np.abs(mat))
+    assert np.min(precond) > 0
+
+
+def test_the_even_solve_returns_an_even_function():
+    prof = vk.soliton_solve(-1.0, 4.5, line(256))
+    phi = np.real(prof.field.values)
+    y = model_for(prof.model, prof.grid).lplus_solve(phi, -1.0, prof.grid, phi)
+    assert np.array_equal(y, y[:, (256 - np.arange(256)) % 256])
+
+
+# Values of the folded dense LU solves, kept from before the matrix-free solve.
+SINGLE_VK = {3.0: -1.000000000000062, 4.5: -0.10430363095550856, 6.0: 0.12145016109090301}
+VK_INTEGRAL = {2.0: 4.802771390238166, 0.5: -4.127389815340701}
+D2W_CLOSED = {
+    "coupled_1_1_2": [-0.6337952317063564, 0.9671285650396905, 0.0,
+                      0.9671285650396905, -0.6337952317063557, 0.0, 0.0, 0.0,
+                      -0.6666666666666666],
+    "coupled_1_1_0.5": [1.7091299384469327, -1.0424632717802582, 0.0,
+                        -1.0424632717802582, 1.7091299384469223, 0.0, 0.0, 0.0,
+                        -1.3333333333333333],
+    "coupled_1_1_2_boosted_0.7": [-0.6337952317063564, 0.9671285650396905, 0.11666666666666788,
+                                  0.9671285650396905, -0.6337952317063557, 0.11666666666666621,
+                                  0.11666666666666788, 0.11666666666666621, -0.5849999999999997],
+    "continued_asymmetric": [-0.7210975803503595, 0.9195246724538924, 0.0,
+                             0.9195246724538924, -0.5164644244915485, 0.0, 0.0, 0.0,
+                             -0.7224054144545982],
+}
+
+
+@pytest.mark.parametrize("p", list(SINGLE_VK))
+def test_single_vk_integral_keeps_its_dense_value(p):
+    got = single_vk_integral(vk.soliton_solve(-1.0, p, line(512)))
+    assert got == pytest.approx(SINGLE_VK[p], rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", list(VK_INTEGRAL))
+def test_vk_integral_keeps_its_dense_value(delta):
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, delta), line(256))
+    for c in (0.0, 0.7):
+        assert vk.vk_integral(vk.boost(prof, c)) == pytest.approx(VK_INTEGRAL[delta], rel=1e-9)
+
+
+@pytest.mark.parametrize("case", list(D2W_CLOSED))
+def test_d2w_closed_keeps_its_dense_value(case):
+    if case == "continued_asymmetric":
+        prof = _continued()
+    else:
+        delta = 2.0 if case.startswith("coupled_1_1_2") else 0.5
+        prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, delta), line(256))
+        prof = vk.boost(prof, 0.7 if case.endswith("0.7") else 0.0)
+    ref = np.reshape(D2W_CLOSED[case], (3, 3))
+    assert_close(vk.d2w_closed(prof).d2w, ref, 1e-9)
+
+
+def test_profile_and_slope_solves_build_no_dense_matrix(monkeypatch):
+    """With the dense differentiation matrices unavailable, Newton (up to
+    n = 16384), continuation and every slope solve still work."""
+    def no_dense(*args):
+        raise AssertionError("dense differentiation matrix built")
+
+    monkeypatch.setattr(spectral, "_diff_matrices", no_dense)
+    for n in (8192, 16384):
+        g = line(n)
+        prof = vk.soliton_solve(-1.0, 3.0, g)
+        assert np.max(np.abs(prof.field.values - vk.soliton_explicit(-1.0, g).field.values)) < 1e-7
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256))
+    target = np.array([-1.0, -1.3, 0.0])
+    fam = vk.continue_family(base, target)
+    assert vk.d2w_fd(fam, target).signature == vk.d2w_closed(fam.profile(target)).signature
+    assert vk.d2w_closed(base).method == "linear_solve"
+    assert vk.vk_integral(base) == pytest.approx(VK_INTEGRAL[2.0], rel=1e-9)
+    assert single_vk_integral(vk.soliton_solve(-1.0, 3.0, line(512))) == pytest.approx(-1.0)
+
+
+MINRES_FAILURE = r"MINRES did not converge in 1 iterations \(relative residual \d\.\d{3}e-\d\d\)"
+
+
+def test_a_failed_inner_solve_names_itself(monkeypatch):
+    monkeypatch.setattr(linalg, "MINRES_MAXITER", 1)
+    with pytest.raises(vk.SolverError, match=MINRES_FAILURE):
+        vk.soliton_solve(-1.0, 3.0, line(256))
+    # certify reports it as it reports a failed Newton: in the slope matrix
+    # of the coupled soliton, and in the 2n refinement of h3
+    coupled = vk.certify(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256)))
+    assert coupled.verdict == "indeterminate(solver)"
+    assert "MINRES did not converge in 1 iterations" in coupled.checks["error"]["detail"]
+    cubic = vk.certify(vk.soliton_explicit(-1.0, line(256)))
+    assert cubic.verdict == "indeterminate(h3)"
+    note = cubic.checks["notes"]["h3_refinement_error"]
+    assert "MINRES did not converge in 1 iterations" in note
+
+
+def test_a_frequency_that_is_not_negative_is_named():
+    """The preconditioner k^2 - omega_j is positive only for omega_j < 0: a
+    line profile read with another xi is refused by name, not solved."""
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256))
+    bad = vk.Profile(prof.field, np.array([0.5, -1.0, 0.0]), prof.model, zeta=prof.zeta)
+    cert = vk.certify(bad)
+    assert cert.verdict == "indeterminate(solver)"
+    assert "needs every omega_j < 0 (got (0.5, -1.0))" in cert.checks["error"]["detail"]
+    with pytest.raises(ValueError, match="omega_j < 0"):
+        even_solve(line(256), 0.0, np.zeros((1, 1, 256)), np.ones((1, 256)))
