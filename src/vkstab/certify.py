@@ -32,6 +32,7 @@ from .hessian import (
     SpectralReport,
     assemble,
     kernel_matches_orbit,
+    lowest_eigenvalues,
     spectrum,
 )
 from .model import model_for
@@ -96,11 +97,15 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _refined_gap(prof: Profile) -> float:
-    """Hessian gap of the same equilibrium, re-solved on the doubled grid."""
+def _refined_gap(prof: Profile, index: int) -> float:
+    """Hessian gap of the same equilibrium, re-solved on the doubled grid:
+    its eigenvalue `index` from below, the base grid's negative and kernel
+    counts.  Its own kernel tolerance, which grows with the grid's largest
+    wavenumber, takes no part."""
     grid = prof.grid
     fine = make_grid(grid.kind, grid.extent, 2 * grid.n)
-    return spectrum(assemble(model_for(prof.model, grid).resolve(prof, prof.xi, fine))).gap_pos
+    refined = model_for(prof.model, grid).resolve(prof, prof.xi, fine)
+    return float(lowest_eigenvalues(refined, index + 1)[index])
 
 
 def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, xi,
@@ -230,11 +235,13 @@ def certify(prof: Profile, *, refine: bool = True) -> Certificate:
             provenance={"error": str(exc)},
         )
     grid = prof.grid
+    rep = spectrum(op)
     return _certificate(
-        slope_rep, op, spectrum(op), prof.xi,
+        slope_rep, op, rep, prof.xi,
         {"refinement_surrogate": refine,
          "grid": {"kind": grid.kind, "extent": grid.extent, "n": grid.n}},
-        refinement=(2 * grid.n, lambda: _refined_gap(prof)) if refine else None,
+        refinement=((2 * grid.n, lambda: _refined_gap(prof, rep.n_neg + rep.dim_ker))
+                    if refine else None),
     )
 
 

@@ -1,40 +1,48 @@
-"""Constrained-energy gradients and discretized Hessian operators.
+"""Constrained-energy gradients and the Hessian, held in the coordinates
+where it splits.
 
-For each model the second variation of L_xi = H - xi . F at an equilibrium is
-assembled as its dense real symmetric diagonal blocks, acting on consecutive
-slices of the stacked (Re, Im) components: [L+, L-] for the single soliton,
-[L+ (both components), L-11, L-22] for the coupled soliton and one block for
-the torus wave.  Boosted solitons are handled by conjugating with the gauge
-phase exp(i c x / 2), so spectra are boost-independent.
+For each model the second variation of L_xi = H - xi . F at an equilibrium
+is described by its diagonal blocks, acting on consecutive slices of the
+stacked (Re, Im) components, and no block is held as an n x n matrix.  On the
+line the blocks are [L+, L-] for the single soliton and [L+ (both
+components), L-11, L-22] for the coupled soliton, each -d2 minus a pointwise
+coupling (`model.Pointwise`).  The torus wave has one block-circulant block,
+held as one 4 x 4 block per Fourier mode (`model.FourierModes`).  Without a
+grid (the so3 orbit) a block is a dense matrix.  Boosted solitons are
+handled by conjugating with the gauge phase exp(i c x / 2), so spectra are
+boost-independent.
 
-`spectrum` eigensolves parts, never the whole operator.  A block that commutes
-with the grid reflection j -> -j (mod n, per component), as every block of an
-even profile does, splits into an even part (n/2 + 1 points per component)
-and an odd part (n/2 - 1), both cut from the block by index slicing; any
-other block, and every block of an operator without a grid, is one whole
-part.  Each part is reduced once to tridiagonal form by Householder
-reflections (LAPACK `dsytrd`), and every query is answered from that one
-tridiagonal: its top eigenvalue (for the spectral radius) and its low end by
-bisection (`dstebz`), the kernel eigenvectors by inverse iteration (`dstein`)
-mapped back through the reflections (`dormqr`), as `dsyevr` does in one call.
+`spectrum` eigensolves parts, never the whole operator, and holds one part
+in memory at a time.  A line block of an even rest profile (decided on the
+profile) splits into an even part (n/2 + 1 points per component) and an odd
+part (n/2 - 1), each written from the Fourier symbol's first column
+(`spectral.even_part`, `spectral.odd_part`); a block of a profile that is
+not even, and a dense block, is one whole part.  Each part is built, reduced
+in place to tridiagonal form by Householder reflections (LAPACK `dsytrd`),
+queried and dropped.  The tridiagonal gives the part's top eigenvalue (for
+the spectral radius) and its low end by bisection (`dstebz`), and the
+eigenvectors near 0 by inverse iteration (`dstein`) mapped back through the
+reflections (`dormqr`), as `dsyevr` does in one call.  Those vectors are
+taken before the part is dropped, for every eigenvalue within 2e-6 of a
+Gershgorin bound on the spectral radius: every kernel eigenvalue is among
+them, whatever the kernel tolerance turns out to be.  The torus block gives
+every eigenvalue at once, from its 4 x 4 mode blocks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
 from .core import Field, Grid
-from .linalg import matvec
-from .model import field_to_vec, model_for, vec_to_field
+from .model import FourierModes, Pointwise, field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
-from .spectral import even_scale, fold, unfold
+from .spectral import even_part, even_scale, kinetic_column, odd_part, unfold, whole_part
 
 __all__ = [
     "HessOp",
@@ -42,12 +50,12 @@ __all__ = [
     "grad_L",
     "assemble",
     "spectrum",
+    "lowest_eigenvalues",
     "kernel_matches_orbit",
 ]
 
 KERNEL_ANGLE_TOL = 1e-5     # largest principal angle between kernel and orbit tangents
 LOW_SUBSET = 12             # eigenvalues first taken from the low end of each part
-PARITY_TOL = 1e-13          # relative to the largest entry: a block commutes with j -> -j
 
 # The residual is taken in the rest frame, where `assemble` builds the
 # Hessian: undoing the boost removes the gauge phase, which is discontinuous
@@ -69,9 +77,11 @@ class HessOp:
     """Real-symmetric Hessian, held as its diagonal blocks, with its
     symmetry-orbit tangent vectors.
 
-    The blocks act on consecutive slices of stacked real vectors [Re u_1, ..,
-    Im u_1, ..] in the gauge-rotated frame; `phase` carries the frame change
-    for boosted profiles (identity when c = 0).
+    A block is a `model.Pointwise` or a `model.FourierModes` on the grid, or a
+    dense matrix when there is no grid.  The blocks act on consecutive slices
+    of stacked real vectors [Re u_1, .., Im u_1, ..] in the gauge-rotated
+    frame; `phase` carries the frame change for boosted profiles (identity
+    when c = 0).
     """
 
     blocks: tuple
@@ -81,17 +91,12 @@ class HessOp:
 
     def __post_init__(self):
         for block in self.blocks:
-            block.setflags(write=False)
+            _data(block).setflags(write=False)
         self.symmetry_tangent.setflags(write=False)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The dense block-diagonal matrix, built on each access."""
-        return scipy.linalg.block_diag(*self.blocks)
-
-    @property
     def dimension(self) -> int:
-        return sum(block.shape[0] for block in self.blocks)
+        return sum(_dimension(block) for block in self.blocks)
 
     def field_to_vec(self, f: Field) -> np.ndarray:
         return field_to_vec(f, self.phase)
@@ -99,14 +104,17 @@ class HessOp:
     def vec_to_field(self, v: np.ndarray) -> Field:
         return vec_to_field(v, self.grid, self.phase)
 
-    def apply(self, f: Field) -> Field:
-        v = self.field_to_vec(f)
-        cuts = np.cumsum([block.shape[0] for block in self.blocks])[:-1]
-        hv = [matvec(block, part) for block, part in zip(self.blocks, np.split(v, cuts))]
-        return self.vec_to_field(np.concatenate(hv))
-
     def tangent_fields(self) -> list:
         return [self.vec_to_field(t) for t in self.symmetry_tangent]
+
+
+def _data(block) -> np.ndarray:
+    """The array a block is held as."""
+    return block if isinstance(block, np.ndarray) else block[0]
+
+
+def _dimension(block) -> int:
+    return block.shape[0] if isinstance(block, np.ndarray) else block.dimension
 
 
 @dataclass(frozen=True)
@@ -120,14 +128,7 @@ class SpectralReport:
     ker_tol: float
     kernel_margin: float             # factor (>= 1) by which the eigenvalues by 0 clear ker_tol
     kernel_vectors: np.ndarray       # rows: real coordinate vectors
-    parts: tuple                     # (dimension, "even" | "odd" | "whole") per eigensolve
-    part_matrices: tuple = dataclasses.field(repr=False, compare=False)
-
-    @cached_property
-    def all_eigenvalues(self) -> np.ndarray:
-        """The whole spectrum, ascending: every eigenvalue of every part."""
-        return np.sort(np.concatenate(
-            [scipy.linalg.eigvalsh(a) for a in self.part_matrices]))
+    parts: tuple                     # (dimension, "even" | "odd" | "whole" | "mode m") per part
 
     def to_dict(self) -> dict:
         return {
@@ -156,76 +157,9 @@ def assemble(prof: Profile) -> HessOp:
     return HessOp(tuple(model.hessian(prof)), prof.grid, tangents, phase)
 
 
-def _is_even(block: np.ndarray, c: int, n: int) -> bool:
-    """True iff the block on c stacked n-point grids equals P block P, P the
-    reflection j -> -j (mod n) of each grid.  Rows 0..n/2 decide it (the
-    other rows are their mirrors), compared on reversed views: row 0 and
-    column 0 are their own mirrors, rows and columns j >= 1 mirror to n - j."""
-    tol = PARITY_TOL * max(block.max(), -block.min())
-    b4 = block.reshape(c, n, c, n)
-    h = n // 2 + 1
-    rows, mirrors = b4[:, 1:h], b4[:, ::-1][:, :h - 1]      # rows j and n - j
-    return bool(max(np.max(np.abs(b4[:, 0, :, 1:] - b4[:, 0, :, :0:-1])),
-                    np.max(np.abs(rows[..., 0] - mirrors[..., 0])),
-                    np.max(np.abs(rows[..., 1:] - mirrors[..., :0:-1]))) <= tol)
-
-
 def _even_scale(c: int, n: int) -> np.ndarray:
     """sqrt of the number of grid points each half-grid point stands for."""
     return np.tile(even_scale(n), c)
-
-
-def _even_part(block: np.ndarray, c: int, n: int) -> np.ndarray:
-    """The block on the orthonormal even basis e_0, e_n/2 and
-    (e_j + e_{n-j}) / sqrt(2): the fold, symmetrized by the point weights."""
-    s = _even_scale(c, n)
-    return s[:, None] * fold(block, c) / s[None, :]
-
-
-def _odd_part(block: np.ndarray, c: int, n: int) -> np.ndarray:
-    """The block on the orthonormal odd basis (e_j - e_{n-j}) / sqrt(2),
-    j = 1..n/2-1: rows and columns 1..n/2-1 minus the mirrored columns."""
-    h = n // 2 + 1
-    rows = block.reshape(c, n, c, n)[:, 1:h - 1]
-    return (rows[..., 1:h - 1] - rows[..., h:][..., ::-1]).reshape(c * (h - 2), c * (h - 2))
-
-
-def _lift(kind: str, y: np.ndarray, c: int, n: int) -> np.ndarray:
-    """Rows y of part coordinates as rows of block coordinates."""
-    if kind == "whole":
-        return y
-    h = n // 2 + 1
-    if kind == "even":
-        return unfold((y / _even_scale(c, n)).reshape(-1, c, h)).reshape(-1, c * n)
-    half = y.reshape(-1, c, h - 2) / np.sqrt(2.0)
-    v = np.zeros((len(y), c, n))
-    v[..., 1:h - 1] = half
-    v[..., h:] = -half[..., ::-1]
-    return v.reshape(-1, c * n)
-
-
-class _Part(NamedTuple):
-    """One eigensolve: a block, or its even or odd part."""
-
-    offset: int          # of the block in the stacked real coordinates
-    components: int      # n-point grids the block acts on
-    n: int               # grid points (the block's dimension when there is no grid)
-    kind: str            # "even" | "odd" | "whole"
-    matrix: np.ndarray
-
-
-def _parts(op: HessOp) -> list:
-    parts, offset = [], 0
-    for block in op.blocks:
-        n = block.shape[0] if op.grid is None else op.grid.n
-        c = block.shape[0] // n
-        if op.grid is not None and _is_even(block, c, n):
-            parts.append(_Part(offset, c, n, "even", _even_part(block, c, n)))
-            parts.append(_Part(offset, c, n, "odd", _odd_part(block, c, n)))
-        else:
-            parts.append(_Part(offset, c, n, "whole", block))
-        offset += block.shape[0]
-    return parts
 
 
 class _Tridiagonal(NamedTuple):
@@ -240,12 +174,17 @@ class _Tridiagonal(NamedTuple):
 
     @classmethod
     def reduce(cls, a: np.ndarray) -> "_Tridiagonal":
+        """a (symmetric, C-ordered) reduced in place: c is a's storage."""
         lwork, _ = lapack.dsytrd_lwork(a.shape[0], lower=1)
         # a is symmetric, so its transpose is the same matrix in Fortran order
-        c, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork))
+        c, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dsytrd failed (info {info})")
         return cls(c, d, e, tau)
+
+    @property
+    def size(self) -> int:
+        return self.d.size
 
     def eigenvalues(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvalues lo..hi (0-based, ascending, clipped to T's dimension)."""
@@ -267,47 +206,169 @@ class _Tridiagonal(NamedTuple):
         return z
 
 
+class _ModeSpectrum:
+    """The eigen-decomposition of a `FourierModes` block, with the queries
+    of `_Tridiagonal`: every eigenvalue ascending, those of each mode
+    0 < m < n/2 twice (the cos and the sin copy)."""
+
+    def __init__(self, modes: np.ndarray):
+        self.modes = modes
+        h, b, _ = modes.shape
+        copies = np.repeat(np.where(np.isin(np.arange(h), (0, h - 1)), 1, 2), b)
+        values = np.repeat(np.linalg.eigvalsh(modes).ravel(), copies)
+        order = np.argsort(values, kind="stable")
+        self.values = values[order]
+        # eigenvalue m * b + j of mode m, and which of its copies
+        self._which = np.repeat(np.arange(copies.size), copies)[order]
+        self._copy = (np.arange(values.size) - np.repeat(np.cumsum(copies) - copies, copies))[order]
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def eigenvalues(self, lo: int, hi: int) -> np.ndarray:
+        return self.values[lo:hi + 1]
+
+    def eigenvectors(self, lo: int, hi: int) -> np.ndarray:
+        """Columns: the eigenvectors lo..hi in block coordinates, each mode
+        eigenvector (p, q) written out as the fields of `FourierModes`,
+        normalized."""
+        h, b, _ = self.modes.shape
+        n = 2 * (h - 1)
+        theta = 2.0 * np.pi / n * np.arange(n)
+        cols = []
+        for which, copy in zip(self._which[lo:hi + 1], self._copy[lo:hi + 1]):
+            m, j = divmod(int(which), b)
+            y = np.linalg.eigh(self.modes[m])[1][:, j]
+            cos, sin = np.cos(m * theta), np.sin(m * theta)
+            if m in (0, h - 1):
+                vec = np.outer(y, cos) / np.sqrt(n)
+            else:
+                re, im = (cos, -sin) if copy == 0 else (sin, cos)
+                vec = np.sqrt(2.0 / n) * np.concatenate([np.outer(y[:b // 2], re),
+                                                         np.outer(y[b // 2:], im)])
+            cols.append(vec.ravel())
+        return np.array(cols).T
+
+
+class _Part(NamedTuple):
+    """One eigensolve: a line block, or its even or odd part; a dense block;
+    or the Fourier modes of a block-circulant block.  Nothing is built
+    until `solve`."""
+
+    offset: int          # of the block in the stacked real coordinates
+    components: int      # n-point grids the block acts on (for modes: b)
+    n: int               # grid points (the block's dimension when there is no grid)
+    kind: str            # "even" | "odd" | "whole" | "modes"
+    dimension: int
+    bound: float         # on the block's spectral radius: its largest absolute row sum
+    build: Callable[[], np.ndarray]     # a new array: the part's matrix, or the modes
+
+    def solve(self):
+        """The part built and reduced, as a `_Tridiagonal` or `_ModeSpectrum`."""
+        if self.kind == "modes":
+            return _ModeSpectrum(self.build())
+        return _Tridiagonal.reduce(self.build())
+
+    def entries(self) -> list:
+        """(dimension, kind) of the part, or of each of its modes."""
+        if self.kind != "modes":
+            return [(self.dimension, self.kind)]
+        h = self.n // 2 + 1
+        return [(self.components * (1 if m in (0, h - 1) else 2), f"mode {m}")
+                for m in range(h)]
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """Rows y of part coordinates as rows of block coordinates."""
+        c, n = self.components, self.n
+        if self.kind in ("whole", "modes"):
+            return y
+        h = n // 2 + 1
+        if self.kind == "even":
+            return unfold((y / _even_scale(c, n)).reshape(-1, c, h)).reshape(-1, c * n)
+        half = y.reshape(-1, c, h - 2) / np.sqrt(2.0)
+        v = np.zeros((len(y), c, n))
+        v[..., 1:h - 1] = half
+        v[..., h:] = -half[..., ::-1]
+        return v.reshape(-1, c * n)
+
+
+def _parts(blocks, grid: Optional[Grid]) -> list:
+    col = None if grid is None else kinetic_column(grid)
+    parts, offset = [], 0
+    for block in blocks:
+        if isinstance(block, Pointwise):
+            c, _, n = block.coupling.shape
+            h = n // 2 + 1
+            bound = float(np.sum(np.abs(col)) + np.max(np.sum(np.abs(block.coupling), axis=1)))
+            part = partial(_Part, offset, c, n, bound=bound)
+            if block.even:
+                parts += [part("even", c * h, build=partial(even_part, col, block.coupling)),
+                          part("odd", c * (h - 2), build=partial(odd_part, col, block.coupling))]
+            else:
+                parts.append(part("whole", c * n, build=partial(whole_part, col, block.coupling)))
+        else:
+            data = _data(block)
+            bound = float(np.max(np.sum(np.abs(data), axis=-1)))
+            if isinstance(block, FourierModes):
+                parts.append(_Part(offset, data.shape[1], grid.n, "modes", block.dimension, bound,
+                                   lambda data=data: data))
+            else:
+                parts.append(_Part(offset, 1, len(data), "whole", len(data), bound, data.copy))
+        offset += _dimension(block)
+    return parts
+
+
+def _low_end(part: _Part, want: int, vec_tol: float, dimension: int) -> tuple:
+    """(top eigenvalue, low end, eigenvalues within vec_tol of 0, their
+    eigenvectors as rows of the whole operator's coordinates) of one part,
+    built, reduced and dropped here.  The low end holds the `want` lowest
+    eigenvalues, doubled until it passes vec_tol or the part is exhausted."""
+    red = part.solve()
+    top = float(red.eigenvalues(red.size - 1, red.size - 1)[0])
+    vals = red.eigenvalues(0, want - 1)
+    while vals[-1] <= vec_tol and vals.size < red.size:
+        vals = red.eigenvalues(0, 2 * vals.size - 1)
+    near = np.flatnonzero(np.abs(vals) <= vec_tol)       # one run: vals ascend
+    rows = np.zeros((near.size, dimension))
+    if near.size:
+        lifted = part.lift(red.eigenvectors(near[0], near[-1]).T)
+        rows[:, part.offset:part.offset + lifted.shape[1]] = lifted
+    return top, vals, vals[near], rows
+
+
 def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     """Classify the low end of the Hessian's spectrum.
 
-    Each part is reduced to tridiagonal form once.  It gives at least its
-    LOW_SUBSET lowest eigenvalues, and doubles that until its largest computed
-    eigenvalue is above the kernel tolerance or the part is exhausted, so the
-    negative, kernel and first positive eigenvalues are all computed whatever
-    n_eigs, which only trims `eigenvalues`.  Eigenvectors are computed for the
-    kernel eigenvalues only."""
+    Parts are solved one at a time.  Each gives at least its LOW_SUBSET
+    lowest eigenvalues, and doubles that until its largest computed
+    eigenvalue is above 2e-6 of the Gershgorin bound (so above the kernel
+    tolerance) or the part is exhausted, so the negative, kernel and first
+    positive eigenvalues are all computed whatever n_eigs, which only trims
+    `eigenvalues`.  Eigenvectors are computed for the eigenvalues below that
+    bound only, and kept for the kernel eigenvalues."""
     if n_eigs < 0:
         raise ValueError(f"n_eigs must not be negative (got {n_eigs})")
-    parts = _parts(op)
-    tri = [_Tridiagonal.reduce(p.matrix) for p in parts]
-    top = max(float(t.eigenvalues(t.d.size - 1, t.d.size - 1)[0]) for t in tri)
-    low = [t.eigenvalues(0, max(LOW_SUBSET, n_eigs) - 1) for t in tri]
-    while True:
-        ker_tol = 1e-6 * max(top, -min(vals[0] for vals in low))
-        short = [i for i, vals in enumerate(low)
-                 if vals[-1] <= ker_tol and vals.size < tri[i].d.size]
-        if not short:
-            break
-        for i in short:
-            low[i] = tri[i].eigenvalues(0, 2 * low[i].size - 1)
+    parts = _parts(op.blocks, op.grid)
+    vec_tol = 2e-6 * max(p.bound for p in parts)
+    tops, lows, near_vals, near_rows = zip(
+        *[_low_end(p, max(LOW_SUBSET, n_eigs), vec_tol, op.dimension) for p in parts])
 
-    eigvals = np.sort(np.concatenate(low))
+    eigvals = np.sort(np.concatenate(lows))
+    radius = max(max(tops), -eigvals[0])
+    ker_tol = 1e-6 * radius
     above = eigvals[eigvals > ker_tol]
-    kernel_vals, kernel_vectors = [np.zeros(0)], [np.zeros((0, op.dimension))]
-    for p, t, vals in zip(parts, tri, low):
-        ker = np.flatnonzero(np.abs(vals) <= ker_tol)      # one run: vals ascend
-        if ker.size:
-            rows = _lift(p.kind, t.eigenvectors(ker[0], ker[-1]).T, p.components, p.n)
-            full = np.zeros((len(rows), op.dimension))
-            full[:, p.offset:p.offset + rows.shape[1]] = rows
-            kernel_vals.append(vals[ker])
-            kernel_vectors.append(full)
-    order = np.argsort(np.concatenate(kernel_vals), kind="stable")
+    near_vals = np.concatenate(near_vals)
+    ker = np.abs(near_vals) <= ker_tol
+    order = np.argsort(near_vals[ker], kind="stable")
     # the factor by which the kernel eigenvalues clear ker_tol from below,
-    # and the negative ones from above
+    # and the negative ones from above; an eigenvalue is known only to
+    # eps times the spectral radius, so one computed as 0 clears it by
+    # ker_tol / (eps radius)
     kernel = np.abs(eigvals[np.abs(eigvals) <= ker_tol])
     below = eigvals[eigvals < -ker_tol]
-    kernel_margin = min(ker_tol / kernel.max() if kernel.any() else np.inf,
+    resolution = np.finfo(float).eps * radius
+    kernel_margin = min(ker_tol / max(kernel.max(), resolution) if kernel.size else np.inf,
                         -below.max() / ker_tol if below.size else np.inf)
     return SpectralReport(
         eigenvalues=eigvals[:n_eigs].copy(),
@@ -316,10 +377,19 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
         gap_pos=float(above[0]) if above.size else np.inf,
         ker_tol=ker_tol,
         kernel_margin=float(kernel_margin),
-        kernel_vectors=np.concatenate(kernel_vectors)[order],
-        parts=tuple((p.matrix.shape[0], p.kind) for p in parts),
-        part_matrices=tuple(p.matrix for p in parts),
+        kernel_vectors=np.concatenate(near_rows)[ker][order],
+        parts=tuple(entry for p in parts for entry in p.entries()),
     )
+
+
+def lowest_eigenvalues(prof: Profile, count: int) -> np.ndarray:
+    """The `count` lowest eigenvalues of the Hessian at an equilibrium,
+    ascending: each part's low end only, with no top eigenvalue, no
+    eigenvectors and no orbit tangents."""
+    _check_equilibrium(prof)
+    blocks = model_for(prof.model, prof.grid).hessian(prof)
+    lows = [p.solve().eigenvalues(0, count - 1) for p in _parts(blocks, prof.grid)]
+    return np.sort(np.concatenate(lows))[:count]
 
 
 def kernel_matches_orbit(rep: SpectralReport, op: HessOp) -> bool:

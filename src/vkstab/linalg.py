@@ -8,7 +8,9 @@ works; with as many BLAS threads as cores that stalls calls at random by tens
 to hundreds of milliseconds.  The eigensolves need scipy (the tridiagonal
 reduction `dsytrd` and its bisection, inverse iteration and back-transform),
 so the package's other dense O(n^2) and O(n^3) operations go through scipy
-as well, by `matvec` and `scipy.linalg`.
+as well, by `matvec` and `scipy.linalg`.  The torus's 4 x 4 mode blocks are
+the one exception: numpy's batched `eigvalsh` solves all of them in one
+call, and a 4 x 4 problem starts no BLAS thread.
 
 The profile and slope solves build no matrix: `minres` solves a symmetric,
 possibly indefinite, operator given as a function, with a positive diagonal

@@ -7,8 +7,11 @@ object holds only its nonlinearity (the potential V_j(|u|), the Jacobian of
 V(phi) phi at a real profile, the primitive G) and its geometry (the line's,
 or the torus's covariant kinetic term with offset k).  `_Model` writes from
 them, once, the gradient of L_xi = H - xi . F, the stationary equation, L+
-(dense for the Hessian, and as a matrix-free even solve for Newton and the
-slope matrix), L- and the energy.  `model_for(params, grid)` picks the
+(as the pointwise coupling of a Hessian block, and as a matrix-free even
+solve for Newton and the slope matrix), L-, the orbit tangents and the
+energy.  No Hessian block is built here as a matrix: a line block is its
+pointwise coupling (`Pointwise`), and the torus Hessian is one small block
+per Fourier mode (`FourierModes`).  `model_for(params, grid)` picks the
 object; the closed forms of one model (`slope.d2w_closed`,
 `slope.vk_integral`, `certify.coupled_stability_criteria`) branch on the
 model themselves.
@@ -18,20 +21,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Field, Grid, boundary_decay_check, gradient, laplacian
-from .linalg import matvec
-from .spectral import (
-    even_solve,
-    first_derivative_matrix,
-    second_derivative,
-    second_derivative_matrix,
-)
+from .spectral import even_solve, first_derivative, second_derivative
 
-__all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "model_for", "field_to_vec",
-           "vec_to_field"]
+__all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "Pointwise", "FourierModes",
+           "model_for", "field_to_vec", "vec_to_field"]
+
+PARITY_TOL = 1e-13          # relative to max |phi|: a rest profile is even about x = 0
+
+
+class Pointwise(NamedTuple):
+    """A line Hessian block -d2 (x) I_c - M(x): the circulant of the symbol
+    k^2 on each of c components, minus the pointwise symmetric coupling M.
+    `even`: M is even about x = 0, so the block splits by parity."""
+
+    coupling: np.ndarray      # c x c x n
+    even: bool
+
+    @property
+    def dimension(self) -> int:
+        return self.coupling.shape[0] * self.coupling.shape[2]
+
+
+class FourierModes(NamedTuple):
+    """A block-circulant Hessian on b/2 complex components, as one real
+    symmetric b x b block per Fourier mode m = 0..n/2.  Mode m's block acts on
+    the real coefficients (p, q) of the fields u_j = p_j cos(m theta) -
+    i q_j sin(m theta), theta = 2 pi x / L, and equally on p_j sin(m theta) +
+    i q_j cos(m theta): its eigenvalues count twice for 0 < m < n/2."""
+
+    modes: np.ndarray         # (n/2 + 1) x b x b
+
+    @property
+    def dimension(self) -> int:
+        return self.modes.shape[1] * 2 * (self.modes.shape[0] - 1)
 
 
 def model_for(params, grid: Grid):
@@ -67,26 +94,25 @@ def _rest_profile(prof) -> np.ndarray:
     return np.real(prof.field.values * np.exp(-0.5j * prof.c * prof.grid.nodes))
 
 
-def _minus_d2(d2: np.ndarray, diag: np.ndarray, out=None) -> np.ndarray:
-    """-d2 - diag(diag), written into one new array (or into out) without
-    the n x n temporaries of np.diag and the subtraction."""
-    out = np.negative(d2, out=out)
-    out[np.diag_indices(len(diag))] -= diag
-    return out
+def _is_even(phi: np.ndarray) -> bool:
+    """True iff the real profile phi (one row per component) is even about
+    x = 0, phi_j = phi_{-j} (mod n), to PARITY_TOL of its largest value."""
+    mirrored = phi[:, -np.arange(phi.shape[1]) % phi.shape[1]]
+    return bool(np.max(np.abs(phi - mirrored)) <= PARITY_TOL * np.max(np.abs(phi)))
 
 
-def _orbit_tangents(phi: np.ndarray, d1=None) -> np.ndarray:
+def _orbit_tangents(phi: np.ndarray, grid=None) -> np.ndarray:
     """Orbit tangents of a real profile (one row per component) in stacked
     (Re, Im) coordinates: the phase rotation i phi_j of each component, then
-    the translation phi' when the derivative matrix d1 is given."""
+    the translation phi' (by FFT) when the grid is given."""
     zero = np.zeros_like(phi)
     rows = []
     for j in range(len(phi)):
         rotated = zero.copy()
         rotated[j] = phi[j]
         rows.append(np.concatenate([zero.ravel(), rotated.ravel()]))
-    if d1 is not None:
-        rows.append(np.concatenate([matvec(d1, p) for p in phi] + [zero.ravel()]))
+    if grid is not None:
+        rows.append(np.concatenate([first_derivative(phi, grid).ravel(), zero.ravel()]))
     return np.array(rows)
 
 
@@ -138,23 +164,11 @@ class _Model:
         equation at the profile phi (one row per component), by FFT."""
         return second_derivative(phi, grid) + self._lminus_diagonals(phi, omega) * phi
 
-    def lplus(self, phi: np.ndarray, omega, d2: np.ndarray) -> np.ndarray:
-        """L+ = -d2 - omega - J, the real-part Hessian block: minus the
-        Jacobian of `stationary`.  Its blocks are -d2 - omega_j - J_jj on the
-        diagonal and -J_jk on the diagonals of the others."""
-        jac = self.jacobian(phi)
-        om = np.reshape(omega, -1)
-        comps, n = phi.shape
-        out = np.empty((phi.size, phi.size))    # each block written whole below
-        for j in range(comps):
-            for k in range(comps):
-                block = out[j * n:(j + 1) * n, k * n:(k + 1) * n]
-                if j == k:
-                    _minus_d2(d2, om[j] + jac[j, j], out=block)
-                else:
-                    block[...] = 0.0
-                    block[np.diag_indices(n)] = -jac[j, k]
-        return out
+    def lplus_coupling(self, phi: np.ndarray, omega) -> np.ndarray:
+        """omega_j delta_jk + J_jk (c x c x n): L+ = -d2 - omega - J, the
+        real-part Hessian block, is minus the Jacobian of `stationary`."""
+        comps = len(phi)
+        return self.jacobian(phi) + np.eye(comps)[:, :, None] * np.reshape(omega, (-1, 1, 1))
 
     def lplus_solve(self, phi: np.ndarray, omega, grid: Grid, rhs: np.ndarray) -> np.ndarray:
         """The even y with L+ y = rhs at the even profile phi, matrix-free: the
@@ -164,11 +178,12 @@ class _Model:
     def hessian(self, prof) -> list:
         """Diagonal blocks [L+, L-_1, ..] at an equilibrium, in the frame of
         `tangents`: those of the rest profile, with the boost's gauge phase
-        rotated away."""
-        d2 = second_derivative_matrix(prof.grid)
+        rotated away.  Each is -d2 minus its pointwise coupling, even when
+        the rest profile is."""
         phi, omega = _rest_profile(prof), prof.omega
-        lminus = [_minus_d2(d2, diag) for diag in self._lminus_diagonals(phi, omega)]
-        return [self.lplus(phi, omega, d2)] + lminus
+        even = _is_even(phi)
+        lminus = [diag[None, None] for diag in self._lminus_diagonals(phi, omega)]
+        return [Pointwise(m, even) for m in [self.lplus_coupling(phi, omega)] + lminus]
 
     def invariants(self, f: Field) -> dict:
         """Energy H and momentum map F: the component masses, then the
@@ -202,7 +217,7 @@ class _Model:
         rows of stacked real coordinates in the frame the phase rotates away
         (None when c = 0)."""
         grid = prof.grid
-        tangents = _orbit_tangents(_rest_profile(prof), first_derivative_matrix(grid))
+        tangents = _orbit_tangents(_rest_profile(prof), grid)
         phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
         return tangents, phase
 
@@ -353,24 +368,25 @@ class CoupledTorus(_Coupled):
         return _orbit_tangents(np.outer(self._amplitudes(prof), ones)), None
 
     def hessian(self, prof) -> list:
-        """One block: L+ and L- with beta d2 in place of d2 and xi - beta k^2
-        in place of omega, the real and imaginary parts of each component
-        coupled by its drift +-2 beta k d1."""
+        """One block, block-circulant: L+ and L- with beta d2 in place of d2
+        and xi - beta k^2 in place of omega, the real and imaginary parts of
+        each component coupled by its drift +-2 beta k d1.  At mode m, d2 is
+        -k_m^2 and d1 is i q_m, with the grid's wavenumbers k and q (q's
+        Nyquist entry 0); in the (cos, sin) coordinates of `FourierModes` the
+        drift is the real -+2 beta k q_m."""
         m = self.params
-        n = prof.grid.n
-        phi = np.outer(self._amplitudes(prof), np.ones(n))
+        grid = prof.grid
+        h = grid.n // 2 + 1
+        zeta = np.asarray(self._amplitudes(prof), dtype=float)[:, None]
         omega = prof.xi - m.beta * m.k**2
-        d2 = m.beta * second_derivative_matrix(prof.grid)
-        drift = 2.0 * m.beta * m.k * first_derivative_matrix(prof.grid)
-        mat = np.zeros((4 * n, 4 * n))
-        mat[:2 * n, :2 * n] = self.lplus(phi, omega, d2)
-        diags = self._lminus_diagonals(phi, omega)
-        for j, sign in enumerate(_OFFSET_SIGNS[:, 0]):
-            re, im = slice(j * n, (j + 1) * n), slice((2 + j) * n, (3 + j) * n)
-            _minus_d2(d2, diags[j], out=mat[im, im])
-            np.multiply(drift, sign, out=mat[re, im])
-            np.multiply(drift, -sign, out=mat[im, re])
-        return [mat]
+        kinetic = m.beta * grid.wavenumbers[:h] ** 2
+        drift = 2.0 * m.beta * m.k * grid.deriv_wavenumbers()[:h]
+        modes = np.zeros((h, 4, 4))
+        modes[:, :2, :2] = -self.lplus_coupling(zeta, omega)[..., 0]
+        modes[:, [2, 3], [2, 3]] = -self._lminus_diagonals(zeta, omega)[:, 0]
+        modes[:, [0, 1, 2, 3], [0, 1, 2, 3]] += kinetic[:, None]
+        modes[:, [0, 1], [2, 3]] = modes[:, [2, 3], [0, 1]] = -np.outer(drift, _OFFSET_SIGNS[:, 0])
+        return [FourierModes(modes)]
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         m = self.params

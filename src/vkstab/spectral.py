@@ -1,61 +1,118 @@
-"""Spectral differentiation, dense and by FFT, and the even fold under x -> -x.
+"""Spectral differentiation by FFT, the even fold under x -> -x, and the
+parity parts of a line Hessian block built from its Fourier symbol.
 
-The dense matrices D1 and D2 serve the assembled Hessians.  The profile and
-slope solves use none: `second_derivative` applies D2 by a real FFT, and
-`even_solve` solves -d2 - omega - J on even functions by MINRES in Fourier
-coordinates.
+Every line Hessian block is K (x) I_c - M(x): the circulant K = -D2 of the
+symbol k^2 on each of c components, minus a pointwise symmetric coupling M
+(c x c x n).  `even_part` and `odd_part` write such a block on the even and
+odd functions of an even profile straight from K's first column, through
+its Toeplitz and Hankel sections, so no n x n matrix is built; `whole_part`
+is the fallback for a profile that is not even.  The profile and slope
+solves use no matrix at all: `second_derivative` applies D2 by a real FFT,
+and `even_solve` solves -d2 - omega - J on even functions by MINRES in
+Fourier coordinates.  The dense D1 and D2 stay as public functions; the
+package itself calls neither.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Grid
 from .linalg import minres
 
+HALF_ROOT = np.sqrt(0.5)
 
-@lru_cache(maxsize=32)
-def _diff_matrices(kind: str, extent: float, n: int):
-    """D1 and D2 as circulant matrices, entry (i, j) = col[(i - j) % n], built
-    from their first columns ifft(i k) and ifft(-k^2).  Each column is made
-    exactly odd (D1) or even (D2) under m -> -m (mod n), so D1 is exactly
-    antisymmetric, D2 exactly symmetric (which keeps the assembled Hessians
-    self-adjoint to roundoff), and the reflection j -> -j maps D1 to -D1 and
-    D2 to itself exactly."""
-    from .core import make_grid
 
-    g = make_grid(kind, extent, n)
-    col1 = np.real(np.fft.ifft(1j * g.deriv_wavenumbers()))
-    col2 = np.real(np.fft.ifft(-g.wavenumbers**2))
-    mirror = -np.arange(n) % n
-    d1 = scipy.linalg.circulant(0.5 * (col1 - col1[mirror]))
-    d2 = scipy.linalg.circulant(0.5 * (col2 + col2[mirror]))
-    d1.setflags(write=False)
-    d2.setflags(write=False)
-    return d1, d2
+def _even_column(col: np.ndarray) -> np.ndarray:
+    """col made exactly even under m -> -m (mod n)."""
+    return 0.5 * (col + col[-np.arange(col.size) % col.size])
+
+
+def kinetic_column(grid: Grid) -> np.ndarray:
+    """The first column of the circulant K = -D2, ifft(k^2), made exactly
+    even: K is then exactly symmetric and commutes with the reflection
+    j -> -j."""
+    return _even_column(np.real(np.fft.ifft(grid.wavenumbers ** 2)))
+
+
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """The dense circulant with first column col: entry (i, j) = col[(i - j) % n]."""
+    return scipy.linalg.circulant(col)
 
 
 def first_derivative_matrix(grid: Grid) -> np.ndarray:
-    return _diff_matrices(grid.kind, grid.extent, grid.n)[0]
+    """The dense D1, built from ifft(i k) made exactly odd, so that D1 is
+    exactly antisymmetric; built on each call."""
+    col = np.real(np.fft.ifft(1j * grid.deriv_wavenumbers()))
+    return _circulant(0.5 * (col - col[-np.arange(grid.n) % grid.n]))
 
 
 def second_derivative_matrix(grid: Grid) -> np.ndarray:
-    return _diff_matrices(grid.kind, grid.extent, grid.n)[1]
+    """The dense D2 = -K, exactly symmetric; built on each call."""
+    return _circulant(-kinetic_column(grid))
 
 
-def fold(op: np.ndarray, components: int = 1) -> np.ndarray:
-    """Restrict an operator on `components` stacked n-point grids to the even
-    subspace u_j = u_{n-j}: per n x n block, the rows 0..n/2 with each
-    mirrored column added onto its representative."""
-    n = op.shape[0] // components
-    h = n // 2 + 1
-    rows = op.reshape(components, n, components, n)[:, :h]
-    half = rows[..., :h].copy()
-    half[..., 1:n - h + 1] += rows[..., h:][..., ::-1]
-    return half.reshape(components * h, components * h)
+def _sections(col: np.ndarray) -> tuple:
+    """T = toeplitz(col[:h]) and H[a, b] = col[(a + b) mod n] for a, b < h =
+    n/2 + 1, as read-only strided views of col (no copy)."""
+    h = col.size // 2 + 1
+    toeplitz = sliding_window_view(np.concatenate([col[h - 1:0:-1], col[:h]]), h)[::-1]
+    hankel = sliding_window_view(np.append(col, col[0]), h)
+    return toeplitz, hankel
+
+
+def _pointwise(write_kinetic, coupling: np.ndarray) -> np.ndarray:
+    """K' (x) I_c - diag(M) as one new array, for the m x m kinetic section
+    K' that write_kinetic(out) writes into out and the pointwise coupling M
+    (c x c x m)."""
+    c, _, m = coupling.shape
+    out = np.zeros((c * m, c * m)) if c > 1 else np.empty((m, m))
+    blocks = out.reshape(c, m, c, m)
+    for j in range(c):
+        write_kinetic(blocks[j, :, j])
+    diag = np.arange(m)
+    blocks[:, diag, :, diag] -= np.moveaxis(coupling, -1, 0)
+    return out
+
+
+def even_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """K (x) I - M on the orthonormal even basis e_0, e_n/2 and
+    (e_j + e_{n-j}) / sqrt(2), for M even about x = 0: (T + H) with its first
+    and last rows and columns scaled by sqrt(1/2) (s s^T / 2 with s =
+    `even_scale(n)`), minus diag(M[:h])."""
+    h = col.size // 2 + 1
+
+    def kinetic(out):
+        np.add(*_sections(col), out=out)
+        out[[0, -1]] *= HALF_ROOT
+        out[:, [0, -1]] *= HALF_ROOT
+
+    return _pointwise(kinetic, coupling[..., :h])
+
+
+def odd_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """K (x) I - M on the orthonormal odd basis (e_j - e_{n-j}) / sqrt(2),
+    j = 1..n/2-1, for M even about x = 0: (T - H)[1:h-1, 1:h-1] minus
+    diag(M[1:h-1])."""
+    h = col.size // 2 + 1
+    inner = slice(1, h - 1)
+
+    def kinetic(out):
+        toeplitz, hankel = _sections(col)
+        np.subtract(toeplitz[inner, inner], hankel[inner, inner], out=out)
+
+    return _pointwise(kinetic, coupling[..., inner])
+
+
+def whole_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """K (x) I - M on the grid itself: the fallback for a coupling that is
+    not even, which does not split by parity."""
+    def kinetic(out):
+        out[...] = _circulant(col)
+
+    return _pointwise(kinetic, coupling)
 
 
 def unfold(half: np.ndarray) -> np.ndarray:
@@ -68,6 +125,13 @@ def even_scale(n: int) -> np.ndarray:
     """sqrt of the number of grid points each of the n/2 + 1 half-grid points
     (or cosine modes) of an even function stands for."""
     return np.r_[1.0, np.full(n // 2 - 1, np.sqrt(2.0)), 1.0]
+
+
+def first_derivative(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """D1 v for real v (last axis on the grid), by a real FFT; the Nyquist
+    coefficient is dropped, as in the dense D1."""
+    k = grid.deriv_wavenumbers()[:grid.n // 2 + 1]
+    return np.fft.irfft(1j * k * np.fft.rfft(v), grid.n)
 
 
 def second_derivative(v: np.ndarray, grid: Grid) -> np.ndarray:

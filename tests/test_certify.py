@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import vkstab as vk
 
@@ -209,10 +210,15 @@ def test_rolled_soliton_certifies_like_the_centered_one():
 
 
 def test_certify_never_forms_the_dense_hessian(monkeypatch):
-    def no_matrix(self):
-        raise AssertionError("certify built the dense Hessian")
+    """No n x n block: the parity parts come from the Fourier symbol, the
+    torus mode by mode, and the package's one dense circulant (the fallback
+    for a profile that is not even) is never reached."""
+    def no_matrix(*args):
+        raise AssertionError("certify built a dense n x n matrix")
 
-    monkeypatch.setattr(vk.HessOp, "matrix", property(no_matrix))
+    monkeypatch.setattr(vk.spectral, "_circulant", no_matrix)
+    monkeypatch.setattr(scipy.linalg, "circulant", no_matrix)
+    monkeypatch.setattr(scipy.linalg, "block_diag", no_matrix)
     g = vk.make_grid("line", 20.0, 256)
     for prof in (
         vk.soliton_solve(-1.0, 3.0, g),
@@ -220,7 +226,10 @@ def test_certify_never_forms_the_dense_hessian(monkeypatch):
         vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5),
                       vk.make_grid("periodic", 2 * np.pi, 64)),
     ):
-        assert vk.certify(prof).verdict == "certified_coercive"
+        cert = vk.certify(prof)
+        assert cert.verdict == "certified_coercive"
+        n = prof.grid.n
+        assert all(dim <= 2 * (n // 2 + 1) for dim, _ in cert.provenance["spectrum_parts"])
 
 
 def test_certificate_records_the_spectrum_parts():

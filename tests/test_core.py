@@ -5,7 +5,9 @@ import pytest
 
 import vkstab as vk
 from vkstab.core import boundary_decay_check, gradient, h1_norm, laplacian
-from vkstab.spectral import first_derivative_matrix, fold, second_derivative_matrix, unfold
+from vkstab.spectral import first_derivative_matrix, second_derivative_matrix, unfold
+
+from dense_oracle import fold
 
 
 def test_line_grid_nodes_and_spacing():

@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 
 import vkstab as vk
-from vkstab.model import model_for
-from vkstab.spectral import second_derivative_matrix
+from vkstab.hessian import _parts
+from vkstab.model import Pointwise, model_for
+
+import dense_oracle as dense
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +39,23 @@ def test_kernel_coincides_with_symmetry_tangents(soliton_report):
     assert vk.kernel_matches_orbit(rep, op)
 
 
-def test_hessian_matrix_is_symmetric(soliton_report):
+def test_hessian_matrix_is_symmetric(soliton, soliton_report):
     op, _ = soliton_report
-    assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
+    for part in _parts(op.blocks, op.grid):       # exactly, as built
+        a = part.build()
+        assert np.array_equal(a, a.T)
+    mat = dense.matrix(soliton)
+    assert np.max(np.abs(mat - mat.T)) < 1e-12
+
+
+def _every_eigenvalue(op):
+    return vk.spectrum(op, n_eigs=op.dimension).eigenvalues
 
 
 def test_boost_leaves_spectrum_invariant(soliton, soliton_report):
-    _, rep = soliton_report
+    op, _ = soliton_report
     pb = vk.boost(soliton, 2.0)
-    repb = vk.spectrum(vk.assemble(pb))
-    assert np.max(np.abs(repb.all_eigenvalues - rep.all_eigenvalues)) < 1e-8
+    assert np.max(np.abs(_every_eigenvalue(vk.assemble(pb)) - _every_eigenvalue(op))) < 1e-8
 
 
 def test_apply_matches_quadratic_form(soliton):
@@ -57,13 +66,13 @@ def test_apply_matches_quadratic_form(soliton):
          + 1j * rng.standard_normal((1, soliton.grid.n))),
         soliton.grid,
     )
-    hv = op.apply(v)
+    hv = dense.apply(soliton, v)
     # <v, H v> is real for a symmetric operator
     quad = vk.inner(v, hv)
     assert np.isfinite(quad)
     # inner() integrates (carries the grid weight); the matrix form does not
     w = op.field_to_vec(v)
-    assert np.isclose(quad, float(w @ op.matrix @ w) * soliton.grid.spacing,
+    assert np.isclose(quad, float(w @ dense.matrix(soliton) @ w) * soliton.grid.spacing,
                       rtol=1e-12)
 
 
@@ -120,7 +129,6 @@ GRADIENT_CASES = {
 def test_hessian_is_derivative_of_gradient(case):
     prof = GRADIENT_CASES[case]()
     g = prof.grid
-    op = vk.assemble(prof)
     rng = np.random.default_rng(1)
     shape = prof.field.values.shape
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -134,7 +142,7 @@ def test_hessian_is_derivative_of_gradient(case):
         gp = vk.grad_L(prof.field + h * v, prof.model, prof.xi)
         gm = vk.grad_L(prof.field + (-h) * v, prof.model, prof.xi)
         fd = (gp.values - gm.values) / (2 * h)
-        errs.append(np.max(np.abs(fd - op.apply(v).values)))
+        errs.append(np.max(np.abs(fd - dense.apply(prof, v).values)))
     order = np.log(errs[0] / errs[1]) / np.log(2.0)
     assert order > 1.9
 
@@ -144,7 +152,7 @@ def test_hessian_is_derivative_of_gradient(case):
 def test_lplus_is_minus_the_jacobian_of_stationary(params):
     g = vk.make_grid("line", 10.0, 32)
     model = model_for(params, g)
-    d2 = second_derivative_matrix(g)
+    d2 = dense.diff_matrices(g)[1]
     phi = 0.5 + np.random.default_rng(4).random((params.components, g.n))
     omega = -1.0 if params.components == 1 else (-1.0, -1.3)
     h = 1e-6
@@ -153,7 +161,12 @@ def test_lplus_is_minus_the_jacobian_of_stationary(params):
         step = h * np.eye(phi.size)[j].reshape(phi.shape)
         diff = model.stationary(phi + step, omega, g) - model.stationary(phi - step, omega, g)
         jac[:, j] = diff.ravel() / (2 * h)
-    assert np.max(np.abs(model.lplus(phi, omega, d2) + jac)) < 1e-7 * np.max(np.abs(jac))
+    assert np.max(np.abs(dense.lplus(model, phi, omega, d2) + jac)) < 1e-7 * np.max(np.abs(jac))
+    # the coupling of the package's L+ block: -d2 (x) I minus it
+    coupling = model.lplus_coupling(phi, omega)
+    block = np.kron(np.eye(len(phi)), -d2) - np.block(
+        [[np.diag(m) for m in row] for row in coupling])
+    assert np.max(np.abs(block + jac)) < 1e-7 * np.max(np.abs(jac))
 
 
 def test_boosted_equilibrium_is_checked_in_the_rest_frame():
@@ -206,13 +219,14 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_spectrum_matches_the_dense_oracle(case):
-    op = vk.assemble(ORACLE_CASES[case]())
+    prof = ORACLE_CASES[case]()
+    op = vk.assemble(prof)
     rep = vk.spectrum(op)
-    vals, vecs = np.linalg.eigh(op.matrix)
+    vals, vecs = np.linalg.eigh(dense.matrix(prof))
     radius = np.max(np.abs(vals))
     ker_tol = 1e-6 * radius
     ker = np.abs(vals) <= ker_tol
-    assert np.max(np.abs(rep.all_eigenvalues - np.linalg.eigvalsh(op.matrix))) <= 1e-9 * radius
+    assert np.max(np.abs(_every_eigenvalue(op) - vals)) <= 1e-9 * radius
     assert rep.ker_tol == pytest.approx(ker_tol, rel=1e-12)
     assert rep.n_neg == np.sum(vals < -ker_tol)
     assert rep.dim_ker == np.sum(ker)
@@ -271,10 +285,15 @@ EVEN_CASES = ["cubic", "coupled_1_1_2", "torus_stable"]
 
 @pytest.mark.parametrize("case", EVEN_CASES)
 def test_every_block_of_an_even_profile_is_even(case):
-    op = vk.assemble(ORACLE_CASES[case]())
-    n = op.grid.n
-    for block in op.blocks:
-        assert vk.hessian._is_even(block, block.shape[0] // n, n)
+    """The premise of deciding parity on the profile: every dense block of an
+    even profile commutes with the reflection, and the package splits each
+    line block by parity."""
+    prof = ORACLE_CASES[case]()
+    n = prof.grid.n
+    for block in dense.blocks(prof):
+        assert dense.is_even(block, block.shape[0] // n, n)
+    op = vk.assemble(prof)
+    assert all(b.even for b in op.blocks if isinstance(b, Pointwise))
 
 
 # (row, column) within one n x n component block; n = 256, so 128 is Nyquist
@@ -290,14 +309,16 @@ BROKEN_AT = {
 @pytest.mark.parametrize("where", list(BROKEN_AT))
 @pytest.mark.parametrize("case, c", [("cubic", 1), ("coupled_1_1_2", 2)])
 def test_a_block_broken_by_one_entry_is_not_even(case, c, where):
-    op = vk.assemble(ORACLE_CASES[case]())
-    block, n = op.blocks[0], op.grid.n
+    """The oracle's reflection check, which the premise test above rests on,
+    sees a single broken entry."""
+    prof = ORACLE_CASES[case]()
+    block, n = dense.blocks(prof)[0], prof.grid.n
     assert block.shape[0] == c * n
     row, col = BROKEN_AT[where]
     # for c = 2 the entry sits in the coupling block of component 2 to 1
     broken = block.copy()
     broken[(c - 1) * n + row, col] += 1e-6 * np.max(np.abs(block))
-    assert not vk.hessian._is_even(broken, c, n)
+    assert not dense.is_even(broken, c, n)
 
 
 def _gridless(*blocks):
@@ -320,7 +341,12 @@ SMALL_PARTS = {
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES) + list(SMALL_PARTS))
 def test_one_reduction_per_part_gives_the_whole_low_end(monkeypatch, case):
-    op = SMALL_PARTS[case]() if case in SMALL_PARTS else vk.assemble(ORACLE_CASES[case]())
+    if case in SMALL_PARTS:
+        op = SMALL_PARTS[case]()
+        mat = scipy.linalg.block_diag(*op.blocks)
+    else:
+        prof = ORACLE_CASES[case]()
+        op, mat = vk.assemble(prof), dense.matrix(prof)
     reductions = []
     dsytrd = scipy.linalg.lapack.dsytrd
 
@@ -334,15 +360,16 @@ def test_one_reduction_per_part_gives_the_whole_low_end(monkeypatch, case):
     monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted)
     monkeypatch.setattr(scipy.linalg, "eigh", no_dense_eigh)
     rep = vk.spectrum(op)
-    assert reductions == [dim for dim, _ in rep.parts]
+    # the torus modes are solved 4 x 4 at a time, with no reduction
+    assert reductions == [dim for dim, kind in rep.parts if not kind.startswith("mode")]
     monkeypatch.undo()
-    every = rep.all_eigenvalues
+    every = np.linalg.eigvalsh(mat)
     top = np.max(np.abs(every))
     assert np.max(np.abs(rep.eigenvalues - every[:rep.eigenvalues.size])) <= 1e-12 * top
     assert rep.ker_tol == pytest.approx(1e-6 * top, rel=1e-12)
     for vec in rep.kernel_vectors:          # unit eigenvectors of eigenvalue ~0
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(op.matrix @ vec) <= rep.ker_tol
+        assert np.linalg.norm(mat @ vec) <= rep.ker_tol
 
 
 def test_small_parts_keep_their_kernel():

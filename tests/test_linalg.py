@@ -83,13 +83,18 @@ def test_certify_makes_no_numpy_solve(monkeypatch):
 
 SRC = Path(vk.__file__).parent
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
-# The numpy products and solves allowed in the package, by module and
-# qualified function name, each with its reason.  Any other one would run on
-# numpy's OpenBLAS pool next to scipy's eigensolves.
+# The numpy products and solves, and the dense n x n builders (circulant,
+# block_diag), allowed in the package, by module and qualified function
+# name, each with its reason.  Any other product or solve would run on
+# numpy's OpenBLAS pool next to scipy's eigensolves; any other dense builder
+# would bring back the n x n blocks that the parity parts and the torus modes
+# replace.
 NUMPY_BLAS_ALLOWED = {
     "cli.py": {"_cmd_so3": "the norm of a random 6-vector perturbation"},
     "model.py": {"CoupledTorus.resolve": "the 2 x 2 solve of the dispersion relation"},
     "slope.py": {"d2w_tilde": "basis.T @ d2w @ basis, of the size of xi"},
+    "spectral.py": {"_circulant": "the whole-part fallback of a line profile that is not "
+                                  "even (no parity split), and the public dense D1 and D2"},
     "so3.py": {
         "_AxisParts.of": "3-vectors projected on the rotation axis",
         "grad_L6": "dot products of the 3-vectors q and p",
@@ -99,9 +104,12 @@ NUMPY_BLAS_ALLOWED = {
 }
 
 
+DENSE_BUILDERS = ("circulant", "block_diag")
+
+
 def _numpy_blas_calls(tree):
-    """(qualified function name, line, what) of every `@`, `dot`, `matmul`
-    and `np.linalg.solve` in a module."""
+    """(qualified function name, line, what) of every `@`, `dot`, `matmul`,
+    `np.linalg.solve`, `circulant` and `block_diag` in a module."""
     found = []
 
     def visit(node, scope):
@@ -112,8 +120,12 @@ def _numpy_blas_calls(tree):
             what = "@"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             name = ast.unparse(node.func)
-            if node.func.attr in ("dot", "matmul") or name == "np.linalg.solve":
+            if (node.func.attr in ("dot", "matmul") + DENSE_BUILDERS
+                    or name == "np.linalg.solve"):
                 what = name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in DENSE_BUILDERS):
+            what = node.func.id
         if what:
             found.append((".".join(scope), node.lineno, what))
         for child in ast.iter_child_nodes(node):
@@ -125,19 +137,23 @@ def _numpy_blas_calls(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_numpy_blas_outside_the_allowlist(module):
-    """Dense products and solves go through vkstab.linalg (scipy's BLAS)."""
+    """Dense products and solves go through vkstab.linalg (scipy's BLAS), and no
+    n x n matrix is built outside the allowlist."""
     tree = ast.parse((SRC / module).read_text())
     allowed = NUMPY_BLAS_ALLOWED.get(module, {})
     stray = [f"{module}:{line} {what} in {fn}" for fn, line, what in _numpy_blas_calls(tree)
              if fn not in allowed]
-    assert not stray, "numpy BLAS call outside vkstab.linalg: " + "; ".join(stray)
+    assert not stray, ("numpy BLAS call or dense builder outside the allowlist: "
+                       + "; ".join(stray))
 
 
 def test_the_blas_guard_sees_what_it_guards():
     tree = ast.parse("class A:\n    def f(self, a, b):\n        return a @ b + np.dot(a, b)\n"
-                     "def g(a, b):\n    return a.dot(b), np.linalg.solve(a, b)\n")
+                     "def g(a, b):\n    return a.dot(b), np.linalg.solve(a, b)\n"
+                     "def h(c):\n    return scipy.linalg.circulant(c), block_diag(c, c)\n")
     assert [(fn, what) for fn, _, what in _numpy_blas_calls(tree)] == [
-        ("A.f", "@"), ("A.f", "np.dot"), ("g", "a.dot"), ("g", "np.linalg.solve")]
+        ("A.f", "@"), ("A.f", "np.dot"), ("g", "a.dot"), ("g", "np.linalg.solve"),
+        ("h", "scipy.linalg.circulant"), ("h", "block_diag")]
     for module, entries in NUMPY_BLAS_ALLOWED.items():     # no stale entry
         calls = {fn for fn, _, _ in _numpy_blas_calls(ast.parse((SRC / module).read_text()))}
         assert set(entries) <= calls

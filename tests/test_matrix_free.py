@@ -8,7 +8,9 @@ import vkstab as vk
 from vkstab import linalg, spectral
 from vkstab.model import model_for
 from vkstab.slope import single_vk_integral
-from vkstab.spectral import even_solve, fold, second_derivative_matrix, unfold
+from vkstab.spectral import even_solve, unfold
+
+from dense_oracle import diff_matrices, fold, lplus
 
 
 def line(n):
@@ -50,12 +52,12 @@ def test_lplus_solve_matches_the_folded_dense_lu(case):
     grid = prof.grid
     model = model_for(prof.model, grid)
     phi = np.real(prof.field.values)
-    lplus = model.lplus(phi, prof.omega, second_derivative_matrix(grid))
+    lplus_mat = lplus(model, phi, prof.omega, diff_matrices(grid)[1])
     bump = grid.nodes**2 * np.exp(-grid.nodes**2)
     # the slope solves' right-hand sides e_j phi_j, and an even bump in each
     rhs = list(np.eye(len(phi))[:, :, None] * phi) + [np.tile(bump, (len(phi), 1))]
     for r in rhs:
-        assert_close(model.lplus_solve(phi, prof.omega, grid, r), dense_even_solve(lplus, r),
+        assert_close(model.lplus_solve(phi, prof.omega, grid, r), dense_even_solve(lplus_mat, r),
                      1e-10)
 
 
@@ -66,7 +68,7 @@ def test_ldelta_solve_matches_the_folded_dense_lu(delta):
     z1, z2 = prof.zeta
     scalar = np.real(prof.field.values[0]) / z1
     pot = (3.0 - 2.0 * delta * (z1**2 + z2**2)) * scalar**2
-    ldelta = -second_derivative_matrix(grid) - np.diag(pot - 1.0)
+    ldelta = -diff_matrices(grid)[1] - np.diag(pot - 1.0)
     got = even_solve(grid, -1.0, pot[None, None], scalar[None])
     assert_close(got, dense_even_solve(ldelta, scalar[None]), 1e-10)
 
@@ -151,7 +153,7 @@ def test_profile_and_slope_solves_build_no_dense_matrix(monkeypatch):
     def no_dense(*args):
         raise AssertionError("dense differentiation matrix built")
 
-    monkeypatch.setattr(spectral, "_diff_matrices", no_dense)
+    monkeypatch.setattr(spectral, "_circulant", no_dense)
     for n in (8192, 16384):
         g = line(n)
         prof = vk.soliton_solve(-1.0, 3.0, g)

@@ -1,0 +1,239 @@
+"""Hessian parts built in their own coordinates, against the dense oracle:
+parity parts from the Fourier symbol, the torus mode by mode, one part in
+memory at a time."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import vkstab as vk
+from vkstab import dynamics, hessian, model
+from vkstab.hessian import _parts
+from vkstab.model import FourierModes, Pointwise
+
+import dense_oracle as dense
+
+
+def line(n=256):
+    return vk.make_grid("line", 20.0, n)
+
+
+def torus(n=64):
+    return vk.make_grid("periodic", 2 * np.pi, n)
+
+
+def _continued():
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line())
+    target = np.array([-1.0, -1.3, 0.0])
+    return vk.continue_family(base, target).profile(target)
+
+
+def _half_shifted():
+    """The cubic soliton centred half a grid spacing off x = 0: no grid point
+    mirrors onto another, so no block splits by parity."""
+    g = line()
+    u = np.sqrt(2.0) / np.cosh(g.nodes - 0.5 * g.spacing)
+    return vk.Profile(vk.Field(u[None].astype(complex), g), np.array([-1.0, 0.0]),
+                      vk.SingleNLS(3.0))
+
+
+LINE_CASES = {
+    "p3": lambda: vk.soliton_solve(-1.0, 3.0, line()),
+    "p4.5": lambda: vk.soliton_solve(-1.0, 4.5, line()),
+    "p6": lambda: vk.soliton_solve(-1.0, 6.0, line()),
+    "boosted": lambda: vk.boost(vk.soliton_solve(-1.0, 3.0, line()), 0.7),
+    "coupled_1_1_2": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()),
+    "coupled_1_1_0.5": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 0.5), line()),
+    "continued": _continued,
+    "half_shifted": _half_shifted,
+}
+TORUS_CASES = {
+    "k0": lambda: vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5), torus()),
+    "k1_beta0.7": lambda: vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5, beta=0.7, k=1.0),
+                                        torus()),
+}
+
+
+@pytest.mark.parametrize("case", list(LINE_CASES))
+def test_line_parts_match_the_dense_parts(case):
+    prof = LINE_CASES[case]()
+    op = vk.assemble(prof)
+    ours = [(p.kind, np.linalg.eigvalsh(p.build())) for p in _parts(op.blocks, op.grid)]
+    ref = [(kind, np.linalg.eigvalsh(mat)) for kind, mat in dense.parts(prof)]
+    assert [kind for kind, _ in ours] == [kind for kind, _ in ref]
+    radius = max(np.max(np.abs(vals)) for _, vals in ref)
+    for (_, got), (_, want) in zip(ours, ref):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * radius
+    if case == "half_shifted":
+        assert [kind for kind, _ in ours] == ["whole", "whole"]
+
+
+@pytest.mark.parametrize("case", list(TORUS_CASES))
+def test_torus_modes_match_the_dense_block(case):
+    prof = TORUS_CASES[case]()
+    op = vk.assemble(prof)
+    (block,) = op.blocks
+    assert isinstance(block, FourierModes) and block.dimension == 4 * prof.grid.n
+    want = np.linalg.eigvalsh(dense.matrix(prof))
+    got = vk.spectrum(op, n_eigs=op.dimension).eigenvalues
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_torus_modes_are_the_closed_form_where_k_is_0():
+    params, zeta, length = vk.Coupled(-1.0, -1.0, -0.5, beta=0.7), (1.0, 1.3), 2 * np.pi
+    prof = vk.plane_wave(*zeta, params, torus())
+    (block,) = vk.assemble(prof).blocks
+    for m, mode in enumerate(block.modes):
+        want = np.sort(vk.hessian_mode_eigs(m, params, zeta, length))
+        assert np.max(np.abs(np.linalg.eigvalsh(mode) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_every_torus_eigenvector_lifts_to_an_eigenvector_of_the_dense_block():
+    """Each mode's eigenvectors written out as fields, the cos and the sin
+    copy of 0 < m < n/2, and the single copies of modes 0 and n/2."""
+    prof = vk.plane_wave(1.0, 1.3, vk.Coupled(-1.0, -1.0, -0.5, beta=0.7, k=1.0), torus(16))
+    (block,) = vk.assemble(prof).blocks
+    modes = hessian._ModeSpectrum(block.modes)
+    vecs = modes.eigenvectors(0, modes.size - 1)
+    mat = dense.matrix(prof)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(modes.size))) < 1e-12
+    assert np.max(np.abs(mat @ vecs - vecs * modes.values)) < 1e-12 * np.max(np.abs(modes.values))
+
+
+def test_parity_is_decided_on_the_rest_profile():
+    prof = vk.soliton_solve(-1.0, 3.0, line())
+    phi = np.real(prof.field.values)
+    n = prof.grid.n
+    assert model._is_even(phi)
+    assert all(b.even for b in vk.assemble(vk.boost(prof, 0.7)).blocks)
+    assert not any(b.even for b in vk.assemble(_half_shifted()).blocks)
+    for j in (1, 5, n // 2 - 1, n // 2 + 1, n - 1):      # one point of a mirrored pair
+        broken = phi.copy()
+        broken[0, j] += 1e-9 * np.max(phi)
+        assert not model._is_even(broken)
+    for j in (0, n // 2):                                  # each its own mirror
+        broken = phi.copy()
+        broken[0, j] += 1e-3
+        assert model._is_even(broken)
+
+
+def test_a_part_is_reduced_in_place_and_dropped(monkeypatch):
+    """dsytrd overwrites the part it is given, and no part outlives its
+    queries: the report holds no matrix."""
+    op = vk.assemble(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()))
+    seen = []
+    dsytrd = scipy.linalg.lapack.dsytrd
+
+    def in_place(a, *args, **kwargs):
+        out = dsytrd(a, *args, **kwargs)
+        seen.append(np.shares_memory(out[0], a) and kwargs.get("overwrite_a") == 1)
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", in_place)
+    rep = vk.spectrum(op)
+    assert seen == [True] * 6
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == v.shape[1] > 6
+                   for v in vars(rep).values())
+
+
+def test_lowest_eigenvalues_need_no_top_vectors_or_tangents(monkeypatch):
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 0.5), line())
+    op = vk.assemble(prof)
+    want = vk.spectrum(op, n_eigs=8).eigenvalues
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the low end asked for more than eigenvalues")
+
+    monkeypatch.setattr(hessian._Tridiagonal, "eigenvectors", forbidden)
+    monkeypatch.setattr(model._Model, "tangents", forbidden)
+    asked = []
+    tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def low_only(*args, **kwargs):
+        asked.append(kwargs["select_range"][0])
+        return tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", low_only)
+    got = vk.lowest_eigenvalues(prof, 8)
+    assert set(asked) == {0}
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_the_translation_tangent_by_fft_matches_the_dense_d1():
+    for prof in (vk.soliton_solve(-1.0, 4.5, line()),
+                 vk.boost(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()), 0.7)):
+        tangents, _ = model.model_for(prof.model, prof.grid).tangents(prof)
+        phi = model._rest_profile(prof)
+        d1 = dense.diff_matrices(prof.grid)[0]
+        want = np.concatenate([d1 @ p for p in phi])
+        got = tangents[-1][:phi.size]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not np.any(tangents[-1][phi.size:])
+
+
+def test_the_kernel_orthogonal_perturbation_matches_the_dense_d1(monkeypatch):
+    prof = vk.boost(vk.soliton_solve(-1.0, 3.0, line()), 0.5)
+    got = dynamics.make_perturbation(prof, "kernel_orthogonal", np.random.default_rng(5))
+    monkeypatch.setattr(model, "first_derivative",
+                        lambda v, grid: v @ dense.diff_matrices(grid)[0].T)
+    want = dynamics.make_perturbation(prof, "kernel_orthogonal", np.random.default_rng(5))
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_the_torus_wave_certifies_where_the_refined_kernel_tolerance_passes_the_gap(n):
+    """At n = 1024 the 2048 grid's kernel tolerance (1.05) is above the gap
+    (1.0): the refined gap is taken by its index, the base grid's negative
+    and kernel counts, not as the first eigenvalue above that tolerance."""
+    prof = vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5), torus(n))
+    cert = vk.certify(prof)
+    assert cert.verdict == "certified_coercive"
+    h3 = cert.checks["h3_positive_gap"]
+    assert h3["refinement_n"] == 2 * n
+    assert abs(h3["refinement_ratio"] - 1.0) <= 1e-9
+    assert h3["margin"] >= 3.0
+    # the kernel eigenvalues of mode 0 come out exactly 0: the margin is
+    # capped by the eigensolver's resolution, eps times the spectral radius
+    h2 = cert.checks["h2_kernel_equals_orbit"]
+    assert h2["margin"] == pytest.approx(1e-6 / np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("case", ["p3", "coupled_1_1_0.5"])
+def test_the_refined_gap_by_index_is_the_refined_spectrum_gap(case):
+    prof = LINE_CASES[case]()
+    rep = vk.spectrum(vk.assemble(prof))
+    fine = model.model_for(prof.model, prof.grid).resolve(prof, prof.xi, line(512))
+    by_index = vk.lowest_eigenvalues(fine, rep.n_neg + rep.dim_ker + 1)[-1]
+    assert by_index == pytest.approx(vk.spectrum(vk.assemble(fine)).gap_pos, rel=1e-12)
+
+
+@pytest.mark.parametrize("params, n, limit_mib", [
+    (vk.SingleNLS(3.0), 1024, 64), (vk.Coupled(1.0, 1.0, 2.0), 512, 48)],
+    ids=["cubic_n1024", "coupled_1_1_2_n512"])
+def test_certify_holds_one_part_at_a_time(params, n, limit_mib):
+    """A warm certificate's peak traced allocation: the largest part of the
+    2n refinement (8.4 MB), not the dense blocks it was cut from."""
+    if isinstance(params, vk.SingleNLS):
+        prof = vk.soliton_solve(-1.0, params.p, line(n))
+    else:
+        prof = vk.coupled_soliton(-1.0, params, line(n))
+    assert vk.certify(prof).certified
+    tracemalloc.start()
+    try:
+        assert vk.certify(prof).certified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
+def test_each_block_describes_itself():
+    op = vk.assemble(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()))
+    assert [type(b) for b in op.blocks] == [Pointwise] * 3
+    assert [b.coupling.shape for b in op.blocks] == [(2, 2, 256), (1, 1, 256), (1, 1, 256)]
+    assert op.dimension == 4 * 256
+    with pytest.raises(ValueError):
+        op.blocks[0].coupling[0, 0, 0] = 1.0
