@@ -19,15 +19,7 @@ from .profiles import (
     soliton_explicit,
     soliton_solve,
 )
-from .hessian import (
-    HessOp,
-    SpectralReport,
-    assemble,
-    grad_L,
-    kernel_matches_orbit,
-    lowest_eigenvalues,
-    spectrum,
-)
+from .hessian import HessOp, SpectralReport, assemble, grad_L, kernel_matches_orbit, lowest_eigenvalues, spectrum
 from .slope import SlopeReport, d2w_closed, d2w_fd, d2w_tilde, vk_integral, vk_slope_sign
 from .planewave import ModeTable, c_plusminus, coercivity_condition, hessian_mode_eigs, linearization_eigs, mode_table
 from .dynamics import OrbitDistanceSeries, Trajectory, align_to_orbit, evolve, stability_experiment

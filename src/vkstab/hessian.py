@@ -213,14 +213,15 @@ class _ModeSpectrum:
 
     def __init__(self, modes: np.ndarray):
         self.modes = modes
-        h, b, _ = modes.shape
-        copies = np.repeat(np.where(np.isin(np.arange(h), (0, h - 1)), 1, 2), b)
-        values = np.repeat(np.linalg.eigvalsh(modes).ravel(), copies)
+        vals = np.linalg.eigvalsh(modes)
+        values = np.concatenate([vals.ravel(), vals[1:-1].ravel()])   # the sin copies
         order = np.argsort(values, kind="stable")
         self.values = values[order]
-        # eigenvalue m * b + j of mode m, and which of its copies
-        self._which = np.repeat(np.arange(copies.size), copies)[order]
-        self._copy = (np.arange(values.size) - np.repeat(np.cumsum(copies) - copies, copies))[order]
+        # each value is eigenvalue j of mode m, at m * b + j, in its cos (0)
+        # or sin (1) copy
+        b, size = modes.shape[1], vals.size
+        self._which = np.concatenate([np.arange(size), np.arange(b, size - b)])[order]
+        self._copy = np.repeat([0, 1], [size, values.size - size])[order]
 
     @property
     def size(self) -> int:

@@ -1,4 +1,4 @@
-"""Spectral differentiation by FFT, the even fold under x -> -x, and the
+"""Spectral differentiation by FFT, even functions on the half grid, and the
 parity parts of a line Hessian block built from its Fourier symbol.
 
 Every line Hessian block is K (x) I_c - M(x): the circulant K = -D2 of the
@@ -25,16 +25,12 @@ from .linalg import minres
 HALF_ROOT = np.sqrt(0.5)
 
 
-def _even_column(col: np.ndarray) -> np.ndarray:
-    """col made exactly even under m -> -m (mod n)."""
-    return 0.5 * (col + col[-np.arange(col.size) % col.size])
-
-
 def kinetic_column(grid: Grid) -> np.ndarray:
     """The first column of the circulant K = -D2, ifft(k^2), made exactly
-    even: K is then exactly symmetric and commutes with the reflection
-    j -> -j."""
-    return _even_column(np.real(np.fft.ifft(grid.wavenumbers ** 2)))
+    even under m -> -m (mod n): K is then exactly symmetric and commutes
+    with the reflection j -> -j."""
+    col = np.real(np.fft.ifft(grid.wavenumbers ** 2))
+    return 0.5 * (col + col[-np.arange(grid.n) % grid.n])
 
 
 def _circulant(col: np.ndarray) -> np.ndarray:
