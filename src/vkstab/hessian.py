@@ -368,8 +368,8 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     # ker_tol / (eps radius)
     kernel = np.abs(eigvals[np.abs(eigvals) <= ker_tol])
     below = eigvals[eigvals < -ker_tol]
-    resolution = np.finfo(float).eps * radius
-    kernel_margin = min(ker_tol / max(kernel.max(), resolution) if kernel.size else np.inf,
+    floor = max(kernel.max(initial=0.0), np.finfo(float).eps * radius)
+    kernel_margin = min(ker_tol / floor if kernel.size and floor else np.inf,
                         -below.max() / ker_tol if below.size else np.inf)
     return SpectralReport(
         eigenvalues=eigvals[:n_eigs].copy(),
