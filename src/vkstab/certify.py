@@ -11,7 +11,8 @@ finite-difference slope stays the cross-check.  Verdicts near a decision
 boundary are reported as indeterminate rather than rounded to a side.  h1,
 h2 and h3 record the margin by which they clear their tolerance
 (`smallest_abs_eigenvalue / zero_tol`, the spectrum's `kernel_margin`,
-`gap / ker_tol`), and h3 the size of its refinement grid.  The `gss` block
+`gap / ker_tol`), h2 the orbit tangents' `ritz_bound` and `angle_bound`
+(`hessian.spectrum`), and h3 the size of its refinement grid.  The `gss` block
 restricts the slope matrix to the one-parameter subgroup generated by xi, the
 classical (Grillakis-Shatah-Strauss) condition's: it applies when that
 restricted index equals the Hessian's negative index.
@@ -27,7 +28,6 @@ import numpy as np
 
 from .core import make_grid
 from .hessian import (
-    KERNEL_ANGLE_TOL,
     HessOp,
     SpectralReport,
     assemble,
@@ -64,27 +64,15 @@ class Certificate:
         return self.verdict == "certified_coercive"
 
     def to_json(self) -> str:
-        def _clean(obj):
-            if isinstance(obj, dict):
-                return {k: _clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [_clean(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, (np.bool_,)):
-                return bool(obj)
-            return obj
-
         doc = {
             "schema": self.schema,
-            "checks": _clean(self.checks),
-            "gss": _clean(self.gss),
+            "checks": self.checks,
+            "gss": self.gss,
             "verdict": self.verdict,
-            "provenance": _clean(self.provenance),
+            "provenance": self.provenance,
         }
-        return json.dumps(doc, sort_keys=True)
+        # np.float64 is a float; other numpy scalars and arrays by tolist
+        return json.dumps(doc, sort_keys=True, default=lambda o: o.tolist())
 
     def text_report(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -139,9 +127,9 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
     elif min_abs < MARGIN_FACTOR * z_tol:
         indeterminate.append("h1")
 
-    # h2: kernel equals the orbit tangent.  An eigenvalue within
-    # MARGIN_FACTOR of ker_tol makes the kernel and negative counts, so h2
-    # and h4 both, undecided.
+    # h2: kernel equals the orbit tangent, by the tangents' Ritz and
+    # Davis-Kahan bounds.  An eigenvalue within MARGIN_FACTOR of ker_tol
+    # makes the kernel and negative counts, so h2 and h4 both, undecided.
     h2_ok = kernel_matches_orbit(spec_rep, op)
     counts_sharp = spec_rep.kernel_margin >= MARGIN_FACTOR
     checks["h2_kernel_equals_orbit"] = {
@@ -150,6 +138,8 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
         "n_symmetries": int(op.symmetry_tangent.shape[0]),
         "ker_tol": spec_rep.ker_tol,
         "margin": spec_rep.kernel_margin,
+        "ritz_bound": spec_rep.ritz_bound,
+        "angle_bound": spec_rep.angle_bound,
     }
     if not counts_sharp:
         indeterminate.append("h2")
@@ -214,7 +204,6 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
     provenance = {
         "slope_method": slope_rep.method,
         "ker_tol": spec_rep.ker_tol,
-        "kernel_angle_tol": KERNEL_ANGLE_TOL,
         "spectrum_parts": [list(p) for p in spec_rep.parts],
         "margin_factor": MARGIN_FACTOR,
         **provenance,

@@ -107,10 +107,9 @@ def _build_profile(args) -> Profile:
     return boost(coupled_soliton(args.omega, params, grid), args.c)
 
 
-def _add_profile_args(sub, with_from: bool = True):
-    if with_from:
-        sub.add_argument("--from", dest="from_file", default=None,
-                         help="load the profile from a JSON file instead of solving")
+def _add_profile_args(sub):
+    sub.add_argument("--from", dest="from_file", default=None,
+                     help="load the profile from a JSON file instead of solving")
     sub.add_argument("--model", default="nls", choices=["nls", "coupled"],
                      help="model family: nls (single component) or coupled")
     sub.add_argument("--p", type=float, default=3.0, help="nonlinearity exponent")

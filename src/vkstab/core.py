@@ -202,7 +202,7 @@ def _check_compatible(f: Field, g: Field) -> None:
         raise ValueError("fields have different component counts")
 
 
-def boundary_decay_check(f: Field, tol: float = BOUNDARY_DECAY_TOL) -> None:
+def boundary_decay_check(f: Field) -> None:
     """Line-grid fields must vanish at the artificial boundary.
 
     The periodic transform silently wraps around; a field that has not decayed
@@ -212,7 +212,7 @@ def boundary_decay_check(f: Field, tol: float = BOUNDARY_DECAY_TOL) -> None:
         return
     edge = max(np.max(np.abs(f.values[:, 0])), np.max(np.abs(f.values[:, -1])))
     scale = max(1.0, float(np.max(np.abs(f.values))))
-    if edge > tol * scale:
+    if edge > BOUNDARY_DECAY_TOL * scale:
         raise ValueError(
             f"field does not decay at the line boundary (edge value {edge:.3e})"
         )

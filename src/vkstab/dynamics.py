@@ -63,7 +63,6 @@ class Trajectory:
     grid: Grid
     params: object            # the model parameters of the evolution
     dt: float
-    scheme: str = "strang"
 
     @cached_property
     def snapshots(self) -> List[Field]:

@@ -6,11 +6,11 @@ threaded call.  Alternating threaded calls between the two (a numpy product,
 a scipy eigensolve, numpy again) leaves one pool spinning while the other
 works; with as many BLAS threads as cores that stalls calls at random by tens
 to hundreds of milliseconds.  The eigensolves need scipy (the tridiagonal
-reduction `dsytrd` and its bisection, inverse iteration and back-transform),
-so the package's other dense O(n^2) and O(n^3) operations go through scipy
-as well, by `matvec` and `scipy.linalg`.  The torus's 4 x 4 mode blocks are
-the one exception: numpy's batched `eigvalsh` solves all of them in one
-call, and a 4 x 4 problem starts no BLAS thread.
+reduction `dsytrd` and its bisection), so the package's other dense O(n^2)
+and O(n^3) operations go through scipy as well, by `matvec` and
+`scipy.linalg`.  The torus's 4 x 4 mode blocks and the orbit tangents' Ritz
+matrix (one row and column per symmetry) are the exceptions: numpy's
+`eigvalsh` solves them, and so small a problem starts no BLAS thread.
 
 The profile and slope solves build no matrix: `minres` solves a symmetric,
 possibly indefinite, operator given as a function, with a positive diagonal

@@ -262,7 +262,10 @@ def default_fd_step(xi) -> float:
     return 1e-4 * (1.0 + float(np.linalg.norm(xi)))
 
 
-def _continue_coupled(model, phi0, om_from, om_to, grid, max_halvings: int = 6):
+CONTINUATION_HALVINGS = 6      # step halvings before the coupled continuation fails
+
+
+def _continue_coupled(model, phi0, om_from, om_to, grid):
     """Damped straight-line continuation in (omega1, omega2)."""
     start = np.asarray(om_from, dtype=float)
     target = np.asarray(om_to, dtype=float)
@@ -276,7 +279,7 @@ def _continue_coupled(model, phi0, om_from, om_to, grid, max_halvings: int = 6):
             phi_next = _newton_even(model, phi, om, grid, max_iter=60)
         except SolverError:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > CONTINUATION_HALVINGS:
                 raise SolverError("coupled continuation failed after step halving")
             step *= 0.5
             continue

@@ -147,6 +147,83 @@ def test_no_numpy_blas_outside_the_allowlist(module):
                        + "; ".join(stray))
 
 
+# LAPACK's and scipy's eigenvector routines: h2 is decided from the orbit
+# tangents' Ritz values, so no eigenvector is computed in the package.
+EIGENVECTOR_ROUTINES = ("dormqr", "dstein", "subspace_angles", "eigh")
+
+
+def _eigenvector_calls(tree):
+    """(qualified function name, line, what) of every use of an eigenvector
+    routine in a module (a call, an attribute or an import), and of every
+    `eigh_tridiagonal` call without eigvals_only=True."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        found.extend((".".join(scope), node.lineno, name)
+                     for name in names if name in EIGENVECTOR_ROUTINES)
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "eigh_tridiagonal"
+                and not any(kw.arg == "eigvals_only" and isinstance(kw.value, ast.Constant)
+                            and kw.value.value is True for kw in node.keywords)):
+            found.append((".".join(scope), node.lineno, "eigh_tridiagonal with vectors"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_eigenvector_routine_in_the_package(module):
+    tree = ast.parse((SRC / module).read_text())
+    stray = [f"{module}:{line} {what} in {fn}" for fn, line, what in _eigenvector_calls(tree)]
+    assert not stray, "eigenvector routine in the package: " + "; ".join(stray)
+
+
+def test_the_eigenvector_guard_sees_what_it_guards():
+    tree = ast.parse(
+        "from scipy.linalg import eigh, eigvalsh\n"
+        "class A:\n    def f(self, a, c, tau, z):\n"
+        "        return lapack.dormqr(b'L', b'N', c, tau, z), lapack.dstein(a, z)\n"
+        "def g(a, b):\n    return scipy.linalg.subspace_angles(a, b), np.linalg.eigh(a)\n"
+        "def h(d, e):\n    return (eigh_tridiagonal(d, e), scipy.linalg.eigh_tridiagonal(d, e, "
+        "eigvals_only=False),\n            scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True),"
+        " np.linalg.eigvalsh(d))\n")
+    assert [(fn, what) for fn, _, what in _eigenvector_calls(tree)] == [
+        ("", "eigh"), ("A.f", "dormqr"), ("A.f", "dstein"), ("g", "subspace_angles"),
+        ("g", "eigh"), ("h", "eigh_tridiagonal with vectors"),
+        ("h", "eigh_tridiagonal with vectors")]
+
+
+def test_certify_computes_no_eigenvector(monkeypatch):
+    """The line models, the torus and so3 certify with every eigenvector
+    routine the package used to call raising."""
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("eigenvector routine called")
+
+    g = vk.make_grid("line", 20.0, 256)
+    profs = (vk.soliton_solve(-1.0, 3.0, g),
+             vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g),
+             vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5),
+                           vk.make_grid("periodic", 2 * np.pi, 64)))
+    for module, name in ((scipy.linalg.lapack, "dormqr"), (scipy.linalg.lapack, "dstein"),
+                         (scipy.linalg, "subspace_angles"), (scipy.linalg, "eigh"),
+                         (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, no_vectors)
+    for prof in profs:
+        assert vk.certify(prof).verdict == "certified_coercive"
+    assert vk.certify_so3(1.0, 1.0, 1.0).verdict == "certified_coercive"
+
+
 def test_the_blas_guard_sees_what_it_guards():
     tree = ast.parse("class A:\n    def f(self, a, b):\n        return a @ b + np.dot(a, b)\n"
                      "def g(a, b):\n    return a.dot(b), np.linalg.solve(a, b)\n"

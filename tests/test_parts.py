@@ -91,16 +91,32 @@ def test_torus_modes_are_the_closed_form_where_k_is_0():
         assert np.max(np.abs(np.linalg.eigvalsh(mode) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_every_torus_eigenvector_lifts_to_an_eigenvector_of_the_dense_block():
-    """Each mode's eigenvectors written out as fields, the cos and the sin
-    copy of 0 < m < n/2, and the single copies of modes 0 and n/2."""
-    prof = vk.plane_wave(1.0, 1.3, vk.Coupled(-1.0, -1.0, -0.5, beta=0.7, k=1.0), torus(16))
-    (block,) = vk.assemble(prof).blocks
-    modes = hessian._ModeSpectrum(block.modes)
-    vecs = modes.eigenvectors(0, modes.size - 1)
-    mat = dense.matrix(prof)
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(modes.size))) < 1e-12
-    assert np.max(np.abs(mat @ vecs - vecs * modes.values)) < 1e-12 * np.max(np.abs(modes.values))
+def _so3():
+    state = vk.circular_orbit(1.0, 1.0, 1.0)
+    op = vk.HessOp((vk.hessian6(state),), None, vk.so3.symmetry_tangent(state)[None], None)
+    return op, op.blocks[0]
+
+
+APPLY_CASES = {
+    "p3": LINE_CASES["p3"],
+    "boosted_coupled": lambda: vk.boost(
+        vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()), 0.7),
+    "torus_k1_beta0.7": TORUS_CASES["k1_beta0.7"],
+}
+
+
+@pytest.mark.parametrize("case", list(APPLY_CASES) + ["so3"])
+def test_the_block_apply_matches_the_dense_matrix(case):
+    """Every column of the matrix-free apply: -d2 by FFT and the pointwise
+    coupling; the torus in each mode's cos and sin copy, and the single
+    copies of modes 0 and n/2; the gridless block by matvec."""
+    if case == "so3":
+        op, mat = _so3()
+    else:
+        prof = APPLY_CASES[case]()
+        op, mat = vk.assemble(prof), dense.matrix(prof)
+    got = op.apply(np.eye(op.dimension))
+    assert np.max(np.abs(got - mat)) <= 1e-14 * np.max(np.abs(mat))
 
 
 def test_parity_is_decided_on_the_rest_profile():
@@ -147,7 +163,7 @@ def test_lowest_eigenvalues_need_no_top_vectors_or_tangents(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the low end asked for more than eigenvalues")
 
-    monkeypatch.setattr(hessian._Tridiagonal, "eigenvectors", forbidden)
+    monkeypatch.setattr(hessian, "_orbit_bounds", forbidden)
     monkeypatch.setattr(model._Model, "tangents", forbidden)
     asked = []
     tridiagonal = scipy.linalg.eigh_tridiagonal
