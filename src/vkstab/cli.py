@@ -56,6 +56,8 @@ def _load_config(path: str) -> dict:
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a JSON config is an object of sections, not {type(doc).__name__}")
         items = doc.items()
     else:
         parser = configparser.ConfigParser()
@@ -65,6 +67,8 @@ def _load_config(path: str) -> dict:
     for section, block in items:
         if section not in _CONFIG_KEYS:
             raise ValueError(f"unknown config section {section!r}")
+        if not isinstance(block, dict):
+            raise ValueError(f"config section {section!r} is not an object")
         for key, value in block.items():
             if key not in _CONFIG_KEYS[section]:
                 raise ValueError(f"unknown config key {section}.{key}")

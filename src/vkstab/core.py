@@ -22,7 +22,6 @@ __all__ = [
     "laplacian",
     "gradient",
     "inner",
-    "h1_inner",
     "h1_norm",
     "invariants_of",
     "boundary_decay_check",
@@ -256,12 +255,9 @@ def inner(f: Field, g: Field) -> float:
     return float(np.real(np.sum(np.conj(f.values) * g.values)) * f.grid.spacing)
 
 
-def h1_inner(f: Field, g: Field) -> float:
-    return inner(f, g) + inner(gradient(f), gradient(g))
-
-
 def h1_norm(f: Field) -> float:
-    return np.sqrt(max(h1_inner(f, f), 0.0))
+    df = gradient(f)
+    return np.sqrt(max(inner(f, f) + inner(df, df), 0.0))
 
 
 def invariants_of(f: Field, params) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional
@@ -33,9 +32,7 @@ __all__ = [
     "align_to_orbit",
     "make_perturbation",
     "stability_experiment",
-    "trajectory_to_csv",
     "distances_to_csv",
-    "dump_binary",
 ]
 
 BLOWUP_GUARD = 1e6
@@ -341,16 +338,6 @@ def stability_experiment(prof: Profile, eps: float, dt: float, t_end: float,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    m = traj.momenta.shape[1]
-    writer.writerow(["t", "H"] + [f"F{i + 1}" for i in range(m)])
-    for i, t in enumerate(traj.times):
-        writer.writerow([t, traj.energy[i]] + list(traj.momenta[i]))
-    return buf.getvalue()
-
-
 def distances_to_csv(series: OrbitDistanceSeries) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -358,17 +345,3 @@ def distances_to_csv(series: OrbitDistanceSeries) -> str:
     for t, d in zip(series.times, series.distances):
         writer.writerow([t, d])
     return buf.getvalue()
-
-
-def dump_binary(traj: Trajectory, path: str, stride: int = 1) -> None:
-    """Binary snapshot dump.
-
-    Layout: a 32-byte little-endian header (struct "<qqdq": int64 n, int64
-    components, float64 dt, int64 stride), then per snapshot one row per
-    component of n interleaved re/im float64 pairs.
-    """
-    snaps = traj.values[::stride]
-    _, comps, n = snaps.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<qqdq", n, comps, traj.dt, stride))
-        fh.write(snaps.astype("<c16").tobytes())

@@ -1,10 +1,12 @@
 """Closed-form spectral and linear-stability analysis of torus plane waves.
 
 Everything here is per-Fourier-mode arithmetic: the Hessian eigenvalues of a
-constant two-component wave, the coercivity threshold on the first mode, and
-the eigenvalues of the time linearization (exact when k = 0 or when
-alpha zeta1^2 = gamma zeta2^2; otherwise quartic roots are reported without
-a stability verdict).
+constant two-component wave, the eigenvalues of the time linearization (exact
+when k = 0 or when alpha zeta1^2 = gamma zeta2^2; otherwise quartic roots are
+reported without a stability verdict) and the coercivity verdict.  Each
+decision is made once: `coercivity_condition` decides coercivity, and
+`linearization_eigs` decides between the closed form and the quartic;
+`mode_table` reports both.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Union
 
 import numpy as np
@@ -72,12 +74,18 @@ def hessian_mode_eigs(n: int, params, zeta, length: float) -> np.ndarray:
 
 
 def coercivity_condition(params, zeta, length: float) -> tuple:
-    """First-mode positivity margin beta (2 pi/L)^2 + C_- - 4 beta k^2."""
+    """First-mode positivity margin beta (2 pi/L)^2 + C_- - 4 beta k^2.
+
+    Coercive iff the margin clears the roundoff of its three terms.  Then
+    every mode n >= 1 is positive, and mode 0 holds the two phase directions
+    and as many negative directions as the slope matrix has positive ones.
+    """
     if abs(params.alpha * params.gamma - params.delta**2) < 1e-14:
         raise ValueError("condition undefined when alpha*gamma = delta^2")
     _, cm = c_plusminus(params, zeta)
-    margin = params.beta * _n_L(1, length) ** 2 + cm - 4.0 * params.beta * params.k**2
-    return margin > 0.0, float(margin)
+    kinetic, offset = params.beta * _n_L(1, length) ** 2, 4.0 * params.beta * params.k**2
+    margin = kinetic + cm - offset
+    return margin > 1e-12 * (kinetic + abs(cm) + offset), float(margin)
 
 
 def _quartic_coeffs(n: int, params, zeta, length: float) -> np.ndarray:
@@ -127,6 +135,12 @@ def linearization_eigs(n: int, params, zeta, length: float) -> Union[tuple, np.n
     return np.roots(_quartic_coeffs(n, params, zeta, length))
 
 
+# The CSV columns: the mode, its Hessian eigenvalues in the order of
+# hessian_mode_eigs, and lambda^2 where the closed form applies.
+_COLUMNS = ("n", "lam_plus_plus", "lam_plus_minus", "lam_minus_plus", "lam_minus_minus",
+            "lin_sq_plus", "lin_sq_minus")
+
+
 @dataclass(frozen=True)
 class ModeTable:
     rows: List[dict]
@@ -139,28 +153,14 @@ class ModeTable:
     max_growth_rate: float
 
     def to_json(self) -> str:
-        doc = {
-            "c_plus": self.c_plus,
-            "c_minus": self.c_minus,
-            "coercive": self.coercive,
-            "coercivity_margin": self.coercivity_margin,
-            "n_neg_total": self.n_neg_total,
-            "linearly_stable": self.linearly_stable,
-            "max_growth_rate": self.max_growth_rate,
-            "rows": self.rows,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = [
-            "n", "lam_plus_plus", "lam_plus_minus", "lam_minus_plus",
-            "lam_minus_minus", "lin_sq_plus", "lin_sq_minus",
-        ]
-        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer = csv.DictWriter(buf, fieldnames=_COLUMNS)
         writer.writeheader()
         for row in self.rows:
-            writer.writerow({f: row.get(f, "") for f in fields})
+            writer.writerow({f: row.get(f, "") for f in _COLUMNS})
         return buf.getvalue()
 
 
@@ -169,61 +169,36 @@ def mode_table(params, zeta, length: float, n_max: int = 8) -> ModeTable:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     cp, cm = c_plusminus(params, zeta)
-    coercive_flag, margin = coercivity_condition(params, zeta, length)
-    z1, z2 = _zeta_pair(zeta)
-    closed_lin = params.k == 0.0 or abs(
-        params.alpha * z1**2 - params.gamma * z2**2
-    ) <= 1e-12 * max(abs(params.alpha * z1**2), 1.0)
+    coercive, margin = coercivity_condition(params, zeta, length)
 
     rows = []
     n_neg = 0
-    extra_zeros = 0
     max_growth = 0.0
     lin_ok = True
+    closed_lin = True
     for n in range(n_max + 1):
         eigs = hessian_mode_eigs(n, params, zeta, length)
         scale = max(abs(cp), abs(cm), params.beta * _n_L(max(n, 1), length) ** 2)
-        tol = 1e-12 * scale
         mult = 1 if n == 0 else 2   # modes +-n both contribute for n >= 1
-        n_neg += mult * int(np.sum(eigs < -tol))
-        zeros_here = int(np.sum(np.abs(eigs) <= tol))
-        if n == 0:
-            zeros_here -= 2          # the two exact phase-kernel directions
-        extra_zeros += mult * max(zeros_here, 0)
-        row = {
-            "n": n,
-            "lam_plus_plus": eigs[0],
-            "lam_plus_minus": eigs[1],
-            "lam_minus_plus": eigs[2],
-            "lam_minus_minus": eigs[3],
-        }
+        n_neg += mult * int(np.sum(eigs < -1e-12 * scale))
+        row = dict(zip(_COLUMNS, (n, *eigs)))
         lin = linearization_eigs(n, params, zeta, length)
-        if closed_lin:
-            lsq_p, lsq_m = lin
-            row["lin_sq_plus"] = float(np.real(lsq_p))
-            row["lin_sq_minus"] = float(np.real(lsq_m))
+        if isinstance(lin, tuple):   # the closed form (lambda^2_+, lambda^2_-)
+            lsqs = [float(np.real(v)) for v in lin]
+            row["lin_sq_plus"], row["lin_sq_minus"] = lsqs
             lin_tol = 1e-12 * max(params.beta * _n_L(max(n, 1), length) ** 2, 1.0)
-            for lsq in (np.real(lsq_p), np.real(lsq_m)):
+            for lsq in lsqs:
                 if lsq > lin_tol:
                     lin_ok = False
                     max_growth = max(max_growth, float(np.sqrt(lsq)))
         else:
+            closed_lin = False
             growth = float(np.max(np.real(lin)))
             row["quartic_roots_re"] = np.real(lin).tolist()
             row["quartic_roots_im"] = np.imag(lin).tolist()
             max_growth = max(max_growth, max(growth, 0.0))
         rows.append(row)
 
-    # Coercive iff the negative count matches the slope index with no stray
-    # kernel directions beyond the two phases.
-    from .slope import _torus_closed
-
-    p_w = _torus_closed(params, length).signature[0]
-    coercive = coercive_flag and n_neg == p_w and extra_zeros == 0
-    if closed_lin:
-        linearly_stable: Union[bool, str] = lin_ok
-    else:
-        linearly_stable = "numerical only"
     return ModeTable(
         rows=rows,
         c_plus=float(cp),
@@ -231,6 +206,6 @@ def mode_table(params, zeta, length: float, n_max: int = 8) -> ModeTable:
         coercive=bool(coercive),
         coercivity_margin=margin,
         n_neg_total=int(n_neg),
-        linearly_stable=linearly_stable,
+        linearly_stable=lin_ok if closed_lin else "numerical only",
         max_growth_rate=float(max_growth),
     )

@@ -92,19 +92,28 @@ class Profile:
 
     @staticmethod
     def from_dict(doc: dict) -> "Profile":
-        g = make_grid(doc["grid"]["kind"], doc["grid"]["extent"], doc["grid"]["n"])
-        mdl = dict(doc["model"])
         try:
-            model = _PARAMS[mdl.pop("type")](**mdl)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed model entry {doc['model']!r}") from exc
-        comps = []
-        for interleaved in doc["values"]:
-            arr = np.asarray(interleaved)
-            comps.append(arr[0::2] + 1j * arr[1::2])
-        zeta = doc.get("zeta")
-        return Profile(Field(np.array(comps), g), np.asarray(doc["xi"]), model,
-                       zeta=None if zeta is None else tuple(zeta))
+            g = make_grid(doc["grid"]["kind"], doc["grid"]["extent"], doc["grid"]["n"])
+            mdl = dict(doc["model"])
+            try:
+                model = _PARAMS[mdl.pop("type")](**mdl)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed model entry {doc['model']!r}") from exc
+            comps = []
+            for interleaved in doc["values"]:
+                arr = np.asarray(interleaved)
+                comps.append(arr[0::2] + 1j * arr[1::2])
+            zeta = doc.get("zeta")
+            return Profile(Field(np.array(comps), g), np.asarray(doc["xi"]), model,
+                           zeta=None if zeta is None else tuple(zeta))
+        except (KeyError, TypeError, IndexError) as exc:
+            if not isinstance(doc, dict):
+                what = f"is a JSON object, not {type(doc).__name__}"
+            elif isinstance(exc, KeyError):
+                what = f"lacks the entry {exc}"
+            else:
+                what = f"is malformed ({exc})"
+            raise ValueError(f"a profile document {what}") from exc
 
 
 # Model parameter classes by the type tag that Profile.to_dict writes.

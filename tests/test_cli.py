@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import vkstab as vk
 from vkstab.cli import main
 
 
@@ -176,6 +177,34 @@ def test_unknown_config_entries_are_rejected(tmp_path):
     dead_key = tmp_path / "bad3.ini"
     dead_key.write_text("[model]\nd = 3\n")
     assert run(["--config", dead_key, "certify"]) == 2
+
+
+@pytest.mark.parametrize("doc", ["[1]", '{"model": 3}'])
+def test_a_config_that_is_not_an_object_of_sections_is_rejected(tmp_path, doc):
+    config = tmp_path / "bad.json"
+    config.write_text(doc)
+    assert run(["--config", config, "certify"]) == 2
+
+
+def _without(key):
+    doc = vk.soliton_explicit(-1.0, vk.make_grid("line", 20.0, 64)).to_dict()
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["certify", "spectrum", "slope", "evolve"])
+@pytest.mark.parametrize("doc, named", [
+    ({}, "'grid'"),
+    (_without("xi"), "'xi'"),
+    (_without("values"), "'values'"),
+    ({**_without("values"), "values": [3]}, "malformed"),
+    ([1, 2], "not list"),
+])
+def test_a_malformed_profile_file_is_an_input_error(tmp_path, capsys, command, doc, named):
+    prof_file = tmp_path / "prof.json"
+    prof_file.write_text(json.dumps(doc))
+    assert run([command, "--from", prof_file]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_missing_profile_file_is_an_input_error(tmp_path):

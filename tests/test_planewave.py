@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -31,6 +32,32 @@ def test_coercivity_margin():
     assert ok and np.isclose(margin, 2.0)
     ok_u, margin_u = vk.coercivity_condition(UNSTABLE, ZETA, L)
     assert (not ok_u) and margin_u < 0
+
+
+def test_a_margin_at_roundoff_is_not_coercive():
+    # The margin is an exact 0 up to roundoff (4.4e-16): mode 1 holds an
+    # extra kernel direction, which certify reads as a failed h2.
+    params, zeta = vk.Coupled(-1.0, 2.0, -2.0), (2.0, 0.3)
+    ok, margin = vk.coercivity_condition(params, zeta, L)
+    assert not ok and abs(margin) < 1e-14
+    assert not vk.mode_table(params, zeta, L).coercive
+    cert = vk.certify(vk.plane_wave(*zeta, params, vk.make_grid("periodic", L, 32)))
+    assert cert.verdict == "failed(h2)"
+
+
+TORUS_CASES = list(itertools.product(
+    [-1.0, -0.5, 1.0], [-1.0, -2.0], [-2.0, -0.5, 0.3, 0.9, 1.5],
+    [(1.0, 1.0), (0.7, 1.3)], [0.0, 1.0], [1.0, 0.7]))
+
+
+def test_mode_table_coercivity_and_certify_agree():
+    grid = vk.make_grid("periodic", L, 32)
+    for alpha, gamma, delta, zeta, k, beta in TORUS_CASES:
+        params = vk.Coupled(alpha, gamma, delta, beta=beta, k=k)
+        closed = bool(vk.coercivity_condition(params, zeta, L)[0])
+        table = vk.mode_table(params, zeta, L, n_max=8)
+        cert = vk.certify(vk.plane_wave(*zeta, params, grid))
+        assert table.coercive == closed == cert.certified, (params, zeta)
 
 
 def test_mode_eigenvalues_match_assembled_operator():
@@ -96,6 +123,16 @@ def test_nonzero_offset_uses_quartic_roots():
     assert np.max(np.abs(np.real(eigs))) < 1e-10
     table = vk.mode_table(params, (1.0, 1.0), g_len, n_max=4)
     assert table.linearly_stable == "numerical only"
+
+
+def test_mode_table_reads_the_closed_form_where_linearization_eigs_does():
+    # alpha zeta1^2 - gamma zeta2^2 = -1.5e-12 is within linearization_eigs'
+    # tolerance 1e-12 max(|trace|, 1) = 2e-12: row 1 holds lambda^2, not
+    # quartic roots, and the growth rate is its neighbours'.
+    params = vk.Coupled(1.0, 1.0, 2.0, k=1.0)
+    table = vk.mode_table(params, (1.0, 1.0 + 7.5e-13), L)
+    assert "lin_sq_plus" in table.rows[1] and "lin_sq_minus" in table.rows[1]
+    assert abs(table.max_growth_rate - 1.926866088) < 1e-9
 
 
 def test_mode_table_serialization():
