@@ -86,13 +86,13 @@ class Certificate:
 
 
 def _refined_gap(prof: Profile, index: int) -> float:
-    """Hessian gap of the same equilibrium, re-solved on the doubled grid:
-    its eigenvalue `index` from below, the base grid's negative and kernel
-    counts.  Its own kernel tolerance, which grows with the grid's largest
-    wavenumber, takes no part."""
+    """Hessian gap of the same equilibrium's rest member, re-solved on the
+    doubled grid: its eigenvalue `index` from below, the base grid's negative
+    and kernel counts.  Its own kernel tolerance, which grows with the grid's
+    largest wavenumber, takes no part."""
     grid = prof.grid
     fine = make_grid(grid.kind, grid.extent, 2 * grid.n)
-    refined = model_for(prof.model, grid).resolve(prof, prof.xi, fine)
+    refined = model_for(prof.model, grid).resolve(prof, prof.omega, fine)
     return float(lowest_eigenvalues(refined, index + 1)[index])
 
 

@@ -109,9 +109,6 @@ class Field:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def map_values(self, fn) -> "Field":
-        return Field(fn(self.values), self.grid)
-
     def __add__(self, other: "Field") -> "Field":
         _check_compatible(self, other)
         return Field(self.values + other.values, self.grid)

@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from .core import Field, Grid, check_positive, gradient, h1_norm, step_count
+from .core import Field, Grid, check_positive, h1_norm, step_count
 from .linalg import matvec
 from .model import field_to_vec, model_for, vec_to_field
 from .profiles import Profile
@@ -253,14 +253,11 @@ def make_perturbation(prof: Profile, kind: str, rng: np.random.Generator,
     f = Field(vals, grid)
     if kind == "kernel_orthogonal":
         tangents, phase = model_for(prof.model, grid).tangents(prof)
+        # the conserved-quantity gradients J^-1 T_k, J^-1 (a, b) = (b, -a)
+        re, im = np.hsplit(tangents, 2)
+        directions = np.vstack([tangents, np.hstack([im, -re])])
+        basis = scipy.linalg.qr(directions.T, mode="economic")[0]
         v = field_to_vec(f, phase)
-        directions = list(tangents)
-        # conserved-quantity gradients: each component mass gives the profile
-        # itself, the momentum gives its derivative rotated by -i.
-        directions.append(field_to_vec(prof.field, phase))
-        gp = gradient(prof.field)
-        directions.append(field_to_vec(gp.map_values(lambda x: -1j * x), phase))
-        basis = scipy.linalg.qr(np.array(directions).T, mode="economic")[0]
         v = v - matvec(basis, matvec(basis.T, v))
         f = vec_to_field(v, grid, phase)
     nrm = h1_norm(f)

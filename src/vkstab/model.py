@@ -11,10 +11,10 @@ them, once, the gradient of L_xi = H - xi . F, the stationary equation, L+
 solve for Newton and the slope matrix), L-, the orbit tangents and the
 energy.  No Hessian block is built here as a matrix: a line block is its
 pointwise coupling (`Pointwise`), and the torus Hessian is one small block
-per Fourier mode (`FourierModes`).  `model_for(params, grid)` picks the
-object; the closed forms of one model (`slope.d2w_closed`,
-`slope.vk_integral`, `certify.coupled_stability_criteria`) branch on the
-model themselves.
+per Fourier mode (`FourierModes`); the torus's L+ solve is a closed 2 x 2
+inverse on the constant mode.  `model_for(params, grid)` picks the object or
+rejects the pair; the closed forms of one model (`slope.vk_integral`,
+`certify.coupled_stability_criteria`) branch on the model themselves.
 """
 
 from __future__ import annotations
@@ -62,11 +62,17 @@ class FourierModes(NamedTuple):
 
 
 def model_for(params, grid: Grid):
-    """The description of the model that params and grid define."""
+    """The description of the model that params and grid define.  The single
+    NLS is described on the line only, and the coupled model on the line has
+    beta = 1 and k = 0: another pair is a ValueError."""
     if params.model == "single_nls":
+        if grid.kind == "periodic":
+            raise ValueError("the single NLS model is described on a line grid only")
         return SingleLine(params)
     if grid.kind == "periodic":
         return CoupledTorus(params)
+    if params.beta != 1.0 or params.k != 0.0:
+        raise ValueError("the coupled model on a line grid needs beta = 1 and k = 0")
     return CoupledLine(params)
 
 
@@ -263,15 +269,14 @@ class SingleLine(_Model):
         sum over the components (axis 0)."""
         return np.sum(z, axis=0, keepdims=True)
 
-    def resolve(self, prof, xi: np.ndarray, grid: Grid):
-        """The member of the family of prof at xi, on grid: a Newton solve at
-        omega, then a boost by c."""
-        from .profiles import SolverError, boost, soliton_solve
+    def resolve(self, prof, omega: float, grid: Grid):
+        """The rest member of the family of prof at frequency omega, on grid:
+        a Newton solve."""
+        from .profiles import SolverError, soliton_solve
 
-        omega = self.omega(xi)
         if omega >= 0:
             raise SolverError("xi outside the soliton region (omega >= 0)")
-        return boost(soliton_solve(omega, self.params.p, grid), float(xi[1]))
+        return soliton_solve(omega, self.params.p, grid)
 
 
 class _Coupled(_Model):
@@ -313,12 +318,13 @@ class CoupledLine(_Coupled):
 
     tag = "coupled"
 
-    def resolve(self, prof, xi: np.ndarray, grid: Grid):
-        """The member of the family of prof at xi, on grid: continued from the
-        symmetric soliton at the mean frequency of prof, then boosted by c."""
-        from .profiles import Profile, SolverError, _continue_coupled, boost, coupled_soliton
+    def resolve(self, prof, omega: tuple, grid: Grid):
+        """The rest member of the family of prof at frequencies omega, on
+        grid: continued from the symmetric soliton at the mean frequency of
+        prof."""
+        from .profiles import Profile, SolverError, _continue_coupled, coupled_soliton
 
-        om1, om2 = self.omega(xi)
+        om1, om2 = omega
         if om1 >= 0 or om2 >= 0:
             raise SolverError("xi outside the coupled soliton region")
         params = self.params
@@ -328,7 +334,7 @@ class CoupledLine(_Coupled):
         phi = _continue_coupled(self, base_phi, (omega_star, omega_star), (om1, om2), grid)
         f = Field(phi.astype(complex), grid)
         boundary_decay_check(f)
-        return boost(Profile(f, np.array([om1, om2, 0.0]), params), float(xi[2]))
+        return Profile(f, np.array([om1, om2, 0.0]), params)
 
 
 # The wavenumber offset of each component of the torus wave: +k, then -k.
@@ -346,8 +352,22 @@ class CoupledTorus(_Coupled):
     def c(self, xi) -> float:
         return 0.0
 
-    def omega(self, xi) -> None:
-        return None
+    def omega(self, xi) -> tuple:
+        """The frequencies omega_j = xi_j - beta k^2 that the covariant kinetic
+        term leaves in the stationary equation."""
+        bk2 = self.params.beta * self.params.k**2
+        return tuple(float(x) - bk2 for x in xi)
+
+    def lplus_solve(self, phi: np.ndarray, omega, grid: Grid, rhs: np.ndarray) -> np.ndarray:
+        """The constant y with L+ y = rhs at the constant wave phi, for a
+        constant rhs: on the constant mode the kinetic term and the drift
+        vanish, and L+ is minus its 2 x 2 pointwise coupling, inverted in
+        closed form."""
+        (a, b), (c, d) = self.lplus_coupling(phi, omega)
+        det = a * d - b * c
+        if np.any(np.abs(det) <= 1e-14 * (np.abs(a * d) + np.abs(b * c))):
+            raise ValueError("slope matrix is undefined when alpha*gamma = delta^2")
+        return np.array([b * rhs[1] - d * rhs[0], c * rhs[0] - a * rhs[1]]) / det
 
     def _kinetic_gradient(self, field: Field, xi) -> np.ndarray:
         m = self.params
@@ -369,7 +389,7 @@ class CoupledTorus(_Coupled):
 
     def hessian(self, prof) -> list:
         """One block, block-circulant: L+ and L- with beta d2 in place of d2
-        and xi - beta k^2 in place of omega, the real and imaginary parts of
+        and omega = xi - beta k^2 (`omega`), the real and imaginary parts of
         each component coupled by its drift +-2 beta k d1.  At mode m, d2 is
         -k_m^2 and d1 is i q_m, with the grid's wavenumbers k and q (q's
         Nyquist entry 0); in the (cos, sin) coordinates of `FourierModes` the
@@ -378,7 +398,7 @@ class CoupledTorus(_Coupled):
         grid = prof.grid
         h = grid.n // 2 + 1
         zeta = np.asarray(self._amplitudes(prof), dtype=float)[:, None]
-        omega = prof.xi - m.beta * m.k**2
+        omega = prof.omega
         kinetic = m.beta * grid.wavenumbers[:h] ** 2
         drift = 2.0 * m.beta * m.k * grid.deriv_wavenumbers()[:h]
         modes = np.zeros((h, 4, 4))
@@ -392,15 +412,15 @@ class CoupledTorus(_Coupled):
         m = self.params
         return np.exp(-1j * m.beta * (grid.wavenumbers + m.k * _OFFSET_SIGNS) ** 2 * dt)
 
-    def resolve(self, prof, xi: np.ndarray, grid: Grid):
-        """The member of the family of prof at xi, on grid: the plane wave
-        whose amplitudes invert the dispersion relation."""
+    def resolve(self, prof, omega: tuple, grid: Grid):
+        """The member of the family of prof at frequencies omega, on grid: the
+        plane wave whose amplitudes invert the dispersion relation
+        C zeta^2 = -omega."""
         from .profiles import SolverError, plane_wave
 
         params = self.params
-        bk2 = params.beta * params.k**2
         try:
-            z = np.linalg.solve(np.hstack(self._couplings), bk2 - np.asarray(xi))
+            z = np.linalg.solve(np.hstack(self._couplings), np.negative(omega))
         except np.linalg.LinAlgError as exc:
             raise SolverError("dispersion relation not invertible") from exc
         if z[0] <= 0 or z[1] <= 0:

@@ -2,8 +2,8 @@
 
 Solitons on the truncated line (explicit for the cubic case, Newton-solved
 for general exponents), symmetric coupled solitons, torus plane waves, and
-xi-parametrized families that re-solve on demand for finite-difference
-derivatives of the conserved quantities.
+xi-parametrized families that re-solve their rest members on demand for
+finite-difference derivatives of the conserved quantities.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Profile:
-    """A relative-equilibrium candidate with its group parameters xi."""
+    """A relative-equilibrium candidate with its group parameters xi.  Its
+    model and grid are a pair `model_for` describes, and its field, xi and
+    zeta (when given) have the model's sizes: else a ValueError."""
 
     field: Field
     xi: np.ndarray
@@ -51,6 +53,17 @@ class Profile:
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float)
+        desc = model_for(self.model, self.grid)
+        desc.check_components(self.field.values)
+        size = self.model.components + desc.translations
+        if xi.shape != (size,) or not np.all(np.isfinite(xi)):
+            raise ValueError(f"the {desc.tag} model needs xi of {size} finite entries "
+                             f"(got {xi.tolist()!r})")
+        if self.zeta is not None:
+            zeta = np.asarray(self.zeta, dtype=float)
+            if zeta.shape != (self.model.components,) or not np.all(np.isfinite(zeta)):
+                raise ValueError(f"the {desc.tag} model needs zeta of "
+                                 f"{self.model.components} finite entries (got {self.zeta!r})")
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)
 
@@ -131,8 +144,6 @@ def soliton_explicit(omega: float, grid: Grid) -> Profile:
     """Cubic (p = 3) soliton sqrt(-2 omega) sech(sqrt(-omega) x)."""
     if omega >= 0:
         raise ValueError("omega must be negative")
-    if grid.kind != "line":
-        raise ValueError("solitons live on a line grid")
     u = np.sqrt(-2.0 * omega) / np.cosh(np.sqrt(-omega) * grid.nodes)
     f = Field(u[None, :].astype(complex), grid)
     boundary_decay_check(f)
@@ -175,8 +186,6 @@ def soliton_solve(omega: float, p: float, grid: Grid, max_iter: int = 50) -> Pro
         raise ValueError("omega must be negative")
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if grid.kind != "line":
-        raise ValueError("solitons live on a line grid")
     params = SingleNLS(p=p, d=1)
     u = _newton_even(model_for(params, grid), closed_soliton(omega, p, grid.nodes)[None],
                      omega, grid, max_iter)
@@ -248,20 +257,25 @@ def boost(prof: Profile, c: float) -> Profile:
 
 @dataclass
 class Family:
-    """A re-solvable map xi -> Profile with memoized solves."""
+    """A re-solvable map xi -> Profile.  `solver` maps the frequencies omega
+    to the rest member of the family; `profile(xi)` boosts the member at
+    omega(xi) by c(xi), with `model` (from `model_for`) reading omega and c
+    from xi.  Rest members are memoized by omega, so members that differ in
+    c alone share one solve."""
 
-    solver: Callable[[np.ndarray], Profile]
+    solver: Callable[..., Profile]
+    model: object
     fd_step: float
     _memo: dict = dc_field(default_factory=dict, repr=False)
 
     def profile(self, xi) -> Profile:
-        key = tuple(np.round(np.asarray(xi, dtype=float), 12))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        prof = self.solver(np.asarray(xi, dtype=float))
-        self._memo[key] = prof
-        return prof
+        xi = np.asarray(xi, dtype=float)
+        omega = self.model.omega(xi)
+        key = tuple(np.round(np.atleast_1d(omega), 12))
+        rest = self._memo.get(key)
+        if rest is None:
+            rest = self._memo[key] = self.solver(omega)
+        return boost(rest, self.model.c(xi))
 
     def fhat(self, xi) -> np.ndarray:
         return self.profile(xi).invariants()["F"]
@@ -298,10 +312,8 @@ def _continue_coupled(model, phi0, om_from, om_to, grid):
 
 def make_family(prof: Profile) -> Family:
     """Build the re-solvable family through an existing equilibrium."""
-    solver = partial(model_for(prof.model, prof.grid).resolve, prof, grid=prof.grid)
-    fam = Family(solver, default_fd_step(prof.xi))
-    fam._memo[tuple(np.round(prof.xi, 12))] = prof
-    return fam
+    model = model_for(prof.model, prof.grid)
+    return Family(partial(model.resolve, prof, grid=prof.grid), model, default_fd_step(prof.xi))
 
 
 def continue_family(prof: Profile, target_xi) -> Family:

@@ -2,11 +2,11 @@
 
 W(xi) is the constrained energy evaluated along the equilibrium family; its
 Hessian equals minus the Jacobian of the conserved quantities F along the
-family.  `d2w_closed` computes it exactly from the profile alone (a closed
-form, or matrix-free even solves over L+ for the coupled soliton) and is what
-`certify` reads; `d2w_fd` differentiates re-solved family members and is
-the cross-check.  The restricted form on a subalgebra basis supports the
-comparison with the classical sufficient condition.
+family.  `d2w_closed` computes it exactly from the profile alone, by one
+solve over L+ per component for every model, and is what `certify` reads;
+`d2w_fd` differentiates re-solved family members and is the cross-check.
+The restricted form on a subalgebra basis supports the comparison with the
+classical sufficient condition.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import model_for
+from .model import _rest_profile, model_for
 from .profiles import Family, Profile, SolverError
 from .spectral import even_solve, second_derivative
 
@@ -27,7 +27,6 @@ __all__ = [
     "d2w_fd",
     "d2w_closed",
     "vk_integral",
-    "single_vk_integral",
     "vk_slope_sign",
     "d2w_tilde",
 ]
@@ -37,7 +36,7 @@ __all__ = [
 class SlopeReport:
     d2w: np.ndarray
     signature: tuple          # (positives, zeros, negatives)
-    method: str               # "closed_form", "linear_solve" or "finite_difference"
+    method: str               # "linear_solve", "finite_difference" or (so3) "closed_form"
     asymmetry: float = 0.0
     condition_number: Optional[float] = None
     restricted: Optional[dict] = None
@@ -128,17 +127,6 @@ def vk_slope_sign(p: float, d: int) -> int:
     return 1 if val > 0 else -1
 
 
-def single_vk_integral(prof: Profile) -> float:
-    """int u Lplus^{-1} u for an unboosted single soliton: the omega-derivative
-    of the mass invariant int u^2 / 2, by one even solve."""
-    if prof.model.model != "single_nls" or prof.c != 0.0:
-        raise ValueError("requires an unboosted single-component soliton")
-    grid = prof.grid
-    u = np.real(prof.field.values)
-    y = model_for(prof.model, grid).lplus_solve(u, prof.omega, grid, u)
-    return float(np.sum(u * y) * grid.spacing)
-
-
 def vk_integral(prof: Profile) -> float:
     """int u Ldelta^{-1} u for the symmetric coupled soliton, in its rest frame."""
     m = prof.model
@@ -178,47 +166,31 @@ def _galilean_lift(w0: np.ndarray, masses: np.ndarray, c: float) -> tuple:
     return mat, d
 
 
-def _torus_closed(m, length: float) -> SlopeReport:
-    det = m.alpha * m.gamma - m.delta**2
-    if abs(det) < 1e-14:
-        raise ValueError("slope matrix is undefined when alpha*gamma = delta^2")
-    mat = (length / (2.0 * det)) * np.array([[m.gamma, -m.delta], [-m.delta, m.alpha]])
-    return _report_from_matrix(mat, "closed_form")
-
-
 def d2w_closed(prof: Profile) -> SlopeReport:
-    """Exact slope matrix for the three analyzed models, with no family solve.
+    """Exact slope matrix of an abelian model, with no family solve.
 
-    Line models: the rest-frame block w0 = -dF/domega, lifted to xi by the
-    boost.  Differentiating the stationary equation in omega_j gives
-    L+ dphi/domega_j = e_j phi_j, so the coupled block is one matrix-free even
-    solve over L+ per component.  The single soliton's block is the 1D
-    scaling law, the same number without the solve.  Torus: the closed form.
+    Differentiating the stationary equation in omega_j gives
+    L+ dphi/domega_j = e_j phi_j, so the rest-frame block w0 = -dF/domega is
+    w0_jk = -<phi_j, (L+^-1 e_k phi_k)_j>: one `lplus_solve` per component.
+    Where translations are a symmetry, the boost lifts w0 to xi.
     """
-    m = prof.model
-    if prof.is_torus:
-        return _torus_closed(m, prof.grid.extent)
-    if m.model == "single_nls" and m.d != 1:
+    if getattr(prof.model, "d", 1) != 1:
         raise ValueError(
             "matrix entries need grid quadrature, available for d = 1 only; "
             "use vk_slope_sign for the symbolic criterion"
         )
     grid = prof.grid
-    phi = np.real(prof.field.values * np.exp(-0.5j * prof.c * grid.nodes))
-    masses = np.sum(phi**2, axis=1) * grid.spacing
-    if m.model == "single_nls":
-        # Scaling law: d/domega int u^2 = (1/omega)(2/(p-1) - 1/2) int u^2 in 1D.
-        w0 = np.array([[-0.5 * ((2.0 / (m.p - 1.0) - 0.5) * masses[0] / prof.omega)]])
-        method = "closed_form"
-    else:
-        model = model_for(m, grid)
-        dphi = np.array([model.lplus_solve(phi, prof.omega, grid, rhs)   # rhs = e_j phi_j
-                         for rhs in np.eye(len(phi))[:, :, None] * phi])
-        w0 = -np.einsum("in,jin->ij", phi, dphi) * grid.spacing
-        method = "linear_solve"
+    model = model_for(prof.model, grid)
+    phi = _rest_profile(prof)
+    dphi = np.array([model.lplus_solve(phi, prof.omega, grid, rhs)   # rhs = e_j phi_j
+                     for rhs in np.eye(len(phi))[:, :, None] * phi])
+    w0 = -np.einsum("in,jin->ij", phi, dphi) * grid.spacing
     asym = float(np.max(np.abs(w0 - w0.T)))
+    if not model.translations:
+        return _report_from_matrix(w0, "linear_solve", asymmetry=asym)
+    masses = np.sum(phi**2, axis=1) * grid.spacing
     mat, rest = _galilean_lift(w0, masses, prof.c)
-    return _report_from_matrix(mat, method, asymmetry=asym, congruent=rest)
+    return _report_from_matrix(mat, "linear_solve", asymmetry=asym, congruent=rest)
 
 
 def d2w_tilde(report: SlopeReport, basis: np.ndarray) -> SlopeReport:

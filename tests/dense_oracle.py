@@ -1,11 +1,14 @@
-"""The dense Hessian, the oracle of the package's matrix-free one.
+"""The dense Hessian, the oracle of the package's matrix-free one, and the
+closed-form slope matrices.
 
 The package never builds an n x n Hessian block: it writes each parity part
 from the Fourier symbol and the torus mode by mode.  This module keeps the
 dense construction it replaced, for the tests to check it against: D1 and D2
 as circulant matrices, the dense L+, L- and torus blocks of every model, the
 reflection check on a block, its even and odd parts cut by index slicing,
-and the fold onto even functions.
+and the fold onto even functions.  The package also reads every slope matrix
+from L+ solves; the closed forms of the single soliton and the torus wave
+stay here as their oracles.
 """
 
 import numpy as np
@@ -124,3 +127,18 @@ def parts(prof):
         else:
             out.append(("whole", block))
     return out
+
+
+def single_slope(prof):
+    """-dF_0/domega of a 1D single soliton in its rest frame, by the scaling
+    law d/domega int u^2 = (1/omega)(2/(p-1) - 1/2) int u^2."""
+    mass = np.sum(_rest_profile(prof) ** 2) * prof.grid.spacing
+    return -0.5 * (2.0 / (prof.model.p - 1.0) - 0.5) * mass / prof.omega
+
+
+def torus_slope(params, length):
+    """(L/2) C^-1, the slope matrix of the torus plane wave with coupling
+    matrix C = [[alpha, delta], [delta, gamma]] on the period L."""
+    det = params.alpha * params.gamma - params.delta**2
+    return (length / (2.0 * det)) * np.array(
+        [[params.gamma, -params.delta], [-params.delta, params.alpha]])

@@ -306,3 +306,13 @@ def test_a_strong_boost_keeps_the_h1_margin_of_the_rest_frame(make, c):
     h1 = cert.checks["h1_nondegenerate_W"]
     assert h1["signature"] == at_rest["signature"]
     assert h1["margin"] == pytest.approx(at_rest["margin"], rel=1e-9)
+
+
+@pytest.mark.parametrize("k, beta", [(0.0, 1.0), (1.0, 0.7)])
+def test_a_degenerate_torus_coupling_is_indeterminate(k, beta):
+    """alpha gamma = delta^2: L+ is singular on the constant mode."""
+    prof = vk.plane_wave(1.0, 1.0, vk.Coupled(1.0, 1.0, 1.0, beta=beta, k=k),
+                         vk.make_grid("periodic", 2 * np.pi, 32))
+    cert = vk.certify(prof)
+    assert cert.verdict == "indeterminate(solver)"
+    assert cert.checks["error"]["detail"] == "slope matrix is undefined when alpha*gamma = delta^2"

@@ -298,3 +298,53 @@ def test_spectrum_rejects_a_negative_eigenvalue_count(tmp_path, capsys):
     assert run(["spectrum", "--n", 256, "--n-eigs", -3, "--out", out]) == 2
     assert "n_eigs must not be negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _mutations(doc):
+    """(name, document) for each one-entry mutation of a profile document:
+    every top-level key dropped, null, of the wrong type, of the wrong
+    length, NaN; a wrong n; the grid's kind or the model's type swapped."""
+    out = []
+    for key, value in doc.items():
+        out += [(f"{key}_dropped", {k: v for k, v in doc.items() if k != key}),
+                (f"{key}_null", {**doc, key: None}),
+                (f"{key}_string", {**doc, key: "x"}),
+                (f"{key}_nan", {**doc, key: float("nan")})]
+        if isinstance(value, list):
+            out += [(f"{key}_short", {**doc, key: value[:-1]}),
+                    (f"{key}_long", {**doc, key: value + value[:1]})]
+            if value and not isinstance(value[0], list):
+                out.append((f"{key}_nan_entry", {**doc, key: [float("nan")] + value[1:]}))
+        elif isinstance(value, dict):
+            out.append((f"{key}_short", {**doc, key: dict(list(value.items())[:-1])}))
+        else:
+            out.append((f"{key}_long", {**doc, key: [1.0, 1.0, 1.0]}))
+    kind = {"line": "periodic", "periodic": "line"}[doc["grid"]["kind"]]
+    out += [("n_halved", {**doc, "grid": {**doc["grid"], "n": doc["grid"]["n"] // 2}}),
+            ("kind_swapped", {**doc, "grid": {**doc["grid"], "kind": kind}})]
+    other = {"single_nls": {"type": "coupled", "alpha": 1.0, "gamma": 1.0, "delta": 2.0,
+                            "beta": 1.0, "k": 0.0},
+             "coupled": {"type": "single_nls", "p": 3.0, "d": 1}}[doc["model"]["type"]]
+    out += [("model_swapped", {**doc, "model": other}),
+            ("type_swapped", {**doc, "model": {**doc["model"], "type": other["type"]}})]
+    return out
+
+
+FUZZ_DOCS = {
+    "cubic": vk.soliton_explicit(-1.0, vk.make_grid("line", 20.0, 128)).to_dict(),
+    "torus": vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5),
+                           vk.make_grid("periodic", 2 * np.pi, 32)).to_dict(),
+}
+
+
+@pytest.mark.parametrize("base", sorted(FUZZ_DOCS))
+@pytest.mark.parametrize("command", ["certify", "spectrum", "slope", "evolve"])
+def test_a_mutated_profile_document_never_ends_in_a_traceback(tmp_path, capsys, base, command):
+    prof_file = tmp_path / "prof.json"
+    extra = ["--dt", 0.01, "--tend", 0.05, "--stride", 1] if command == "evolve" else []
+    for name, doc in _mutations(FUZZ_DOCS[base]):
+        prof_file.write_text(json.dumps(doc))
+        code = run([command, "--from", prof_file, "--out", tmp_path / "out"] + extra)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), name
+        assert (code == 2) == err.startswith("error: "), (name, err)

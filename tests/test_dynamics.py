@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import vkstab as vk
-from vkstab.core import h1_norm, step_count
+from vkstab.core import gradient, h1_norm, step_count
 from vkstab.dynamics import (
     BLOWUP_GUARD,
     STABLE_ENVELOPE,
@@ -262,6 +262,15 @@ def test_kernel_orthogonal_perturbation_builds_no_hessian(case, monkeypatch):
     monkeypatch.undo()
     for t in vk.assemble(prof).tangent_fields():
         assert abs(vk.inner(pert, t)) < 1e-12
+    # and to the gradient of each conserved quantity: each component's mass,
+    # then the momentum where translations are a symmetry
+    vals = prof.field.values
+    grads = [vk.Field(vals * (np.arange(len(vals)) == j)[:, None], prof.grid)
+             for j in range(len(vals))]
+    if prof.grid.kind == "line":
+        grads.append(-1j * gradient(prof.field))
+    for g in grads:
+        assert abs(vk.inner(pert, g)) < 1e-12 * np.sqrt(vk.inner(g, g))
 
 
 @pytest.mark.parametrize("case", sorted(EXPERIMENTS))

@@ -1,5 +1,7 @@
 """Matrix-free even solves over L+ and Ldelta, against the folded dense LU."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,6 @@ import scipy.linalg
 import vkstab as vk
 from vkstab import linalg, spectral
 from vkstab.model import model_for
-from vkstab.slope import single_vk_integral
 from vkstab.spectral import even_solve, unfold
 
 from dense_oracle import diff_matrices, fold, lplus
@@ -124,7 +125,8 @@ D2W_CLOSED = {
 
 @pytest.mark.parametrize("p", list(SINGLE_VK))
 def test_single_vk_integral_keeps_its_dense_value(p):
-    got = single_vk_integral(vk.soliton_solve(-1.0, p, line(512)))
+    # the integral int u Lplus^{-1} u is -d2w[0, 0] of the rest soliton
+    got = -vk.d2w_closed(vk.soliton_solve(-1.0, p, line(512))).d2w[0, 0]
     assert got == pytest.approx(SINGLE_VK[p], rel=1e-9)
 
 
@@ -164,25 +166,30 @@ def test_profile_and_slope_solves_build_no_dense_matrix(monkeypatch):
     assert vk.d2w_fd(fam, target).signature == vk.d2w_closed(fam.profile(target)).signature
     assert vk.d2w_closed(base).method == "linear_solve"
     assert vk.vk_integral(base) == pytest.approx(VK_INTEGRAL[2.0], rel=1e-9)
-    assert single_vk_integral(vk.soliton_solve(-1.0, 3.0, line(512))) == pytest.approx(-1.0)
+    assert vk.d2w_closed(vk.soliton_solve(-1.0, 3.0, line(512))).d2w[0, 0] == pytest.approx(1.0)
 
 
 MINRES_FAILURE = r"MINRES did not converge in 1 iterations \(relative residual \d\.\d{3}e-\d\d\)"
 
 
 def test_a_failed_inner_solve_names_itself(monkeypatch):
+    cubic = vk.soliton_explicit(-1.0, line(256))
+    cubic_slope = vk.d2w_closed(cubic)
     monkeypatch.setattr(linalg, "MINRES_MAXITER", 1)
     with pytest.raises(vk.SolverError, match=MINRES_FAILURE):
         vk.soliton_solve(-1.0, 3.0, line(256))
-    # certify reports it as it reports a failed Newton: in the slope matrix
-    # of the coupled soliton, and in the 2n refinement of h3
-    coupled = vk.certify(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256)))
-    assert coupled.verdict == "indeterminate(solver)"
-    assert "MINRES did not converge in 1 iterations" in coupled.checks["error"]["detail"]
-    cubic = vk.certify(vk.soliton_explicit(-1.0, line(256)))
-    assert cubic.verdict == "indeterminate(h3)"
-    note = cubic.checks["notes"]["h3_refinement_error"]
-    assert "MINRES did not converge in 1 iterations" in note
+    # certify reports it as it reports a failed Newton: in the slope matrix,
+    # which solves over L+ for every line model
+    for prof in (vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256)), cubic):
+        cert = vk.certify(prof)
+        assert cert.verdict == "indeterminate(solver)"
+        assert "MINRES did not converge in 1 iterations" in cert.checks["error"]["detail"]
+    # and, given the slope matrix, in the 2n refinement of h3
+    monkeypatch.setattr(importlib.import_module("vkstab.certify"), "d2w_closed",
+                        lambda prof: cubic_slope)
+    cert = vk.certify(cubic)
+    assert cert.verdict == "indeterminate(h3)"
+    assert "MINRES did not converge in 1 iterations" in cert.checks["notes"]["h3_refinement_error"]
 
 
 def test_a_frequency_that_is_not_negative_is_named():

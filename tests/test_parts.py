@@ -221,7 +221,7 @@ def test_the_torus_wave_certifies_where_the_refined_kernel_tolerance_passes_the_
 def test_the_refined_gap_by_index_is_the_refined_spectrum_gap(case):
     prof = LINE_CASES[case]()
     rep = vk.spectrum(vk.assemble(prof))
-    fine = model.model_for(prof.model, prof.grid).resolve(prof, prof.xi, line(512))
+    fine = model.model_for(prof.model, prof.grid).resolve(prof, prof.omega, line(512))
     by_index = vk.lowest_eigenvalues(fine, rep.n_neg + rep.dim_ker + 1)[-1]
     assert by_index == pytest.approx(vk.spectrum(vk.assemble(fine)).gap_pos, rel=1e-12)
 

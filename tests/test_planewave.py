@@ -10,6 +10,8 @@ import pytest
 
 import vkstab as vk
 
+from dense_oracle import torus_slope
+
 L = 2 * np.pi
 STABLE = vk.Coupled(-1.0, -1.0, -0.5)
 UNSTABLE = vk.Coupled(-1.0, -1.0, -2.0)
@@ -58,6 +60,15 @@ def test_mode_table_coercivity_and_certify_agree():
         table = vk.mode_table(params, zeta, L, n_max=8)
         cert = vk.certify(vk.plane_wave(*zeta, params, grid))
         assert table.coercive == closed == cert.certified, (params, zeta)
+
+
+def test_the_slope_matrix_is_the_closed_form_on_every_wave():
+    grid = vk.make_grid("periodic", L, 32)
+    for alpha, gamma, delta, zeta, k, beta in TORUS_CASES:
+        params = vk.Coupled(alpha, gamma, delta, beta=beta, k=k)
+        got = vk.d2w_closed(vk.plane_wave(*zeta, params, grid)).d2w
+        expected = torus_slope(params, L)
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected)), (params, zeta)
 
 
 def test_mode_eigenvalues_match_assembled_operator():

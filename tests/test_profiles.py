@@ -202,3 +202,43 @@ def test_floor_leaves_resolved_solves_bitwise_unchanged(monkeypatch, n):
     monkeypatch.setattr(profiles, "NEWTON_FLOOR", 0.0)
     for a, b in zip(default, _solves(n)):
         assert np.array_equal(a.field.values, b.field.values)
+
+
+@pytest.mark.parametrize("make, solves", [
+    (lambda: vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 256)), 3),
+    (lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), vk.make_grid("line", 20.0, 256)), 5),
+    (lambda: vk.plane_wave(1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5),
+                           vk.make_grid("periodic", 2 * np.pi, 64)), 4),
+], ids=["cubic", "coupled_1_1_2", "torus"])
+def test_the_fd_stencil_solves_each_rest_member_once(make, solves):
+    """At c = 0 the two points of the c-stencil share one omega, so one rest
+    member, boosted each way."""
+    prof = make()
+    fam = vk.make_family(prof)
+    solver, calls = fam.solver, []
+    fam.solver = lambda omega: calls.append(omega) or solver(omega)
+    vk.d2w_fd(fam, prof.xi)
+    assert len(calls) == solves == len(set(calls))
+    if prof.grid.kind == "line":
+        # the member at +h in c: the rest member at its omega, boosted by h
+        xi = prof.xi + fam.fd_step * np.eye(prof.xi.size)[-1]
+        expected = vk.boost(solver(fam.model.omega(xi)), fam.fd_step)
+        assert np.array_equal(fam.profile(xi).field.values, expected.field.values)
+
+
+def test_a_profile_is_checked_against_its_model():
+    line = vk.make_grid("line", 20.0, 128)
+    cubic = vk.soliton_explicit(-1.0, line)
+    for xi in ([-1.0], [-1.0, 0.0, 0.0], [np.nan, 0.0], [[-1.0, 0.0]]):
+        with pytest.raises(ValueError, match="needs xi of 2 finite entries"):
+            vk.Profile(cubic.field, np.array(xi), cubic.model)
+    with pytest.raises(ValueError, match="1-component field"):
+        vk.Profile(vk.Field(np.vstack([cubic.field.values] * 2), line), cubic.xi, cubic.model)
+    with pytest.raises(ValueError, match="needs zeta of 1 finite entries"):
+        vk.Profile(cubic.field, cubic.xi, cubic.model, zeta=(1.0, 1.0))
+    torus = vk.make_grid("periodic", 2 * np.pi, 128)
+    with pytest.raises(ValueError, match="single NLS model is described on a line grid only"):
+        vk.Profile(vk.Field(cubic.field.values, torus), cubic.xi, cubic.model)
+    for params in (vk.Coupled(1.0, 1.0, 2.0, beta=2.0), vk.Coupled(1.0, 1.0, 2.0, k=1.0)):
+        with pytest.raises(ValueError, match="needs beta = 1 and k = 0"):
+            vk.coupled_soliton(-1.0, params, line)

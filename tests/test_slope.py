@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import vkstab as vk
-from vkstab.slope import signature_of, single_vk_integral
+from vkstab.slope import signature_of
+
+from dense_oracle import single_slope, torus_slope
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +40,19 @@ def test_mass_slope_value(soliton):
 
 
 def test_resolvent_integral_cubic(soliton):
-    val = single_vk_integral(soliton)
+    # d2w[0, 0] = -int u Lplus^{-1} u, by one even solve
+    val = -vk.d2w_closed(soliton).d2w[0, 0]
     assert abs(val + 1.0) < 1e-8
+    assert abs(val + single_slope(soliton)) < 1e-9
 
 
 @pytest.mark.parametrize("p, n", [(3.0, 256), (4.9, 512), (5.1, 512), (6.0, 512)])
 def test_resolvent_integral_is_the_mass_slope(p, n):
     # int u Lplus^{-1} u = d/domega int u^2 / 2, which the scaling law gives
-    # as -d2w[0, 0]; for the cubic soliton at omega = -2 it is -1/sqrt(2)
+    # in closed form; for the cubic soliton at omega = -2 it is -1/sqrt(2)
     prof = vk.soliton_solve(-2.0, p, vk.make_grid("line", 20.0, n))
-    val = single_vk_integral(prof)
-    assert abs(val + vk.d2w_closed(prof).d2w[0, 0]) < 1e-9
+    val = -vk.d2w_closed(prof).d2w[0, 0]
+    assert abs(val + single_slope(prof)) < 1e-9
     if p == 3.0:
         assert abs(val + 1.0 / np.sqrt(2.0)) < 1e-10
 
@@ -119,11 +123,8 @@ def test_torus_slope_matrix_closed_form():
     params = vk.Coupled(-1.0, -1.0, -0.5)
     prof = vk.plane_wave(1.0, 1.0, params, g)
     closed = vk.d2w_closed(prof)
-    det = params.alpha * params.gamma - params.delta**2
-    expected = (g.extent / (2 * det)) * np.array(
-        [[params.gamma, -params.delta], [-params.delta, params.alpha]]
-    )
-    assert np.allclose(closed.d2w, expected, atol=1e-12)
+    assert np.allclose(closed.d2w, torus_slope(params, g.extent), atol=1e-12)
+    assert closed.method == "linear_solve"
     fam = vk.make_family(prof)
     fd = vk.d2w_fd(fam, prof.xi)
     assert np.max(np.abs(fd.d2w - closed.d2w)) < 1e-6
