@@ -6,9 +6,9 @@ wave on the torus.  Each has H = kinetic term - int G(|u|), so each model
 object holds only its nonlinearity (the potential V_j(|u|), the Jacobian of
 V(phi) phi at a real profile, the primitive G) and its geometry (the line's,
 or the torus's covariant kinetic term with offset k).  `_Model` writes from
-them, once, the gradient of L_xi = H - xi . F, the stationary equation, L+
-(as the pointwise coupling of a Hessian block, and as a matrix-free even
-solve for Newton and the slope matrix), L-, the orbit tangents and the
+them, once, the rest profile, the gradient of L_xi = H - xi . F, the
+stationary equation, L+ (the pointwise coupling of a Hessian block, and a
+matrix-free solve for the slope matrix), L-, the orbit tangents and the
 energy.  No Hessian block is built here as a matrix: a line block is its
 pointwise coupling (`Pointwise`), and the torus Hessian is one small block
 per Fourier mode (`FourierModes`); the torus's L+ solve is a closed 2 x 2
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Field, Grid, boundary_decay_check, gradient, laplacian
-from .spectral import even_solve, first_derivative, second_derivative
+from .spectral import first_derivative, fourier_solve, second_derivative
 
 __all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "Pointwise", "FourierModes",
            "model_for", "field_to_vec", "vec_to_field"]
@@ -94,32 +94,10 @@ def vec_to_field(v: np.ndarray, grid: Grid, phase=None) -> Field:
     return Field(vals, grid)
 
 
-def _rest_profile(prof) -> np.ndarray:
-    """The real profile of a line equilibrium: its field with the boost's
-    gauge phase exp(i c x / 2) removed."""
-    return np.real(prof.field.values * np.exp(-0.5j * prof.c * prof.grid.nodes))
-
-
 def _is_even(phi: np.ndarray) -> bool:
     """True iff the real profile phi (one row per component) is even about
     x = 0, phi_j = phi_{-j} (mod n), to PARITY_TOL of its largest value."""
-    mirrored = phi[:, -np.arange(phi.shape[1]) % phi.shape[1]]
-    return bool(np.max(np.abs(phi - mirrored)) <= PARITY_TOL * np.max(np.abs(phi)))
-
-
-def _orbit_tangents(phi: np.ndarray, grid=None) -> np.ndarray:
-    """Orbit tangents of a real profile (one row per component) in stacked
-    (Re, Im) coordinates: the phase rotation i phi_j of each component, then
-    the translation phi' (by FFT) when the grid is given."""
-    zero = np.zeros_like(phi)
-    rows = []
-    for j in range(len(phi)):
-        rotated = zero.copy()
-        rotated[j] = phi[j]
-        rows.append(np.concatenate([zero.ravel(), rotated.ravel()]))
-    if grid is not None:
-        rows.append(np.concatenate([first_derivative(phi, grid).ravel(), zero.ravel()]))
-    return np.array(rows)
+    return bool(np.max(np.abs(phi[:, 1:] - phi[:, :0:-1])) <= PARITY_TOL * np.max(np.abs(phi)))
 
 
 @dataclass(frozen=True)
@@ -176,17 +154,24 @@ class _Model:
         comps = len(phi)
         return self.jacobian(phi) + np.eye(comps)[:, :, None] * np.reshape(omega, (-1, 1, 1))
 
+    def rest_profile(self, prof) -> np.ndarray:
+        """The real profile of an equilibrium, one row per component: its
+        field with the boost's gauge phase exp(i c x / 2) removed."""
+        return np.real(prof.field.values * np.exp(-0.5j * prof.c * prof.grid.nodes))
+
     def lplus_solve(self, phi: np.ndarray, omega, grid: Grid, rhs: np.ndarray) -> np.ndarray:
-        """The even y with L+ y = rhs at the even profile phi, matrix-free: the
-        Newton step and the slope solves."""
-        return even_solve(grid, omega, self.jacobian(phi), rhs)
+        """The y with L+ y = rhs at the profile phi, matrix-free (the slope
+        solves): even at an even phi and rhs, else orthogonal to the
+        translation kernel phi', as rhs must be."""
+        kernel = None if _is_even(phi) else first_derivative(phi, grid)
+        return fourier_solve(grid, omega, self.jacobian(phi), rhs, kernel)
 
     def hessian(self, prof) -> list:
         """Diagonal blocks [L+, L-_1, ..] at an equilibrium, in the frame of
         `tangents`: those of the rest profile, with the boost's gauge phase
         rotated away.  Each is -d2 minus its pointwise coupling, even when
         the rest profile is."""
-        phi, omega = _rest_profile(prof), prof.omega
+        phi, omega = self.rest_profile(prof), prof.omega
         even = _is_even(phi)
         lminus = [diag[None, None] for diag in self._lminus_diagonals(phi, omega)]
         return [Pointwise(m, even) for m in [self.lplus_coupling(phi, omega)] + lminus]
@@ -219,13 +204,18 @@ class _Model:
         return H, F
 
     def tangents(self, prof) -> tuple:
-        """(orbit tangents, gauge phase) at an equilibrium: the tangents are
-        rows of stacked real coordinates in the frame the phase rotates away
-        (None when c = 0)."""
-        grid = prof.grid
-        tangents = _orbit_tangents(_rest_profile(prof), grid)
+        """(orbit tangents, gauge phase) at an equilibrium: the phase rotation
+        i phi_j of each component of the rest profile phi, then, where it is a
+        symmetry, the translation phi' (by FFT), as rows of stacked (Re, Im)
+        coordinates in the frame the phase rotates away (None when c = 0)."""
+        grid, phi = prof.grid, self.rest_profile(prof)
+        zero = np.zeros_like(phi)
+        rows = [np.concatenate([zero, np.where(np.arange(len(phi))[:, None] == j, phi, 0.0)])
+                for j in range(len(phi))]
+        if self.translations:
+            rows.append(np.concatenate([first_derivative(phi, grid), zero]))
         phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return tangents, phase
+        return np.array(rows).reshape(len(rows), -1), phase
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         """Free flow over dt in Fourier space, one row per component."""
@@ -379,13 +369,10 @@ class CoupledTorus(_Coupled):
         cov = du + 1j * m.k * _OFFSET_SIGNS * vals
         return 0.5 * m.beta * dx * np.sum(np.abs(cov) ** 2, axis=(-2, -1))
 
-    def _amplitudes(self, prof) -> np.ndarray:
-        return prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
-
-    def tangents(self, prof) -> tuple:
-        """The two phase rotations of the constant wave; no gauge phase."""
-        ones = np.ones(prof.grid.n)
-        return _orbit_tangents(np.outer(self._amplitudes(prof), ones)), None
+    def rest_profile(self, prof) -> np.ndarray:
+        """The constant wave of amplitudes zeta (else the field's first column)."""
+        zeta = prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
+        return np.outer(zeta, np.ones(prof.grid.n))
 
     def hessian(self, prof) -> list:
         """One block, block-circulant: L+ and L- with beta d2 in place of d2
@@ -397,7 +384,7 @@ class CoupledTorus(_Coupled):
         m = self.params
         grid = prof.grid
         h = grid.n // 2 + 1
-        zeta = np.asarray(self._amplitudes(prof), dtype=float)[:, None]
+        zeta = self.rest_profile(prof)[:, :1]
         omega = prof.omega
         kinetic = m.beta * grid.wavenumbers[:h] ** 2
         drift = 2.0 * m.beta * m.k * grid.deriv_wavenumbers()[:h]

@@ -25,6 +25,7 @@ from .core import (
 )
 from .linalg import SolverError
 from .model import model_for
+from .spectral import fourier_solve
 
 __all__ = [
     "Profile",
@@ -163,10 +164,10 @@ NEWTON_FLOOR = 32.0
 def _newton_even(model, phi0: np.ndarray, omega, grid: Grid, max_iter: int) -> np.ndarray:
     """Newton solve of model.stationary(phi) = 0 for a real profile phi (one
     row per component) even about x = 0.  The stationary Jacobian is -L+, so
-    each step is one matrix-free even solve L+ step = residual."""
+    each step is one matrix-free even solve L+ step = residual, with no
+    parity check: every iterate is even by construction."""
     roundoff = np.finfo(float).eps * float(np.max(grid.wavenumbers**2))
-    n = grid.n
-    phi = 0.5 * (phi0 + phi0[:, (n - np.arange(n)) % n])   # symmetrize the seed
+    phi = 0.5 * (phi0 + phi0[:, -np.arange(grid.n) % grid.n])   # symmetrize the seed
     for it in range(max_iter + 1):
         res = model.stationary(phi, omega, grid)
         err = float(np.max(np.abs(res)))
@@ -175,7 +176,7 @@ def _newton_even(model, phi0: np.ndarray, omega, grid: Grid, max_iter: int) -> n
             return phi
         if it == max_iter:
             break
-        phi = phi + model.lplus_solve(phi, omega, grid, res)
+        phi = phi + fourier_solve(grid, omega, model.jacobian(phi), res)
     raise SolverError(f"Newton did not converge in {max_iter} iterations "
                       f"(residual {err:.3e}, floor {tol:.3e})")
 
@@ -257,25 +258,24 @@ def boost(prof: Profile, c: float) -> Profile:
 
 @dataclass
 class Family:
-    """A re-solvable map xi -> Profile.  `solver` maps the frequencies omega
-    to the rest member of the family; `profile(xi)` boosts the member at
-    omega(xi) by c(xi), with `model` (from `model_for`) reading omega and c
-    from xi.  Rest members are memoized by omega, so members that differ in
-    c alone share one solve."""
+    """A re-solvable map xi -> Profile with memoized solves.  With a `model`
+    (`make_family` sets it), `solver` maps omega(xi) to the rest member,
+    memoized by omega, and `profile(xi)` boosts it by c(xi): members that
+    differ in c alone share one solve.  Else `solver` maps xi to the member."""
 
     solver: Callable[..., Profile]
-    model: object
     fd_step: float
+    model: object = None
     _memo: dict = dc_field(default_factory=dict, repr=False)
 
     def profile(self, xi) -> Profile:
         xi = np.asarray(xi, dtype=float)
-        omega = self.model.omega(xi)
-        key = tuple(np.round(np.atleast_1d(omega), 12))
+        arg, c = (xi, 0.0) if self.model is None else (self.model.omega(xi), self.model.c(xi))
+        key = tuple(np.round(np.atleast_1d(arg), 12))
         rest = self._memo.get(key)
         if rest is None:
-            rest = self._memo[key] = self.solver(omega)
-        return boost(rest, self.model.c(xi))
+            rest = self._memo[key] = self.solver(arg)
+        return boost(rest, c)
 
     def fhat(self, xi) -> np.ndarray:
         return self.profile(xi).invariants()["F"]
@@ -313,7 +313,7 @@ def _continue_coupled(model, phi0, om_from, om_to, grid):
 def make_family(prof: Profile) -> Family:
     """Build the re-solvable family through an existing equilibrium."""
     model = model_for(prof.model, prof.grid)
-    return Family(partial(model.resolve, prof, grid=prof.grid), model, default_fd_step(prof.xi))
+    return Family(partial(model.resolve, prof, grid=prof.grid), default_fd_step(prof.xi), model)
 
 
 def continue_family(prof: Profile, target_xi) -> Family:

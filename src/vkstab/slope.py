@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import _rest_profile, model_for
+from .model import model_for
 from .profiles import Family, Profile, SolverError
-from .spectral import even_solve, second_derivative
+from .spectral import fourier_solve, second_derivative
 
 __all__ = [
     "SlopeReport",
@@ -142,7 +142,7 @@ def vk_integral(prof: Profile) -> float:
     omega = prof.omega[0]
     scalar = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes)) / z1
     pot = (3.0 - 2.0 * m.delta * s) * scalar**2       # Ldelta = -d2 - omega - pot
-    y = even_solve(grid, omega, pot[None, None], scalar[None])[0]
+    y = fourier_solve(grid, omega, pot[None, None], scalar[None])[0]
     resid = np.max(np.abs(-second_derivative(y, grid) - (omega + pot) * y - scalar))
     if resid > 1e-9 * max(np.max(np.abs(scalar)), 1.0):
         raise ValueError(f"Ldelta solve residual too large ({resid:.3e})")
@@ -181,7 +181,7 @@ def d2w_closed(prof: Profile) -> SlopeReport:
         )
     grid = prof.grid
     model = model_for(prof.model, grid)
-    phi = _rest_profile(prof)
+    phi = model.rest_profile(prof)
     dphi = np.array([model.lplus_solve(phi, prof.omega, grid, rhs)   # rhs = e_j phi_j
                      for rhs in np.eye(len(phi))[:, :, None] * phi])
     w0 = -np.einsum("in,jin->ij", phi, dphi) * grid.spacing

@@ -8,8 +8,9 @@ odd functions of an even profile straight from K's first column, through
 its Toeplitz and Hankel sections, so no n x n matrix is built; `whole_part`
 is the fallback for a profile that is not even.  The profile and slope
 solves use no matrix at all: `second_derivative` applies D2 by a real FFT,
-and `even_solve` solves -d2 - omega - J on even functions by MINRES in
-Fourier coordinates.  The dense D1 and D2 stay as public functions; the
+and `fourier_solve` solves -d2 - omega - J by MINRES in Fourier
+coordinates: on the even functions, or on the whole grid for a profile that
+is not even.  The dense D1 and D2 stay as public functions; the
 package itself calls neither.
 """
 
@@ -136,28 +137,41 @@ def second_derivative(v: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(-k2 * np.fft.rfft(v), grid.n)
 
 
-def even_solve(grid: Grid, omega, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The even y with (-d2 - omega_j) y_j - sum_k jac_jk y_k = rhs_j, for a
-    pointwise symmetric coupling jac (c x c x n) and rhs (c x n), both even
-    about x = 0, and omega_j < 0 (a float, or one per component).
-
-    The unknown is the cosine series of y, q = s * Re rfft(y) / sqrt(n) with
-    s = `even_scale(n)`: coordinates in an orthonormal basis of the even
-    functions, on which -d2 - omega_j is the positive diagonal k^2 - omega_j.
-    That diagonal preconditions MINRES, and each operator application costs
-    one real FFT pair.  Re rfft projects onto the even functions,
-    (v + v[-j]) / 2, which also removes the odd translation kernel phi' of
-    L+."""
+def fourier_solve(grid: Grid, omega, jac: np.ndarray, rhs: np.ndarray,
+                  kernel=None) -> np.ndarray:
+    """The y with (-d2 - omega_j) y_j - sum_k jac_jk y_k = rhs_j, for a
+    pointwise symmetric coupling jac (c x c x n), rhs (c x n) and omega_j < 0
+    (a float, or one per component), by MINRES in orthonormal Fourier
+    coordinates preconditioned by the diagonal k^2 - omega_j; one real FFT
+    pair per operator application.  Without `kernel`, jac, rhs and y are even
+    about x = 0: the unknown is the cosine series s Re rfft(y) / sqrt(n), s =
+    `even_scale(n)`, which excludes L+'s odd translation kernel phi'.  Else
+    `kernel` (c x n) is that kernel at a profile that is not even, rhs and y
+    are orthogonal to it, the unknown is the whole series (Re and Im
+    interleaved), and |omega| times the projector onto the kernel, added to
+    the operator, makes it regular."""
     if not np.all(np.less(omega, 0.0)):
-        raise ValueError(f"the even solve needs every omega_j < 0 (got {omega})")
+        raise ValueError(f"the Fourier solve needs every omega_j < 0 (got {omega})")
     n = grid.n
     h = n // 2 + 1
-    t = even_scale(n) / np.sqrt(n)      # q = t * Re rfft(y)
-    symbol = grid.wavenumbers[:h] ** 2 - np.reshape(omega, (-1, 1))
+    t = even_scale(n) / np.sqrt(n)
+    whole = kernel is not None
+    symbol = np.repeat(grid.wavenumbers[:h] ** 2 - np.reshape(omega, (-1, 1)), 1 + whole, axis=-1)
+
+    def coords(v):
+        f = np.fft.rfft(v)
+        return (t * f).view(float) if whole else t * f.real
+
+    def values(q):
+        return np.fft.irfft((q.view(complex) if whole else q) / t, n)
+
+    if whole:
+        psi = coords(kernel)
+        psi, shift = psi / np.sqrt(np.sum(psi * psi)), np.max(np.abs(omega))
 
     def apply(q):
-        v = np.fft.irfft(q / t, n)
-        return symbol * q - t * np.fft.rfft(np.einsum("jkn,kn->jn", jac, v)).real
+        out = symbol * q - coords(np.einsum("jkn,kn->jn", jac, values(q)))
+        return out + (shift * np.sum(psi * q)) * psi if whole else out
 
-    q = minres(apply, t * np.fft.rfft(rhs).real, symbol)
-    return unfold(np.fft.irfft(q / t, n)[..., :h])
+    y = values(minres(apply, coords(rhs), symbol))
+    return y if whole else unfold(y[..., :h])

@@ -14,7 +14,7 @@ stay here as their oracles.
 import numpy as np
 import scipy.linalg
 
-from vkstab.model import _OFFSET_SIGNS, _rest_profile, field_to_vec, model_for, vec_to_field
+from vkstab.model import _OFFSET_SIGNS, field_to_vec, model_for, vec_to_field
 
 
 def diff_matrices(grid):
@@ -64,7 +64,7 @@ def blocks(prof):
     if prof.is_torus:
         m = prof.model
         n = grid.n
-        phi = np.outer(model._amplitudes(prof), np.ones(n))
+        phi = model.rest_profile(prof)
         omega = prof.xi - m.beta * m.k**2
         d2, drift = m.beta * d2, 2.0 * m.beta * m.k * d1
         mat = np.zeros((4 * n, 4 * n))
@@ -76,7 +76,7 @@ def blocks(prof):
             mat[re, im] = sign * drift
             mat[im, re] = -sign * drift
         return [mat]
-    phi, omega = _rest_profile(prof), prof.omega
+    phi, omega = model.rest_profile(prof), prof.omega
     return [lplus(model, phi, omega, d2)] + [
         -d2 - np.diag(diag) for diag in model._lminus_diagonals(phi, omega)]
 
@@ -132,7 +132,7 @@ def parts(prof):
 def single_slope(prof):
     """-dF_0/domega of a 1D single soliton in its rest frame, by the scaling
     law d/domega int u^2 = (1/omega)(2/(p-1) - 1/2) int u^2."""
-    mass = np.sum(_rest_profile(prof) ** 2) * prof.grid.spacing
+    mass = np.sum(model_for(prof.model, prof.grid).rest_profile(prof) ** 2) * prof.grid.spacing
     return -0.5 * (2.0 / (prof.model.p - 1.0) - 0.5) * mass / prof.omega
 
 

@@ -207,6 +207,9 @@ def test_rolled_soliton_certifies_like_the_centered_one():
         assert b.checks[check][key] == a.checks[check][key]
     for key in ("gap", "refinement_ratio"):
         assert abs(b.checks["h3_positive_gap"][key] - a.checks["h3_positive_gap"][key]) < 1e-10
+    h1a, h1b = a.checks["h1_nondegenerate_W"], b.checks["h1_nondegenerate_W"]
+    assert h1b["signature"] == h1a["signature"] == [1, 0, 1]
+    assert abs(h1b["margin"] - h1a["margin"]) <= 1e-10 * h1a["margin"]
 
 
 def test_certify_never_forms_the_dense_hessian(monkeypatch):

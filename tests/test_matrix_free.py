@@ -9,7 +9,7 @@ import scipy.linalg
 import vkstab as vk
 from vkstab import linalg, spectral
 from vkstab.model import model_for
-from vkstab.spectral import even_solve, unfold
+from vkstab.spectral import fourier_solve, unfold
 
 from dense_oracle import diff_matrices, fold, lplus
 
@@ -70,14 +70,11 @@ def test_ldelta_solve_matches_the_folded_dense_lu(delta):
     scalar = np.real(prof.field.values[0]) / z1
     pot = (3.0 - 2.0 * delta * (z1**2 + z2**2)) * scalar**2
     ldelta = -diff_matrices(grid)[1] - np.diag(pot - 1.0)
-    got = even_solve(grid, -1.0, pot[None, None], scalar[None])
+    got = fourier_solve(grid, -1.0, pot[None, None], scalar[None])
     assert_close(got, dense_even_solve(ldelta, scalar[None]), 1e-10)
 
 
-@pytest.mark.parametrize("case", ["p4.5", "coupled_1_1_2"])
-def test_minres_gets_a_symmetric_operator_and_a_positive_preconditioner(case, monkeypatch):
-    """MINRES needs both: the operator it is handed, written out column by
-    column on a small grid, is symmetric, and the symbol is positive."""
+def _check_the_operator_handed_to_minres(case, shift, monkeypatch):
     seen = []
 
     def checked(apply, b, precond):
@@ -89,12 +86,40 @@ def test_minres_gets_a_symmetric_operator_and_a_positive_preconditioner(case, mo
     g = line(32) if case == "p4.5" else vk.make_grid("line", 8.0, 32)
     params = vk.SingleNLS(4.5) if case == "p4.5" else vk.Coupled(1.0, 1.0, 2.0)
     x = g.nodes
-    phi = np.array([np.exp(-x**2 / (j + 1.0)) for j in range(params.components)])
+    phi = np.array([np.exp(-(x - shift)**2 / (j + 1.0)) for j in range(params.components)])
     omega = -1.0 if params.components == 1 else (-1.0, -1.3)
     model_for(params, g).lplus_solve(phi, omega, g, phi)
     (mat, precond), = seen
     assert np.max(np.abs(mat - mat.T)) <= 1e-13 * np.max(np.abs(mat))
     assert np.min(precond) > 0
+
+
+@pytest.mark.parametrize("case", ["p4.5", "coupled_1_1_2"])
+def test_minres_gets_a_symmetric_operator_and_a_positive_preconditioner(case, monkeypatch):
+    """MINRES needs both: the operator it is handed, written out column by
+    column on a small grid, is symmetric, and the symbol is positive."""
+    _check_the_operator_handed_to_minres(case, 0.0, monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["p4.5", "coupled_1_1_2"])
+def test_the_whole_grid_solve_hands_minres_a_symmetric_operator(case, monkeypatch):
+    """Off x = 0 the solve runs over the whole grid, with the kernel's
+    projector added: the operator is still symmetric."""
+    _check_the_operator_handed_to_minres(case, 0.3, monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["p4.5", "continued_asymmetric"])
+def test_the_whole_grid_solve_of_a_rolled_profile_is_the_rolled_even_solve(case):
+    prof = LPLUS_CASES[case]()
+    grid = prof.grid
+    model = model_for(prof.model, grid)
+    phi = np.real(prof.field.values)
+    rolled = np.roll(phi, 7, axis=1)
+    for j in range(len(phi)):
+        rhs = np.eye(len(phi))[j][:, None] * phi
+        want = np.roll(model.lplus_solve(phi, prof.omega, grid, rhs), 7, axis=1)
+        got = model.lplus_solve(rolled, prof.omega, grid, np.roll(rhs, 7, axis=1))
+        assert_close(got, want, 1e-10)
 
 
 def test_the_even_solve_returns_an_even_function():
@@ -201,4 +226,4 @@ def test_a_frequency_that_is_not_negative_is_named():
     assert cert.verdict == "indeterminate(solver)"
     assert "needs every omega_j < 0 (got (0.5, -1.0))" in cert.checks["error"]["detail"]
     with pytest.raises(ValueError, match="omega_j < 0"):
-        even_solve(line(256), 0.0, np.zeros((1, 1, 256)), np.ones((1, 256)))
+        fourier_solve(line(256), 0.0, np.zeros((1, 1, 256)), np.ones((1, 256)))

@@ -181,8 +181,9 @@ def test_lowest_eigenvalues_need_no_top_vectors_or_tangents(monkeypatch):
 def test_the_translation_tangent_by_fft_matches_the_dense_d1():
     for prof in (vk.soliton_solve(-1.0, 4.5, line()),
                  vk.boost(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()), 0.7)):
-        tangents, _ = model.model_for(prof.model, prof.grid).tangents(prof)
-        phi = model._rest_profile(prof)
+        desc = model.model_for(prof.model, prof.grid)
+        tangents, _ = desc.tangents(prof)
+        phi = desc.rest_profile(prof)
         d1 = dense.diff_matrices(prof.grid)[0]
         want = np.concatenate([d1 @ p for p in phi])
         got = tangents[-1][:phi.size]

@@ -226,6 +226,24 @@ def test_the_fd_stencil_solves_each_rest_member_once(make, solves):
         assert np.array_equal(fam.profile(xi).field.values, expected.field.values)
 
 
+def test_a_family_without_a_model_solves_each_xi():
+    """Family(solver, fd_step): solver maps xi itself to the member, one
+    solve per xi, and nothing is boosted."""
+    g = vk.make_grid("line", 20.0, 256)
+    calls = []
+
+    def solver(xi):
+        calls.append(tuple(xi))
+        return vk.boost(vk.soliton_solve(xi[0] + xi[1] ** 2 / 4.0, 3.0, g), xi[1])
+
+    fam = vk.Family(solver, 1e-4)
+    xi = np.array([-1.0, 0.5])
+    assert fam.profile(xi) is fam.profile(xi.copy())
+    assert calls == [(-1.0, 0.5)]
+    fd = vk.d2w_fd(fam, xi)
+    assert len(calls) == 5 and fd.signature == (1, 0, 1)
+
+
 def test_a_profile_is_checked_against_its_model():
     line = vk.make_grid("line", 20.0, 128)
     cubic = vk.soliton_explicit(-1.0, line)

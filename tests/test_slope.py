@@ -57,6 +57,30 @@ def test_resolvent_integral_is_the_mass_slope(p, n):
         assert abs(val + 1.0 / np.sqrt(2.0)) < 1e-10
 
 
+def test_a_profile_off_the_reflection_axis_has_the_slope_of_the_centered_one():
+    # the L+ solves run over the whole grid, with the translation kernel phi'
+    # projected out: a rolled profile is the centered one on the same grid
+    g = vk.make_grid("line", 20.0, 256)
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
+    target = (-1.0, -1.3, 0.0)
+    for rest, c in ((vk.soliton_solve(-1.0, 3.0, g), 0.0), (vk.soliton_solve(-1.0, 4.9, g), 0.7),
+                    (vk.continue_family(base, target).profile(target), 0.0)):
+        prof = vk.boost(rest, c)
+        rolled = vk.boost(vk.Profile(vk.Field(np.roll(rest.field.values, 7, axis=1), g),
+                                     rest.xi, rest.model), c)
+        want = vk.d2w_closed(prof).d2w
+        got = vk.d2w_closed(rolled).d2w
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if prof.model.components == 1:
+            # the continuum scaling law, to the resolution of n = 256 at p = 4.9
+            assert abs(got[0, 0] - single_slope(rolled)) < 1e-8
+    # centred half a grid spacing off x = 0, where no roll brings it back
+    x = g.nodes - 0.5 * g.spacing
+    shifted = vk.Profile(vk.Field((np.sqrt(2.0) / np.cosh(x))[None].astype(complex), g),
+                         np.array([-1.0, 0.0]), vk.SingleNLS(3.0))
+    assert abs(vk.d2w_closed(shifted).d2w[0, 0] - single_slope(shifted)) < 1e-9
+
+
 def test_symbolic_slope_sign_threshold():
     assert vk.vk_slope_sign(3.0, 1) == -1
     assert vk.vk_slope_sign(4.9, 1) == -1
