@@ -8,9 +8,10 @@ line the blocks are [L+, L-] for the single soliton and [L+ (both
 components), L-11, L-22] for the coupled soliton, each -d2 minus a pointwise
 coupling (`model.Pointwise`).  The torus wave has one block-circulant block,
 held as one 4 x 4 block per Fourier mode (`model.FourierModes`).  Without a
-grid (the so3 orbit) a block is a dense matrix.  Boosted solitons are
-handled by conjugating with the gauge phase exp(i c x / 2), so spectra are
-boost-independent.  `HessOp.apply` applies the blocks with no matrix.
+grid (the so3 orbit) a block is a dense matrix.  Boosted and phased
+profiles are handled by conjugating with the model's gauge phase (the
+boost's exp(i c x / 2) times each component's global phase), so spectra are
+independent of both.  `HessOp.apply` applies the blocks with no matrix.
 
 `spectrum` eigensolves parts, never the whole operator, and holds one part
 in memory at a time.  A line block of an even rest profile (decided on the
@@ -81,8 +82,8 @@ class HessOp:
     A block is a `model.Pointwise` or a `model.FourierModes` on the grid, or a
     dense matrix when there is no grid.  The blocks act on consecutive slices
     of stacked real vectors [Re u_1, .., Im u_1, ..] in the gauge-rotated
-    frame; `phase` carries the frame change for boosted profiles (identity
-    when c = 0).
+    frame; `phase` carries the frame change of the model's `gauge` (None
+    where it is the identity).
     """
 
     blocks: tuple

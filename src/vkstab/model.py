@@ -6,7 +6,8 @@ wave on the torus.  Each has H = kinetic term - int G(|u|), so each model
 object holds only its nonlinearity (the potential V_j(|u|), the Jacobian of
 V(phi) phi at a real profile, the primitive G) and its geometry (the line's,
 or the torus's covariant kinetic term with offset k).  `_Model` writes from
-them, once, the rest profile, the gradient of L_xi = H - xi . F, the
+them, once, the gauge phase (the boost's times each component's global
+phase) and the rest profile it leaves, the gradient of L_xi = H - xi . F, the
 stationary equation, L+ (the pointwise coupling of a Hessian block, and a
 matrix-free solve for the slope matrix), L-, the orbit tangents and the
 energy.  No Hessian block is built here as a matrix: a line block is its
@@ -154,10 +155,24 @@ class _Model:
         comps = len(phi)
         return self.jacobian(phi) + np.eye(comps)[:, :, None] * np.reshape(omega, (-1, 1, 1))
 
+    def gauge(self, prof):
+        """The phase that takes the rest profile to the field of an
+        equilibrium, one row per component, or None where it is 1: the
+        boost's exp(i c x / 2) times each component's global phase, the
+        phase of <u_j exp(-i c x / 2), 1>.  A field times a global phase is
+        the same orbit, and its rest profile is the same."""
+        boost = np.exp(0.5j * prof.c * prof.grid.nodes)
+        theta = np.angle(np.sum(prof.field.values * np.conj(boost), axis=1))
+        if prof.c == 0.0 and not np.any(theta):
+            return None
+        return boost * np.exp(1j * theta)[:, None]
+
     def rest_profile(self, prof) -> np.ndarray:
         """The real profile of an equilibrium, one row per component: its
-        field with the boost's gauge phase exp(i c x / 2) removed."""
-        return np.real(prof.field.values * np.exp(-0.5j * prof.c * prof.grid.nodes))
+        field with the `gauge` phase removed."""
+        gauge = self.gauge(prof)
+        vals = prof.field.values
+        return np.real(vals if gauge is None else vals * np.conj(gauge))
 
     def lplus_solve(self, phi: np.ndarray, omega, grid: Grid, rhs: np.ndarray) -> np.ndarray:
         """The y with L+ y = rhs at the profile phi, matrix-free (the slope
@@ -168,7 +183,7 @@ class _Model:
 
     def hessian(self, prof) -> list:
         """Diagonal blocks [L+, L-_1, ..] at an equilibrium, in the frame of
-        `tangents`: those of the rest profile, with the boost's gauge phase
+        `tangents`: those of the rest profile, with the `gauge` phase
         rotated away.  Each is -d2 minus its pointwise coupling, even when
         the rest profile is."""
         phi, omega = self.rest_profile(prof), prof.omega
@@ -207,15 +222,14 @@ class _Model:
         """(orbit tangents, gauge phase) at an equilibrium: the phase rotation
         i phi_j of each component of the rest profile phi, then, where it is a
         symmetry, the translation phi' (by FFT), as rows of stacked (Re, Im)
-        coordinates in the frame the phase rotates away (None when c = 0)."""
+        coordinates in the frame the `gauge` phase rotates away."""
         grid, phi = prof.grid, self.rest_profile(prof)
         zero = np.zeros_like(phi)
         rows = [np.concatenate([zero, np.where(np.arange(len(phi))[:, None] == j, phi, 0.0)])
                 for j in range(len(phi))]
         if self.translations:
             rows.append(np.concatenate([first_derivative(phi, grid), zero]))
-        phase = None if prof.c == 0.0 else np.exp(0.5j * prof.c * grid.nodes)
-        return np.array(rows).reshape(len(rows), -1), phase
+        return np.array(rows).reshape(len(rows), -1), self.gauge(prof)
 
     def linear_phases(self, grid: Grid, dt: float) -> np.ndarray:
         """Free flow over dt in Fourier space, one row per component."""
@@ -370,9 +384,9 @@ class CoupledTorus(_Coupled):
         return 0.5 * m.beta * dx * np.sum(np.abs(cov) ** 2, axis=(-2, -1))
 
     def rest_profile(self, prof) -> np.ndarray:
-        """The constant wave of amplitudes zeta (else the field's first column)."""
-        zeta = prof.zeta if prof.zeta is not None else np.real(prof.field.values[:, 0])
-        return np.outer(zeta, np.ones(prof.grid.n))
+        """The constant wave of the amplitudes of the field's first column,
+        with the `gauge` phase removed."""
+        return np.outer(super().rest_profile(prof)[:, 0], np.ones(prof.grid.n))
 
     def hessian(self, prof) -> list:
         """One block, block-circulant: L+ and L- with beta d2 in place of d2

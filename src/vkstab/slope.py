@@ -140,7 +140,7 @@ def vk_integral(prof: Profile) -> float:
         raise ValueError("Ldelta is degenerate for this coupling")
     grid = prof.grid
     omega = prof.omega[0]
-    scalar = np.real(prof.field.values[0] * np.exp(-0.5j * prof.c * grid.nodes)) / z1
+    scalar = model_for(m, grid).rest_profile(prof)[0] / z1
     pot = (3.0 - 2.0 * m.delta * s) * scalar**2       # Ldelta = -d2 - omega - pot
     y = fourier_solve(grid, omega, pot[None, None], scalar[None])[0]
     resid = np.max(np.abs(-second_derivative(y, grid) - (omega + pot) * y - scalar))

@@ -8,11 +8,13 @@ exact flow.  The flow is in closed form, because the oscillator and the
 coupling Poisson-commute: the isotropic oscillator followed by a rigid
 rotation about the conserved angular momentum, evaluated as arrays over all
 step times at once.  It conserves the angular momentum to roundoff at every
-time.
+time.  The distance of one state to the reference orbit is computed in
+Python floats, since numpy's per-call overhead exceeds its 40 flops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -82,6 +84,11 @@ class SO3State:
         mu = self.angular_momentum
         parts = _AxisParts.of(mu / np.linalg.norm(mu), np.array([self.q, self.p]))
         return _AxisParts(*(x.ravel() for x in parts))
+
+    @cached_property
+    def _reference_floats(self) -> _AxisParts:
+        """`_reference` as tuples of Python floats, for `_pair_distance`."""
+        return _AxisParts(*(tuple(x.tolist()) for x in self._reference))
 
 
 def _energy(state: SO3State, q: np.ndarray, p: np.ndarray):
@@ -185,6 +192,42 @@ def _flow(state: SO3State, q0: np.ndarray, p0: np.ndarray, t: np.ndarray) -> tup
     return q, p
 
 
+def _cross_columns(a, b) -> tuple:
+    """The columns of a x b, from the three columns (arrays or floats) of a
+    and of b."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _drift(state: SO3State, q0: np.ndarray, p0: np.ndarray, dt: float,
+           n_steps: int) -> float:
+    """max_k |q x p - F0| over the steps k = 1..n_steps of `_flow`, in one
+    pass over chunks of _DRIFT_CHUNK steps, with the flow and the cross
+    products written out over the component columns of q and p (`_flow`
+    projects on the axis by a matrix product, so the two agree to roundoff,
+    not to the bit).  NaN when the flow is."""
+    sw = np.sqrt(state.omega_pot)
+    f0 = np.cross(q0, p0)
+    nf = np.linalg.norm(f0)
+    peaks = []
+    for first in range(1, n_steps + 1, _DRIFT_CHUNK):
+        t = np.arange(first, min(first + _DRIFT_CHUNK, n_steps + 1)) * dt
+        c, s = np.cos(sw * t), np.sin(sw * t)
+        q = [qj * c + (pj / sw) * s for qj, pj in zip(q0, p0)]
+        p = [pj * c - sw * qj * s for qj, pj in zip(q0, p0)]
+        if nf != 0.0:
+            axis = f0 / nf
+            angle = (-2.0 * state.alpha * nf) * t
+            c, s = np.cos(angle), np.sin(angle)
+            for v in (q, p):        # par + c perp + s axis x perp, as in `_AxisParts`
+                dot = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
+                perp = [vj - dot * aj for vj, aj in zip(v, axis)]
+                v[:] = [dot * aj + c * pj + s * xj
+                        for aj, pj, xj in zip(axis, perp, _cross_columns(axis, perp))]
+        d = [fj - f0j for fj, f0j in zip(_cross_columns(q, p), f0)]
+        peaks.append(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
+    return float(np.sqrt(np.max(peaks, initial=0.0)))
+
+
 def integrate_so3(state: SO3State, dt: float, t_end: float,
                   q0: Optional[np.ndarray] = None, p0: Optional[np.ndarray] = None,
                   sample_stride: int = 10):
@@ -193,42 +236,64 @@ def integrate_so3(state: SO3State, dt: float, t_end: float,
     The state at t_k is the closed form of `_flow`, evaluated as arrays over
     the lattice rather than stepped: the samples are the steps k with
     k % sample_stride == 0 and the last step, at times k * dt, and t_end / dt
-    must be a non-negative integer (`core.step_count`).  The drift of the
-    angular momentum, max_k |q x p - F0| over every step, is evaluated in
-    chunks of _DRIFT_CHUNK steps, so memory grows with the samples only.
+    must be a non-negative integer (`core.step_count`).  q0 and p0 (default:
+    the state's) must be finite 3-vectors, else a ValueError.  The drift of
+    the angular momentum, max_k |q x p - F0| over every step, is evaluated in
+    chunks of _DRIFT_CHUNK steps (`_drift`), so memory grows with the samples
+    only; it is NaN when the flow is.
     Returns (times, qs, ps, energies, f_norm_drift).
     """
     q0 = np.array(state.q if q0 is None else q0, dtype=float)
     p0 = np.array(state.p if p0 is None else p0, dtype=float)
+    for name, v in (("q0", q0), ("p0", p0)):
+        if v.shape != (3,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be a finite 3-vector")
     n_steps = step_count(dt, t_end, sample_stride)
-    f0 = np.cross(q0, p0)
 
     steps = np.arange(0, n_steps + 1, sample_stride)
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     times = steps * dt
     qs, ps = _flow(state, q0, p0, times)
-
-    f_drift = 0.0
-    for first in range(1, n_steps + 1, _DRIFT_CHUNK):
-        t = np.arange(first, min(first + _DRIFT_CHUNK, n_steps + 1)) * dt
-        q, p = _flow(state, q0, p0, t)
-        f_drift = max(f_drift, float(np.max(np.linalg.norm(np.cross(q, p) - f0, axis=1))))
-    return times, qs, ps, _energy(state, qs, ps), f_drift
+    return times, qs, ps, _energy(state, qs, ps), _drift(state, q0, p0, dt, n_steps)
 
 
-def orbit_distance(state: SO3State, q: np.ndarray, p: np.ndarray):
+def _pair_distance(ref: _AxisParts, q: np.ndarray, p: np.ndarray) -> float:
+    """`orbit_distance` of one pair (q and p of shape (3,)) in Python floats,
+    from `SO3State._reference_floats`.  It builds no array and no container,
+    so the garbage collector never runs inside it."""
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (x0, x1, x2, x3, x4, x5) = ref
+    w0, w1, w2 = q.item(0), q.item(1), q.item(2)
+    w3, w4, w5 = p.item(0), p.item(1), p.item(2)
+    phi = math.atan2(w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4 + w5 * x5,
+                     w0 * b0 + w1 * b1 + w2 * b2 + w3 * b3 + w4 * b4 + w5 * b5)
+    c, s = math.cos(phi), math.sin(phi)
+    return math.hypot(a0 + c * b0 + s * x0 - w0, a1 + c * b1 + s * x1 - w1,
+                      a2 + c * b2 + s * x2 - w2, a3 + c * b3 + s * x3 - w3,
+                      a4 + c * b4 + s * x4 - w4, a5 + c * b5 + s * x5 - w5)
+
+
+def orbit_distance(state: SO3State, q, p):
     """Distance to the isotropy-group orbit of the reference circular orbit.
 
     Minimizes over the rotation angle about the angular-momentum axis in
-    closed form (the objective is a single harmonic in the angle).  q and p
-    may carry the same leading axes (last axis 3); a float for one pair.
+    closed form (the objective is a single harmonic in the angle), and
+    evaluates the difference of the two vectors at the optimal angle: the
+    difference of nearly equal vectors keeps full precision where the
+    expanded form cancels.  One pair (q and p of shape (3,), arrays or lists)
+    is computed in Python floats (`_pair_distance`: at 40 flops, numpy's
+    per-call overhead would be most of the cost) and returns a float; q and
+    p with the same leading axes (last axis 3) are computed as arrays and
+    return an array of the leading shape.  The two paths agree to roundoff
+    (`tests/test_so3.py::test_orbit_distance_on_stacked_states`).
     """
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    if q.shape[-1:] != (3,) or p.shape[-1:] != (3,):
+        raise ValueError("q and p must have a last axis of length 3")
+    if q.ndim == p.ndim == 1:
+        return _pair_distance(state._reference_floats, q, p)
     ref = state._reference
-    w = np.concatenate([np.asarray(q, dtype=float), np.asarray(p, dtype=float)], axis=-1)
+    w = np.concatenate([q, p], axis=-1)
     phi = np.arctan2(w @ ref.cross, w @ ref.perp)[..., None]
-    # evaluate at the optimal angle directly; the difference of nearly equal
-    # vectors keeps full precision where the expanded form cancels
     diff = ref.rotated(np.cos(phi), np.sin(phi)) - w
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    return float(d) if d.ndim == 0 else d
+    return np.sqrt(np.sum(diff * diff, axis=-1))

@@ -212,6 +212,58 @@ def test_rolled_soliton_certifies_like_the_centered_one():
     assert abs(h1b["margin"] - h1a["margin"]) <= 1e-10 * h1a["margin"]
 
 
+def _leaves(doc, path=""):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}/{key}")
+    elif isinstance(doc, list):
+        for j, value in enumerate(doc):
+            yield from _leaves(value, f"{path}[{j}]")
+    else:
+        yield path, doc
+
+
+def times_phases(prof, thetas):
+    """prof with component j times exp(i thetas_j): the same orbit."""
+    vals = prof.field.values * np.exp(1j * np.asarray(thetas))[:, None]
+    return vk.Profile(vk.Field(vals, prof.grid), prof.xi, prof.model, zeta=prof.zeta)
+
+
+def _phased_case(case):
+    line = vk.make_grid("line", 20.0, 256)
+    return {
+        "cubic": lambda: vk.soliton_solve(-1.0, 3.0, line),
+        "boosted": lambda: vk.boost(vk.soliton_solve(-1.0, 3.0, line), 0.5),
+        "coupled": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line),
+        "torus": lambda: vk.plane_wave(1.0, -1.0, vk.Coupled(-1.0, -1.0, -0.5),
+                                       vk.make_grid("periodic", 2.0 * np.pi, 128)),
+    }[case]()
+
+
+@pytest.mark.parametrize("case, thetas", [
+    ("cubic", (0.3,)), ("cubic", (np.pi / 2,)), ("cubic", (np.pi,)),
+    ("boosted", (0.3,)), ("coupled", (0.4, 1.1)), ("torus", (0.7, -2.0)),
+], ids=["cubic_0.3", "cubic_i", "cubic_-1", "boosted_0.3", "coupled_0.4_1.1",
+        "torus_0.7_-2"])
+def test_a_global_phase_certifies_like_the_unphased_profile(case, thetas):
+    # u_j exp(i theta_j) is the same orbit: the gauge removes each
+    # component's phase before the rest profile is read
+    prof = _phased_case(case)
+    a, b = (json.loads(vk.certify(p).to_json()) for p in (prof, times_phases(prof, thetas)))
+    assert b["verdict"] == a["verdict"] == "certified_coercive"
+    leaves_a, leaves_b = dict(_leaves(a)), dict(_leaves(b))
+    assert leaves_a.keys() == leaves_b.keys()
+    for path, x in leaves_a.items():
+        y = leaves_b[path]
+        if isinstance(x, float):
+            # the roundoff-level bounds (ritz_bound and asymmetry near 1e-16,
+            # angle_bound near 1e-9) move by roundoff
+            assert abs(x - y) <= 1e-9 * abs(x) + 1e-12, path
+        else:
+            assert x == y, path
+
+
 def test_certify_never_forms_the_dense_hessian(monkeypatch):
     """No n x n block: the parity parts come from the Fourier symbol, the
     torus mode by mode, and the package's one dense circulant (the fallback

@@ -18,6 +18,8 @@ from vkstab.dynamics import (
 )
 from vkstab.model import SingleLine, model_for
 
+from test_certify import times_phases
+
 
 def strang_reference(u0, params, dt, t_end, sample_stride=1):
     """The stepper without fused half-steps: two nonlinear half-steps per
@@ -237,16 +239,21 @@ def test_evolve_rejects_an_invalid_time_lattice(soliton, dt, t_end, stride):
         vk.evolve(soliton.field, soliton.model, dt=dt, t_end=t_end, sample_stride=stride)
 
 
-@pytest.mark.parametrize("case", ["cubic_n512", "boosted", "coupled_1_1_2", "torus"])
+@pytest.mark.parametrize("case", ["cubic_n512", "boosted", "coupled_1_1_2",
+                                  "coupled_1_1_2_phased", "torus"])
 def test_kernel_orthogonal_perturbation_builds_no_hessian(case, monkeypatch):
     from vkstab.model import CoupledLine, CoupledTorus, SingleLine
 
     line = vk.make_grid("line", 20.0, 512)
+    coupled = vk.Coupled(1.0, 1.0, 2.0)
     prof = {
         "cubic_n512": lambda: vk.soliton_solve(-1.0, 3.0, line),
         "boosted": lambda: vk.boost(vk.soliton_solve(-1.0, 3.0, line), 0.5),
         "coupled_1_1_2": lambda: vk.coupled_soliton(
-            -1.0, vk.Coupled(1.0, 1.0, 2.0), vk.make_grid("line", 20.0, 256)),
+            -1.0, coupled, vk.make_grid("line", 20.0, 256)),
+        # the tangents' frame carries each component's phase
+        "coupled_1_1_2_phased": lambda: times_phases(vk.coupled_soliton(
+            -1.0, coupled, vk.make_grid("line", 20.0, 256)), (0.4, 1.1)),
         "torus": lambda: vk.plane_wave(
             1.0, 1.0, vk.Coupled(-1.0, -1.0, -0.5), vk.make_grid("periodic", 2 * np.pi, 64)),
     }[case]()

@@ -99,7 +99,8 @@ NUMPY_BLAS_ALLOWED = {
         "_AxisParts.of": "3-vectors projected on the rotation axis",
         "grad_L6": "dot products of the 3-vectors q and p",
         "hessian6": "dot products of the 3-vectors q and p",
-        "orbit_distance": "6-vectors projected on the reference orbit's plane",
+        "orbit_distance": "stacked 6-vectors projected on the reference orbit's plane "
+                          "(one pair is computed in Python floats, with no product)",
     },
 }
 

@@ -305,14 +305,72 @@ def test_long_run_memory_grows_with_the_samples_only():
 
 
 def test_orbit_distance_on_stacked_states():
+    # one pair is computed in floats, stacked states as arrays: they agree
     orbit = vk.circular_orbit(1.0, 1.0, 1.0)
     _, qs, ps, _, _ = vk.integrate_so3(orbit, 1e-2, 10.0, *_perturbed_start(orbit),
                                        sample_stride=1)
+    z = np.array([0.0, 0.0, 1.0])           # the orbit's angular-momentum axis
+    special = [
+        (_rotate_about(z, 0.9, orbit.q), _rotate_about(z, 0.9, orbit.p)),   # on the orbit
+        (0.5 * z, -0.3 * z),                 # on the axis: the angle is atan2(0, 0)
+        (np.array([-1.0, 0.5, 0.2]), np.array([0.3, -0.8, 0.4])),         # far
+    ]
+    qs = np.vstack([qs] + [q for q, _ in special])
+    ps = np.vstack([ps] + [p for _, p in special])
     stacked = vk.orbit_distance(orbit, qs, ps)
     assert stacked.shape == (qs.shape[0],)
     loop = np.array([vk.orbit_distance(orbit, q, p) for q, p in zip(qs, ps)])
     assert isinstance(vk.orbit_distance(orbit, qs[0], ps[0]), float)
     assert np.max(np.abs(stacked - loop)) <= 1e-15
+    for q, p in special:
+        assert vk.orbit_distance(orbit, q.tolist(), p.tolist()) == vk.orbit_distance(orbit, q, p)
+
+    on_orbit, on_axis, far = loop[-3:]
+    assert on_orbit < 1e-15
+    # off the orbit's plane, |ref - w|^2 = |ref|^2 + |w|^2 at every angle
+    assert abs(on_axis - np.sqrt(2.0 + 0.5**2 + 0.3**2)) < 1e-15
+    # the expanded form |ref|^2 + |w|^2 - 2 |(w . perp, w . cross)|, which
+    # does not cancel this far from the orbit
+    (q, p) = special[2]
+    perp, cross = np.r_[orbit.q, orbit.p], np.r_[np.cross(z, orbit.q), np.cross(z, orbit.p)]
+    w = np.r_[q, p]
+    expanded = np.sqrt(2.0 + w @ w - 2.0 * np.hypot(w @ perp, w @ cross))
+    assert abs(far - expanded) < 1e-14
+    assert far > 0.5
+
+
+@pytest.mark.parametrize("q, p", [
+    ([1.0, 0.0], [0.0, 1.0]),                   # two components
+    ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0]),         # six in all, split 4 + 2
+    (np.ones((2, 4)), np.ones((2, 2))),         # stacked, split 4 + 2
+])
+def test_orbit_distance_rejects_a_state_without_three_components(q, p):
+    orbit = vk.circular_orbit(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="last axis of length 3"):
+        vk.orbit_distance(orbit, q, p)
+
+
+@pytest.mark.parametrize("q0, p0", [
+    ([np.nan, 0.0, 0.0], None),
+    (None, [0.0, np.inf, 0.0]),
+    ([1.0, 0.0], None),                     # a 2-vector
+    (None, [0.0, 1.0, 0.0, 0.0]),
+    (np.ones((1, 3)), None),
+])
+def test_integrator_rejects_a_start_that_is_not_a_finite_3_vector(q0, p0):
+    orbit = vk.circular_orbit(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="must be a finite 3-vector"):
+        vk.integrate_so3(orbit, 1e-2, 1.0, q0=q0, p0=p0)
+
+
+def test_a_flow_that_is_not_finite_shows_in_the_drift():
+    # a NaN coupling makes every rotated state NaN: the drift must say so
+    # rather than read 0
+    state = vk.SO3State(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]),
+                        alpha=np.nan, omega_pot=1.0, xi=np.zeros(3))
+    _, qs, _, _, f_drift = vk.integrate_so3(state, 1e-2, 1.0)
+    assert np.all(np.isnan(qs[1:]))
+    assert np.isnan(f_drift)
 
 
 @pytest.mark.parametrize("dt, t_end, stride", [
