@@ -158,11 +158,15 @@ class _Model:
     def gauge(self, prof):
         """The phase that takes the rest profile to the field of an
         equilibrium, one row per component, or None where it is 1: the
-        boost's exp(i c x / 2) times each component's global phase, the
-        phase of <u_j exp(-i c x / 2), 1>.  A field times a global phase is
-        the same orbit, and its rest profile is the same."""
+        boost's exp(i c x / 2) times each component's global phase theta_j,
+        half the phase of sum (u_j exp(-i c x / 2))^2.  That sum is
+        exp(2 i theta_j) |phi_j|^2 at a real phi_j, so theta_j is defined for
+        every profile, also one of zero mean, up to pi: a sign of phi_j.  A
+        field times a global phase is the same orbit, and its rest profile
+        is the same."""
         boost = np.exp(0.5j * prof.c * prof.grid.nodes)
-        theta = np.angle(np.sum(prof.field.values * np.conj(boost), axis=1))
+        rest = prof.field.values * np.conj(boost)
+        theta = 0.5 * np.angle(np.sum(rest * rest, axis=1))
         if prof.c == 0.0 and not np.any(theta):
             return None
         return boost * np.exp(1j * theta)[:, None]

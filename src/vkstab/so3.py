@@ -201,29 +201,14 @@ def _cross_columns(a, b) -> tuple:
 def _drift(state: SO3State, q0: np.ndarray, p0: np.ndarray, dt: float,
            n_steps: int) -> float:
     """max_k |q x p - F0| over the steps k = 1..n_steps of `_flow`, in one
-    pass over chunks of _DRIFT_CHUNK steps, with the flow and the cross
-    products written out over the component columns of q and p (`_flow`
-    projects on the axis by a matrix product, so the two agree to roundoff,
-    not to the bit).  NaN when the flow is."""
-    sw = np.sqrt(state.omega_pot)
+    pass over chunks of _DRIFT_CHUNK steps, with the cross products written
+    out over the component columns of q and p.  NaN when the flow is."""
     f0 = np.cross(q0, p0)
-    nf = np.linalg.norm(f0)
     peaks = []
     for first in range(1, n_steps + 1, _DRIFT_CHUNK):
         t = np.arange(first, min(first + _DRIFT_CHUNK, n_steps + 1)) * dt
-        c, s = np.cos(sw * t), np.sin(sw * t)
-        q = [qj * c + (pj / sw) * s for qj, pj in zip(q0, p0)]
-        p = [pj * c - sw * qj * s for qj, pj in zip(q0, p0)]
-        if nf != 0.0:
-            axis = f0 / nf
-            angle = (-2.0 * state.alpha * nf) * t
-            c, s = np.cos(angle), np.sin(angle)
-            for v in (q, p):        # par + c perp + s axis x perp, as in `_AxisParts`
-                dot = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
-                perp = [vj - dot * aj for vj, aj in zip(v, axis)]
-                v[:] = [dot * aj + c * pj + s * xj
-                        for aj, pj, xj in zip(axis, perp, _cross_columns(axis, perp))]
-        d = [fj - f0j for fj, f0j in zip(_cross_columns(q, p), f0)]
+        q, p = _flow(state, q0, p0, t)
+        d = [fj - f0j for fj, f0j in zip(_cross_columns(q.T, p.T), f0)]
         peaks.append(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
     return float(np.sqrt(np.max(peaks, initial=0.0)))
 
@@ -237,10 +222,10 @@ def integrate_so3(state: SO3State, dt: float, t_end: float,
     the lattice rather than stepped: the samples are the steps k with
     k % sample_stride == 0 and the last step, at times k * dt, and t_end / dt
     must be a non-negative integer (`core.step_count`).  q0 and p0 (default:
-    the state's) must be finite 3-vectors, else a ValueError.  The drift of
-    the angular momentum, max_k |q x p - F0| over every step, is evaluated in
-    chunks of _DRIFT_CHUNK steps (`_drift`), so memory grows with the samples
-    only; it is NaN when the flow is.
+    the state's) must be finite 3-vectors with a finite q0 x p0, else a
+    ValueError.  The drift of the angular momentum, max_k |q x p - F0| over
+    every step, is evaluated in chunks of _DRIFT_CHUNK steps (`_drift`), so
+    memory grows with the samples only; it is NaN when the flow is.
     Returns (times, qs, ps, energies, f_norm_drift).
     """
     q0 = np.array(state.q if q0 is None else q0, dtype=float)
@@ -248,6 +233,9 @@ def integrate_so3(state: SO3State, dt: float, t_end: float,
     for name, v in (("q0", q0), ("p0", p0)):
         if v.shape != (3,) or not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be a finite 3-vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(np.cross(q0, p0))):
+            raise ValueError("the angular momentum q0 x p0 must be finite")
     n_steps = step_count(dt, t_end, sample_stride)
 
     steps = np.arange(0, n_steps + 1, sample_stride)

@@ -238,20 +238,32 @@ def _phased_case(case):
         "coupled": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line),
         "torus": lambda: vk.plane_wave(1.0, -1.0, vk.Coupled(-1.0, -1.0, -0.5),
                                        vk.make_grid("periodic", 2.0 * np.pi, 128)),
+        "boosted_odd": lambda: vk.boost(_odd_pair(vk.soliton_solve(-1.0, 3.0, line)), 0.5),
     }[case]()
 
 
-@pytest.mark.parametrize("case, thetas", [
-    ("cubic", (0.3,)), ("cubic", (np.pi / 2,)), ("cubic", (np.pi,)),
-    ("boosted", (0.3,)), ("coupled", (0.4, 1.1)), ("torus", (0.7, -2.0)),
+def _odd_pair(prof):
+    """The soliton a quarter box to the right minus the one to the left: odd,
+    of zero mean, and no equilibrium, so it fails h2 and h4."""
+    s, vals = prof.grid.n // 4, prof.field.values
+    odd = np.roll(vals, s, axis=1) - np.roll(vals, -s, axis=1)
+    return vk.Profile(vk.Field(odd, prof.grid), prof.xi, prof.model)
+
+
+@pytest.mark.parametrize("case, thetas, verdict", [
+    ("cubic", (0.3,), "certified_coercive"), ("cubic", (np.pi / 2,), "certified_coercive"),
+    ("cubic", (np.pi,), "certified_coercive"), ("boosted", (0.3,), "certified_coercive"),
+    ("coupled", (0.4, 1.1), "certified_coercive"), ("torus", (0.7, -2.0), "certified_coercive"),
+    ("boosted_odd", (0.3,), "failed(h2,h4)"),
 ], ids=["cubic_0.3", "cubic_i", "cubic_-1", "boosted_0.3", "coupled_0.4_1.1",
-        "torus_0.7_-2"])
-def test_a_global_phase_certifies_like_the_unphased_profile(case, thetas):
+        "torus_0.7_-2", "boosted_odd_0.3"])
+def test_a_global_phase_certifies_like_the_unphased_profile(case, thetas, verdict):
     # u_j exp(i theta_j) is the same orbit: the gauge removes each
-    # component's phase before the rest profile is read
+    # component's phase before the rest profile is read, also where the
+    # component's mean is zero
     prof = _phased_case(case)
     a, b = (json.loads(vk.certify(p).to_json()) for p in (prof, times_phases(prof, thetas)))
-    assert b["verdict"] == a["verdict"] == "certified_coercive"
+    assert b["verdict"] == a["verdict"] == verdict
     leaves_a, leaves_b = dict(_leaves(a)), dict(_leaves(b))
     assert leaves_a.keys() == leaves_b.keys()
     for path, x in leaves_a.items():

@@ -222,13 +222,18 @@ def test_so3_rejects_an_invalid_time_lattice(tmp_path, dt, tend):
     assert not out.exists()
 
 
-def test_so3_rejects_a_start_that_overflows(tmp_path, capsys):
+@pytest.mark.parametrize("eps, message", [
     # at seed 0 the perturbation direction is shorter than 1, so this eps
     # overflows its scale and the start is not finite
+    (1.7e308, "q0 must be a finite 3-vector"),
+    # a finite start whose angular momentum q0 x p0 overflows
+    (1e200, "q0 x p0 must be finite"),
+])
+def test_so3_rejects_a_start_that_overflows(tmp_path, capsys, eps, message):
     out = tmp_path / "so3.json"
     with np.errstate(over="ignore"):
-        assert run(["--seed", 0, "so3", "--eps", 1.7e308, "--tend", 1, "--out", out]) == 2
-    assert "q0 must be a finite 3-vector" in capsys.readouterr().err
+        assert run(["--seed", 0, "so3", "--eps", eps, "--tend", 1, "--out", out]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -363,6 +363,12 @@ def test_integrator_rejects_a_start_that_is_not_a_finite_3_vector(q0, p0):
         vk.integrate_so3(orbit, 1e-2, 1.0, q0=q0, p0=p0)
 
 
+def test_integrator_rejects_a_start_whose_angular_momentum_overflows():
+    orbit = vk.circular_orbit(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="q0 x p0 must be finite"):
+        vk.integrate_so3(orbit, 1e-2, 1.0, q0=[1e200, 0.0, 0.0], p0=[0.0, 1e200, 0.0])
+
+
 def test_a_flow_that_is_not_finite_shows_in_the_drift():
     # a NaN coupling makes every rotated state NaN: the drift must say so
     # rather than read 0
