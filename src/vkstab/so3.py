@@ -192,12 +192,6 @@ def _flow(state: SO3State, q0: np.ndarray, p0: np.ndarray, t: np.ndarray) -> tup
     return q, p
 
 
-def _cross_columns(a, b) -> tuple:
-    """The columns of a x b, from the three columns (arrays or floats) of a
-    and of b."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def _drift(state: SO3State, q0: np.ndarray, p0: np.ndarray, dt: float,
            n_steps: int) -> float:
     """max_k |q x p - F0| over the steps k = 1..n_steps of `_flow`, in one
@@ -207,8 +201,8 @@ def _drift(state: SO3State, q0: np.ndarray, p0: np.ndarray, dt: float,
     peaks = []
     for first in range(1, n_steps + 1, _DRIFT_CHUNK):
         t = np.arange(first, min(first + _DRIFT_CHUNK, n_steps + 1)) * dt
-        q, p = _flow(state, q0, p0, t)
-        d = [fj - f0j for fj, f0j in zip(_cross_columns(q.T, p.T), f0)]
+        (q1, q2, q3), (p1, p2, p3) = (v.T for v in _flow(state, q0, p0, t))
+        d = (q2 * p3 - q3 * p2 - f0[0], q3 * p1 - q1 * p3 - f0[1], q1 * p2 - q2 * p1 - f0[2])
         peaks.append(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]))
     return float(np.sqrt(np.max(peaks, initial=0.0)))
 
