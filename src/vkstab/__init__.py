@@ -19,7 +19,7 @@ from .profiles import (
     soliton_explicit,
     soliton_solve,
 )
-from .hessian import HessOp, SpectralReport, assemble, grad_L, kernel_matches_orbit, lowest_eigenvalues, spectrum
+from .hessian import Eigenvalue, HessOp, SpectralReport, assemble, eigenvalue, grad_L, kernel_matches_orbit, spectrum
 from .slope import SlopeReport, d2w_closed, d2w_fd, d2w_tilde, vk_integral, vk_slope_sign
 from .planewave import ModeTable, c_plusminus, coercivity_condition, hessian_mode_eigs, linearization_eigs, mode_table
 from .dynamics import OrbitDistanceSeries, Trajectory, align_to_orbit, evolve, stability_experiment
@@ -32,8 +32,8 @@ __all__ = [
     "Coupled", "Field", "Grid", "SingleNLS", "inner", "invariants_of", "make_grid",
     "Family", "Profile", "SolverError", "boost", "continue_family",
     "coupled_soliton", "make_family", "plane_wave", "soliton_explicit", "soliton_solve",
-    "HessOp", "SpectralReport", "assemble", "grad_L", "kernel_matches_orbit",
-    "lowest_eigenvalues", "spectrum",
+    "Eigenvalue", "HessOp", "SpectralReport", "assemble", "eigenvalue", "grad_L",
+    "kernel_matches_orbit", "spectrum",
     "SlopeReport", "d2w_closed", "d2w_fd", "d2w_tilde", "vk_integral", "vk_slope_sign",
     "ModeTable", "c_plusminus", "coercivity_condition", "hessian_mode_eigs",
     "linearization_eigs", "mode_table",

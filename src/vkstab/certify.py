@@ -28,11 +28,12 @@ import numpy as np
 
 from .core import make_grid
 from .hessian import (
+    Eigenvalue,
     HessOp,
     SpectralReport,
     assemble,
+    eigenvalue,
     kernel_matches_orbit,
-    lowest_eigenvalues,
     spectrum,
 )
 from .model import model_for
@@ -77,7 +78,10 @@ class Certificate:
     def text_report(self) -> str:
         lines = [f"verdict: {self.verdict}"]
         for name, data in sorted(self.checks.items()):
-            lines.append(f"  {name}: {'ok' if data['ok'] else 'FAIL'}")
+            if name == "notes":
+                lines.extend(f"  note {key}: {note}" for key, note in sorted(data.items()))
+            else:
+                lines.append(f"  {name}: {'ok' if data['ok'] else 'FAIL'}")
         if self.gss:
             lines.append(
                 f"  stronger slope condition applies: {self.gss.get('applies')}"
@@ -85,20 +89,22 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _refined_gap(prof: Profile, index: int) -> float:
+def _refined_gap(prof: Profile, index: int, guess: float) -> Eigenvalue:
     """Hessian gap of the same equilibrium's rest member, re-solved on the
     doubled grid: its eigenvalue `index` from below, the base grid's negative
-    and kernel counts.  Its own kernel tolerance, which grows with the grid's
-    largest wavenumber, takes no part."""
+    and kernel counts, found by inertia from the base grid's gap `guess`.
+    Its own kernel tolerance, which grows with the grid's largest
+    wavenumber, takes no part."""
     grid = prof.grid
     fine = make_grid(grid.kind, grid.extent, 2 * grid.n)
     refined = model_for(prof.model, grid).resolve(prof, prof.omega, fine)
-    return float(lowest_eigenvalues(refined, index + 1)[index])
+    return eigenvalue(refined, index, guess)
 
 
 def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, xi,
                  provenance: dict,
-                 refinement: Optional[Tuple[int, Callable[[], float]]] = None) -> Certificate:
+                 refinement: Optional[Tuple[int, Callable[[], Eigenvalue]]] = None
+                 ) -> Certificate:
     """The four checks and the verdict, from the slope matrix and the Hessian
     of an equilibrium with generator xi.  `refinement` is (grid size, gap on
     that grid): the h3 gap must hold there too.  `provenance` adds to the
@@ -149,11 +155,12 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
     # h3: positive gap, stable under refinement
     gap = spec_rep.gap_pos
     h3_ok = np.isfinite(gap) and gap > spec_rep.ker_tol
-    ratio = fine_n = None
+    ratio = fine_n = solve = None
     if h3_ok and refinement is not None:
         fine_n, refined_gap = refinement
         try:
-            ratio = float(refined_gap() / gap)
+            solve = refined_gap()
+            ratio = float(solve.value / gap)
             h3_ok = abs(ratio - 1.0) <= 0.05
         except (SolverError, ValueError) as exc:
             h3_ok = False
@@ -166,6 +173,14 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
         "refinement_n": fine_n,
         "refinement_ratio": ratio,
     }
+    if solve is not None and solve.complement:
+        # how the line blocks' Schur complements reached the refined gap
+        checks["h3_positive_gap"].update({
+            "refinement_complement": list(solve.complement),
+            "refinement_secant_steps": solve.secant_steps,
+            "refinement_cg_iterations": solve.cg_iterations,
+            "refinement_residual": solve.residual,
+        })
     if not h3_ok and "h3" not in indeterminate:
         failed.append("h3")
     elif h3_ok and gap < MARGIN_FACTOR * spec_rep.ker_tol:
@@ -229,7 +244,8 @@ def certify(prof: Profile, *, refine: bool = True) -> Certificate:
         slope_rep, op, rep, prof.xi,
         {"refinement_surrogate": refine,
          "grid": {"kind": grid.kind, "extent": grid.extent, "n": grid.n}},
-        refinement=((2 * grid.n, lambda: _refined_gap(prof, rep.n_neg + rep.dim_ker))
+        refinement=((2 * grid.n,
+                     lambda: _refined_gap(prof, rep.n_neg + rep.dim_ker, rep.gap_pos))
                     if refine else None),
     )
 

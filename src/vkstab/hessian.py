@@ -42,10 +42,11 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .core import Field, Grid
-from .linalg import matvec
+from .linalg import SolverError, block_cg, gram, matvec
 from .model import FourierModes, Pointwise, field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
-from .spectral import even_part, kinetic_column, odd_part, second_derivative, whole_part
+from .spectral import (even_part, kinetic_column, odd_part, second_derivative, whole_coordinates,
+                       whole_part)
 
 __all__ = [
     "HessOp",
@@ -53,11 +54,16 @@ __all__ = [
     "grad_L",
     "assemble",
     "spectrum",
-    "lowest_eigenvalues",
+    "Eigenvalue",
+    "eigenvalue",
     "kernel_matches_orbit",
 ]
 
 LOW_SUBSET = 12             # eigenvalues first taken from the low end of each part
+# `eigenvalue`'s secant stops at |mu_index(sigma) - sigma| <= FIXED_POINT_RTOL
+# max(1, |sigma|), and fails after SECANT_MAXITER builds of the complements.
+FIXED_POINT_RTOL = 1e-13
+SECANT_MAXITER = 30
 
 # The residual is taken in the rest frame, where `assemble` builds the
 # Hessian: undoing the boost removes the gauge phase, which is discontinuous
@@ -360,14 +366,123 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     )
 
 
-def lowest_eigenvalues(prof: Profile, count: int) -> np.ndarray:
-    """The `count` lowest eigenvalues of the Hessian at an equilibrium,
-    ascending: each part's low end only, with no top eigenvalue and no orbit
-    tangents."""
+class Eigenvalue(NamedTuple):
+    """One eigenvalue of the Hessian, with how `eigenvalue` reached it."""
+
+    value: float
+    complement: tuple        # the Schur complement's size m, per line block
+    secant_steps: int        # builds of the complements
+    cg_iterations: int       # block CG iterations, over every block and build
+    residual: float          # the last |mu_index(sigma) - sigma|
+
+
+class _Complement:
+    """A line block H = -d2 (x) I_c - M(x) in the whole real Fourier
+    coordinates of `spectral.whole_coordinates`, split into its low modes
+    (k^2 <= k_c^2, m of them) and the rest: H = [[A, B], [B^T, D]], with
+    k_c^2 = top + 2 max(max_x lambda_max M(x), 0) + 1, so that D - sigma >= 1
+    for every sigma <= top.  `eigenvalues(sigma)` is the spectrum of
+    F(sigma) = A - B (D - sigma)^-1 B^T; H - sigma has as many negative
+    eigenvalues as F(sigma) - sigma (Haynsworth)."""
+
+    def __init__(self, block: Pointwise, grid: Grid, top: float):
+        self.coupling = coupling = block.coupling
+        c, _, n = coupling.shape
+        self.coords, self.values = whole_coordinates(n)
+        self.k2 = np.repeat(grid.wavenumbers[:n // 2 + 1] ** 2, 2)
+        real = np.ones(self.k2.size, dtype=bool)
+        real[[1, -1]] = False                  # Im of modes 0 and n/2
+        lam = np.max(np.linalg.eigvalsh(np.moveaxis(coupling, -1, 0))) if c > 1 \
+            else np.max(coupling)
+        kc2 = top + 2.0 * max(lam, 0.0) + 1.0
+        low = np.flatnonzero(real & (self.k2 <= kc2))
+        self.high = (real & (self.k2 > kc2)).astype(float)
+        self.size = c * low.size
+        # row (j, a): M applied to low mode a of component j, in coordinates
+        unit = np.zeros((low.size, self.k2.size))
+        unit[np.arange(low.size), low] = 1.0
+        basis = self.values(unit)
+        w = self.coords(coupling.transpose(1, 0, 2)[:, None] * basis[:, None])
+        w = w.reshape(self.size, c, -1)
+        a = np.diag(np.tile(self.k2[low], c)) - w[..., low].reshape(self.size, -1)
+        self.a = 0.5 * (a + a.T)
+        self.g = w * self.high                 # -B^T, row by row
+        self.y = np.zeros_like(self.g)
+        self.iterations = 0
+
+    def eigenvalues(self, sigma: float) -> np.ndarray:
+        """The eigenvalues of F(sigma), ascending, for sigma <= top.  Y =
+        (D - sigma)^-1 B^T is solved by block CG, preconditioned by k^2 -
+        sigma and started from the last sigma's Y; with its residual R, F =
+        A - G^T Y - Y^T R (G = -B^T) is off by R^T (D - sigma)^-1 R only."""
+        symbol = self.k2 - sigma
+        # each CG iteration writes into these: a fresh array of this size
+        # would cost its page faults every time
+        q, hv = np.empty_like(self.g), np.empty_like(self.g)
+        v, mv = (np.empty(self.g.shape[:-1] + self.coupling.shape[-1:]) for _ in range(2))
+
+        def shifted(y):
+            """(D - sigma) applied to the rows y, which vanish off the high
+            modes, into hv, which the next call overwrites."""
+            self.values(y, out=v, scratch=q)
+            out = self.coords(np.einsum("jkn,rkn->rjn", self.coupling, v, out=mv), out=hv)
+            out -= np.multiply(symbol, y, out=q)
+            out *= -self.high
+            return out
+
+        precond = np.where(self.high > 0.0, symbol, 1.0)
+        self.y, r, its = block_cg(shifted, self.g, precond, self.y)
+        self.iterations += its
+        rows = (self.size, -1)
+        f = self.a - gram(self.g.reshape(rows), self.y.reshape(rows)) \
+            - gram(self.y.reshape(rows), r.reshape(rows))
+        return scipy.linalg.eigvalsh(0.5 * (f + f.T))
+
+
+def eigenvalue(prof: Profile, index: int, guess: float) -> Eigenvalue:
+    """Eigenvalue `index` (0-based, ascending) of the Hessian at an
+    equilibrium, by inertia: no orbit tangents, and no part of a line block
+    held as a matrix beyond its m low modes.
+
+    mu(sigma) is the sorted union of every line block's Schur-complement
+    eigenvalues (`_Complement`) and every torus block's mode eigenvalues.
+    Each mu_j(sigma) - sigma decreases with slope <= -1, and its root is the
+    Hessian's eigenvalue j, so a secant from guess and mu_index(guess) finds
+    it; it stops when |mu_index - sigma| <= FIXED_POINT_RTOL max(1, |sigma|).
+    The window's top starts at 1.5 |guess| + 1 and doubles, with the
+    complements rebuilt, whenever a secant step leaves it or the complements
+    hold at most `index` eigenvalues, so the window never decides the value.
+    Raises SolverError when a block CG or the secant (SECANT_MAXITER builds)
+    does not converge."""
+    if not np.isfinite(guess):
+        raise ValueError(f"the eigenvalue's guess must be finite (got {guess})")
     _check_equilibrium(prof)
     blocks = model_for(prof.model, prof.grid).hessian(prof)
-    lows = [p.solve().eigenvalues(0, count - 1) for p in _parts(blocks, prof.grid)]
-    return np.sort(np.concatenate(lows))[:count]
+    fixed = [_ModeSpectrum(b.modes).values for b in blocks if isinstance(b, FourierModes)]
+    lines = [b for b in blocks if isinstance(b, Pointwise)]
+    if not lines:
+        return Eigenvalue(float(np.sort(np.concatenate(fixed))[index]), (), 0, 0, 0.0)
+    top, spent = 1.5 * abs(guess) + 1.0, 0
+    complements = [_Complement(b, prof.grid, top) for b in lines]
+    sigma, last, g = float(guess), None, np.inf
+    for step in range(1, SECANT_MAXITER + 1):
+        mu = np.sort(np.concatenate(fixed + [c.eigenvalues(sigma) for c in complements]))
+        if mu.size > index:
+            g = mu[index] - sigma
+            if abs(g) <= FIXED_POINT_RTOL * max(1.0, abs(sigma)):
+                return Eigenvalue(float(mu[index]), tuple(c.size for c in complements), step,
+                                  spent + sum(c.iterations for c in complements), float(abs(g)))
+            sigma, last = (mu[index] if last is None or g == last[1]
+                           else sigma - g * (sigma - last[0]) / (g - last[1])), (sigma, g)
+        if mu.size <= index or sigma > top:
+            top *= 2.0
+            while top < sigma:
+                top *= 2.0
+            spent += sum(c.iterations for c in complements)
+            complements = [_Complement(b, prof.grid, top) for b in lines]
+            last = None
+    raise SolverError(f"the refined eigenvalue did not converge in {SECANT_MAXITER} builds "
+                      f"(|mu - sigma| = {abs(g):.3e})")
 
 
 def kernel_matches_orbit(rep: SpectralReport, op: HessOp) -> bool:

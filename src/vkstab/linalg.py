@@ -25,12 +25,16 @@ import math
 import numpy as np
 from scipy.linalg import blas
 
-__all__ = ["SolverError", "matvec", "minres"]
+__all__ = ["SolverError", "block_cg", "gram", "matvec", "minres"]
 
 # MINRES stops when the preconditioned residual norm falls to MINRES_RTOL of
 # the right-hand side's, and fails after MINRES_MAXITER iterations.
 MINRES_RTOL = 1e-12
 MINRES_MAXITER = 500
+# Block CG stops when every row's residual norm falls to CG_RTOL of its
+# right-hand side's, and fails after CG_MAXITER iterations.
+CG_RTOL = 1e-9
+CG_MAXITER = 200
 
 
 class SolverError(RuntimeError):
@@ -40,6 +44,12 @@ class SolverError(RuntimeError):
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x for a real matrix a and vector x (a C-ordered a is not copied)."""
     return blas.dgemv(1.0, a.T, x, trans=1)
+
+
+def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for real C-ordered matrices a (k x n) and b (l x n): the inner
+    products of their rows (neither is copied)."""
+    return blas.dgemm(1.0, a.T, b.T, trans_a=1)
 
 
 def minres(apply, b: np.ndarray, precond: np.ndarray) -> np.ndarray:
@@ -84,3 +94,49 @@ def minres(apply, b: np.ndarray, precond: np.ndarray) -> np.ndarray:
             return x
     raise SolverError(f"MINRES did not converge in {MINRES_MAXITER} iterations "
                       f"(relative residual {phibar / beta1:.3e})")
+
+
+def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray) -> tuple:
+    """x with apply(x) = b for each row of b (its leading axis), apply a
+    symmetric positive definite operator on each row, acting on all rows at
+    once (its result may be a buffer that its next call overwrites):
+    preconditioned CG run on every row together from x0, with the positive
+    array precond (broadcast against b) as the diagonal M, M^-1 r = r /
+    precond.  Returns (x, the residual b - apply(x), iterations).  A row
+    whose residual has fallen to CG_RTOL of its b's stops moving; raises
+    SolverError naming the iterations and the largest relative residual
+    when the rows do not all get there."""
+    rows = len(b)
+
+    def dots(u, v):
+        return np.einsum("ij,ij->i", u.reshape(rows, -1), v.reshape(rows, -1))
+
+    def sized(coef):
+        return coef.reshape((-1,) + (1,) * (b.ndim - 1))
+
+    # the iterates are updated in place: each new array costs page faults
+    x = x0.copy()
+    r = b - apply(x)
+    p = r / precond
+    step = np.empty_like(b)
+    goal = CG_RTOL * np.sqrt(dots(b, b))
+    rz = dots(r, p)
+    for itn in range(CG_MAXITER + 1):
+        rnorm = np.sqrt(dots(r, r))
+        active = rnorm > goal
+        if not np.any(active):
+            return x, r, itn
+        if itn == CG_MAXITER:
+            break
+        ap = apply(p)
+        alpha = sized(np.divide(rz, dots(p, ap), out=np.zeros_like(rz), where=active))
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
+        z = np.divide(r, precond, out=step)
+        rz_next = dots(r, z)
+        p *= sized(np.divide(rz_next, rz, out=np.zeros_like(rz), where=active))
+        p += z
+        rz = rz_next
+    worst = np.max(rnorm / np.maximum(goal / CG_RTOL, np.finfo(float).tiny))
+    raise SolverError(f"block CG did not converge in {CG_MAXITER} iterations "
+                      f"(relative residual {worst:.3e})")

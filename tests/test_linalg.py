@@ -9,7 +9,7 @@ import scipy.linalg
 
 import vkstab as vk
 from vkstab import linalg
-from vkstab.linalg import matvec, minres
+from vkstab.linalg import block_cg, gram, matvec, minres
 
 
 @pytest.fixture
@@ -63,6 +63,53 @@ def test_matvec_matches_matmul(system):
     assert np.allclose(matvec(a, b), a @ b, rtol=1e-14, atol=1e-12)
     strided = a[::2, ::2]
     assert np.allclose(matvec(strided, b[::2]), strided @ b[::2], rtol=1e-14, atol=1e-12)
+
+
+def test_gram_matches_matmul(system):
+    a, _, b = system
+    rows = a[:40]
+    assert np.allclose(gram(rows, a[40:47]), rows @ a[40:47].T, rtol=1e-14, atol=1e-10)
+    assert gram(b, b).shape == (2, 2)
+    assert np.allclose(gram(b, b), b @ b.T, rtol=1e-14, atol=1e-12)
+
+
+@pytest.fixture
+def spd():
+    """A symmetric positive definite operator on rows of (2, 150) arrays,
+    the diagonal preconditioner it is dominated by, and five right-hand
+    sides, one of them 0."""
+    rng = np.random.default_rng(4)
+    diag = np.linspace(1.0, 1e3, 300)
+    g = rng.standard_normal((300, 300))
+    a = np.diag(diag) + 0.1 * np.sqrt(np.outer(diag, diag)) * (g + g.T) / np.sqrt(300)
+    b = rng.standard_normal((5, 2, 150))
+    b[2] = 0.0
+    return a, diag.reshape(2, 150), b
+
+
+def _apply_rows(a):
+    return lambda x: (x.reshape(len(x), -1) @ a).reshape(x.shape)
+
+
+def test_block_cg_matches_a_dense_solve_row_by_row(spd):
+    a, precond, b = spd
+    assert np.min(np.linalg.eigvalsh(a)) > 0
+    x, r, its = block_cg(_apply_rows(a), b, precond, np.zeros_like(b))
+    ref = scipy.linalg.solve(a, b.reshape(5, -1).T).T.reshape(b.shape)
+    assert 0 < its < linalg.CG_MAXITER
+    assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+    assert np.max(np.abs(r - (b - _apply_rows(a)(x)))) <= 1e-12 * np.max(np.abs(b))
+    assert not np.any(x[2]) and not np.any(r[2])
+    # started from the solution, it takes no iteration
+    assert block_cg(_apply_rows(a), b, precond, ref)[2] == 0
+
+
+def test_block_cg_that_does_not_converge_names_its_iterations_and_residual(monkeypatch, spd):
+    a, precond, b = spd
+    monkeypatch.setattr(linalg, "CG_MAXITER", 1)
+    with pytest.raises(vk.SolverError, match=r"block CG did not converge in 1 iterations "
+                                             r"\(relative residual \d\.\d{3}e[-+]\d\d\)"):
+        block_cg(_apply_rows(a), b, precond, np.zeros_like(b))
 
 
 def test_certify_makes_no_numpy_solve(monkeypatch):

@@ -155,26 +155,19 @@ def test_a_part_is_reduced_in_place_and_dropped(monkeypatch):
                    for v in vars(rep).values())
 
 
-def test_lowest_eigenvalues_need_no_top_vectors_or_tangents(monkeypatch):
+def test_eigenvalues_by_inertia_need_no_reduction_top_vectors_or_tangents(monkeypatch):
     prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 0.5), line())
     op = vk.assemble(prof)
     want = vk.spectrum(op, n_eigs=8).eigenvalues
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the low end asked for more than eigenvalues")
+        raise AssertionError("the eigenvalue asked for more than the Schur complements")
 
     monkeypatch.setattr(hessian, "_orbit_bounds", forbidden)
     monkeypatch.setattr(model._Model, "tangents", forbidden)
-    asked = []
-    tridiagonal = scipy.linalg.eigh_tridiagonal
-
-    def low_only(*args, **kwargs):
-        asked.append(kwargs["select_range"][0])
-        return tridiagonal(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", low_only)
-    got = vk.lowest_eigenvalues(prof, 8)
-    assert set(asked) == {0}
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", forbidden)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+    got = [vk.eigenvalue(prof, j, 1.0).value for j in range(8)]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -223,7 +216,7 @@ def test_the_refined_gap_by_index_is_the_refined_spectrum_gap(case):
     prof = LINE_CASES[case]()
     rep = vk.spectrum(vk.assemble(prof))
     fine = model.model_for(prof.model, prof.grid).resolve(prof, prof.omega, line(512))
-    by_index = vk.lowest_eigenvalues(fine, rep.n_neg + rep.dim_ker + 1)[-1]
+    by_index = vk.eigenvalue(fine, rep.n_neg + rep.dim_ker, rep.gap_pos).value
     assert by_index == pytest.approx(vk.spectrum(vk.assemble(fine)).gap_pos, rel=1e-12)
 
 
@@ -231,8 +224,9 @@ def test_the_refined_gap_by_index_is_the_refined_spectrum_gap(case):
     (vk.SingleNLS(3.0), 1024, 64), (vk.Coupled(1.0, 1.0, 2.0), 512, 48)],
     ids=["cubic_n1024", "coupled_1_1_2_n512"])
 def test_certify_holds_one_part_at_a_time(params, n, limit_mib):
-    """A warm certificate's peak traced allocation: the largest part of the
-    2n refinement (8.4 MB), not the dense blocks it was cut from."""
+    """A warm certificate's peak traced allocation: the rows of the 2n
+    refinement's Schur complements, and CG's iterates on them (9 and 17
+    MB), not the dense blocks the base grid's parts are cut from."""
     if isinstance(params, vk.SingleNLS):
         prof = vk.soliton_solve(-1.0, params.p, line(n))
     else:
