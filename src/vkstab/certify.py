@@ -12,10 +12,14 @@ boundary are reported as indeterminate rather than rounded to a side.  h1,
 h2 and h3 record the margin by which they clear their tolerance
 (`smallest_abs_eigenvalue / zero_tol`, the spectrum's `kernel_margin`,
 `gap / ker_tol`), h2 the orbit tangents' `ritz_bound` and `angle_bound`
-(`hessian.spectrum`), and h3 the size of its refinement grid.  The `gss` block
-restricts the slope matrix to the one-parameter subgroup generated by xi, the
-classical (Grillakis-Shatah-Strauss) condition's: it applies when that
-restricted index equals the Hessian's negative index.
+(`hessian.spectrum`), and h3 the size of its refinement grid.  h3's refined
+gap is found by inertia (`hessian.eigenvalue`, guessed at the base grid's
+gap), and for a line profile h3 records how: the Schur complement's size
+per block, the secant's builds, the CG iterations and the last fixed-point
+residual.  The `gss` block restricts the slope matrix to the one-parameter
+subgroup generated by xi, the classical (Grillakis-Shatah-Strauss)
+condition's: it applies when that restricted index equals the Hessian's
+negative index.
 """
 
 from __future__ import annotations

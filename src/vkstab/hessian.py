@@ -29,6 +29,16 @@ Whether the kernel is the orbit's tangent space (h2) is read from the
 tangents themselves: their Ritz values and residual bound how close as many
 eigenvalues lie to 0 (Kato-Temple) and the kernel's angle to them
 (Davis-Kahan).
+
+`eigenvalue` finds one eigenvalue (h3's gap on the doubled grid) by inertia,
+with no part built.  A line block, written in the whole real Fourier basis,
+splits into its low modes (A, m of them, m set by the window and the
+coupling, not by n) and the rest (D, positive definite below the window's
+top); Haynsworth's inertia additivity (1968) makes the count of eigenvalues
+below sigma that of the m x m Schur complement A - sigma - B (D - sigma)^-1
+B^T, whose D^-1 B^T block CG solves, preconditioned by the symbol k^2 -
+sigma.  A secant on the complement's eigenvalue then reaches the
+eigenvalue itself.  The torus block's modes give theirs directly.
 """
 
 from __future__ import annotations
@@ -392,8 +402,7 @@ class _Complement:
         self.k2 = np.repeat(grid.wavenumbers[:n // 2 + 1] ** 2, 2)
         real = np.ones(self.k2.size, dtype=bool)
         real[[1, -1]] = False                  # Im of modes 0 and n/2
-        lam = np.max(np.linalg.eigvalsh(np.moveaxis(coupling, -1, 0))) if c > 1 \
-            else np.max(coupling)
+        lam = np.max(np.linalg.eigvalsh(np.moveaxis(coupling, -1, 0)))
         kc2 = top + 2.0 * max(lam, 0.0) + 1.0
         low = np.flatnonzero(real & (self.k2 <= kc2))
         self.high = (real & (self.k2 > kc2)).astype(float)

@@ -1,21 +1,25 @@
-"""Dense matrix-vector products on scipy's BLAS, and MINRES.
+"""Dense products on scipy's BLAS, MINRES and block CG.
 
 numpy and scipy each load their own OpenBLAS, each with its own pool of
 worker threads, and a pool keeps its workers spinning for a while after each
 threaded call.  Alternating threaded calls between the two (a numpy product,
 a scipy eigensolve, numpy again) leaves one pool spinning while the other
 works; with as many BLAS threads as cores that stalls calls at random by tens
-to hundreds of milliseconds.  The eigensolves need scipy (the tridiagonal
-reduction `dsytrd` and its bisection), so the package's other dense O(n^2)
-and O(n^3) operations go through scipy as well, by `matvec` and
-`scipy.linalg`.  The torus's 4 x 4 mode blocks and the orbit tangents' Ritz
-matrix (one row and column per symmetry) are the exceptions: numpy's
-`eigvalsh` solves them, and so small a problem starts no BLAS thread.
+to hundreds of milliseconds.  The eigensolves need scipy (the base grid's
+tridiagonal reduction `dsytrd` and its bisection, the Schur complements'
+`eigvalsh`), so the package's other dense O(n^2) and O(n^3) operations go
+through scipy as well: `matvec`, `gram` (the Schur complements' inner
+products of rows) and `scipy.linalg`.  The torus's 4 x 4 mode blocks, the
+orbit tangents' Ritz matrix (one row and column per symmetry) and a coupled
+block's 2 x 2 pointwise couplings are the exceptions: numpy's `eigvalsh`
+solves them, and so small a problem starts no BLAS thread.
 
 The profile and slope solves build no matrix: `minres` solves a symmetric,
 possibly indefinite, operator given as a function, with a positive diagonal
-preconditioner (Paige & Saunders 1975).  It is written here, with its inner
-products as elementwise sums, so that it calls no BLAS at all.
+preconditioner (Paige & Saunders 1975), and `block_cg` a positive definite
+one for many right-hand sides at once (the high modes of a Schur
+complement).  Both are written here, with their inner products as
+elementwise sums, so that they call no BLAS at all.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ is the fallback for a profile that is not even.  The profile and slope
 solves use no matrix at all: `second_derivative` applies D2 by a real FFT,
 and `fourier_solve` solves -d2 - omega - J by MINRES in Fourier
 coordinates: on the even functions, or on the whole grid for a profile that
-is not even.  The dense D1 and D2 stay as public functions; the
-package itself calls neither.
+is not even, in the orthonormal real Fourier coordinates of
+`whole_coordinates`, which h3's Schur complements (`hessian.eigenvalue`)
+split into low and high modes.  The dense D1 and D2 stay as public
+functions; the package itself calls neither.
 """
 
 from __future__ import annotations
