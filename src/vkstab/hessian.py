@@ -74,6 +74,8 @@ LOW_SUBSET = 12             # eigenvalues first taken from the low end of each p
 # max(1, |sigma|), and fails after SECANT_MAXITER builds of the complements.
 FIXED_POINT_RTOL = 1e-13
 SECANT_MAXITER = 30
+# the share of that stop that the complements' block CG may take
+CG_SHARE = 0.1
 
 # The residual is taken in the rest frame, where `assemble` builds the
 # Hessian: undoing the boost removes the gauge phase, which is discontinuous
@@ -423,7 +425,11 @@ class _Complement:
         """The eigenvalues of F(sigma), ascending, for sigma <= top.  Y =
         (D - sigma)^-1 B^T is solved by block CG, preconditioned by k^2 -
         sigma and started from the last sigma's Y; with its residual R, F =
-        A - G^T Y - Y^T R (G = -B^T) is off by R^T (D - sigma)^-1 R only."""
+        A - G^T Y - Y^T R (G = -B^T) is off by R^T (D - sigma)^-1 R only,
+        whose 2-norm D - sigma >= 1 bounds by sum_i |r_i|^2.  Each row stops
+        at |r_i|^2 <= CG_SHARE FIXED_POINT_RTOL max(1, |sigma|) / rows, so
+        (by Weyl's inequality) no eigenvalue moves by more than CG_SHARE of
+        the secant's stop."""
         symbol = self.k2 - sigma
         # each CG iteration writes into these: a fresh array of this size
         # would cost its page faults every time
@@ -440,7 +446,8 @@ class _Complement:
             return out
 
         precond = np.where(self.high > 0.0, symbol, 1.0)
-        self.y, r, its = block_cg(shifted, self.g, precond, self.y)
+        tol = np.sqrt(CG_SHARE * FIXED_POINT_RTOL * max(1.0, abs(sigma)) / self.size)
+        self.y, r, its = block_cg(shifted, self.g, precond, self.y, tol)
         self.iterations += its
         rows = (self.size, -1)
         f = self.a - gram(self.g.reshape(rows), self.y.reshape(rows)) \

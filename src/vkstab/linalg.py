@@ -19,7 +19,10 @@ possibly indefinite, operator given as a function, with a positive diagonal
 preconditioner (Paige & Saunders 1975), and `block_cg` a positive definite
 one for many right-hand sides at once (the high modes of a Schur
 complement).  Both are written here, with their inner products as
-elementwise sums, so that they call no BLAS at all.
+elementwise sums, so that they call no BLAS at all.  Each stops at the
+accuracy its caller asks for: `minres` at a relative residual `rtol`
+(MINRES_RTOL unless a Newton step asks for less), `block_cg` at an absolute
+residual norm `tol` per row.
 """
 
 from __future__ import annotations
@@ -31,13 +34,11 @@ from scipy.linalg import blas
 
 __all__ = ["SolverError", "block_cg", "gram", "matvec", "minres"]
 
-# MINRES stops when the preconditioned residual norm falls to MINRES_RTOL of
-# the right-hand side's, and fails after MINRES_MAXITER iterations.
+# MINRES stops by default when the preconditioned residual norm falls to
+# MINRES_RTOL of the right-hand side's, and fails after MINRES_MAXITER
+# iterations; block CG fails after CG_MAXITER.
 MINRES_RTOL = 1e-12
 MINRES_MAXITER = 500
-# Block CG stops when every row's residual norm falls to CG_RTOL of its
-# right-hand side's, and fails after CG_MAXITER iterations.
-CG_RTOL = 1e-9
 CG_MAXITER = 200
 
 
@@ -56,11 +57,12 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return blas.dgemm(1.0, a.T, b.T, trans_a=1)
 
 
-def minres(apply, b: np.ndarray, precond: np.ndarray) -> np.ndarray:
+def minres(apply, b: np.ndarray, precond: np.ndarray, rtol: float = MINRES_RTOL) -> np.ndarray:
     """x with apply(x) = b, for apply a symmetric operator on arrays of b's
     shape, preconditioned by the positive array precond (the diagonal M, so
-    M^-1 r = r / precond).  Raises SolverError naming the iterations and the
-    relative residual, in the M^-1 norm, when it does not converge."""
+    M^-1 r = r / precond).  It stops when the residual, in the M^-1 norm,
+    falls to rtol of b's.  Raises SolverError naming the iterations and that
+    relative residual when it does not converge."""
     x = np.zeros_like(b)
     y = b / precond
     beta1 = math.sqrt(np.sum(b * y))
@@ -94,22 +96,22 @@ def minres(apply, b: np.ndarray, precond: np.ndarray) -> np.ndarray:
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + (cs * phibar) * w
         phibar = sn * phibar
-        if phibar <= MINRES_RTOL * beta1:
+        if phibar <= rtol * beta1:
             return x
     raise SolverError(f"MINRES did not converge in {MINRES_MAXITER} iterations "
                       f"(relative residual {phibar / beta1:.3e})")
 
 
-def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray) -> tuple:
+def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray, tol: float) -> tuple:
     """x with apply(x) = b for each row of b (its leading axis), apply a
     symmetric positive definite operator on each row, acting on all rows at
     once (its result may be a buffer that its next call overwrites):
     preconditioned CG run on every row together from x0, with the positive
     array precond (broadcast against b) as the diagonal M, M^-1 r = r /
     precond.  Returns (x, the residual b - apply(x), iterations).  A row
-    whose residual has fallen to CG_RTOL of its b's stops moving; raises
-    SolverError naming the iterations and the largest relative residual
-    when the rows do not all get there."""
+    whose residual norm has fallen to tol stops moving; raises SolverError
+    naming the iterations and the largest residual norm when the rows do not
+    all get there."""
     rows = len(b)
 
     def dots(u, v):
@@ -123,11 +125,10 @@ def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray) -> tuple
     r = b - apply(x)
     p = r / precond
     step = np.empty_like(b)
-    goal = CG_RTOL * np.sqrt(dots(b, b))
     rz = dots(r, p)
     for itn in range(CG_MAXITER + 1):
         rnorm = np.sqrt(dots(r, r))
-        active = rnorm > goal
+        active = rnorm > tol
         if not np.any(active):
             return x, r, itn
         if itn == CG_MAXITER:
@@ -141,6 +142,5 @@ def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray) -> tuple
         p *= sized(np.divide(rz_next, rz, out=np.zeros_like(rz), where=active))
         p += z
         rz = rz_next
-    worst = np.max(rnorm / np.maximum(goal / CG_RTOL, np.finfo(float).tiny))
     raise SolverError(f"block CG did not converge in {CG_MAXITER} iterations "
-                      f"(relative residual {worst:.3e})")
+                      f"(residual {np.max(rnorm):.3e}, tolerance {tol:.3e})")

@@ -23,7 +23,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Grid
-from .linalg import minres
+from .linalg import MINRES_RTOL, minres
 
 HALF_ROOT = np.sqrt(0.5)
 
@@ -134,9 +134,12 @@ def first_derivative(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def second_derivative(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """D2 v for real v (last axis on the grid), by a real FFT."""
-    k2 = grid.wavenumbers[:grid.n // 2 + 1] ** 2
-    return np.fft.irfft(-k2 * np.fft.rfft(v), grid.n)
+    """D2 v for real v (last axis on the grid), by a real FFT, with -k^2
+    scaling the transform's real view (the same values as the complex
+    product, at a fraction of its cost)."""
+    q = np.fft.rfft(v).view(float)
+    q *= np.repeat(-grid.wavenumbers[:grid.n // 2 + 1] ** 2, 2)
+    return np.fft.irfft(q.view(complex), grid.n)
 
 
 def whole_coordinates(n: int) -> tuple:
@@ -164,7 +167,7 @@ def whole_coordinates(n: int) -> tuple:
 
 
 def fourier_solve(grid: Grid, omega, jac: np.ndarray, rhs: np.ndarray,
-                  kernel=None) -> np.ndarray:
+                  kernel=None, rtol: float = MINRES_RTOL) -> np.ndarray:
     """The y with (-d2 - omega_j) y_j - sum_k jac_jk y_k = rhs_j, for a
     pointwise symmetric coupling jac (c x c x n), rhs (c x n) and omega_j < 0
     (a float, or one per component), by MINRES in orthonormal Fourier
@@ -175,7 +178,8 @@ def fourier_solve(grid: Grid, omega, jac: np.ndarray, rhs: np.ndarray,
     `kernel` (c x n) is that kernel at a profile that is not even, rhs and y
     are orthogonal to it, the unknown is the whole series (Re and Im
     interleaved), and |omega| times the projector onto the kernel, added to
-    the operator, makes it regular."""
+    the operator, makes it regular.  MINRES stops at the relative residual
+    rtol (a Newton step asks for less than the default)."""
     if not np.all(np.less(omega, 0.0)):
         raise ValueError(f"the Fourier solve needs every omega_j < 0 (got {omega})")
     n = grid.n
@@ -199,5 +203,5 @@ def fourier_solve(grid: Grid, omega, jac: np.ndarray, rhs: np.ndarray,
         out = symbol * q - coords(np.einsum("jkn,kn->jn", jac, values(q)))
         return out + (shift * np.sum(psi * q)) * psi if whole else out
 
-    y = values(minres(apply, coords(rhs), symbol))
+    y = values(minres(apply, coords(rhs), symbol, rtol))
     return y if whole else unfold(y[..., :h])

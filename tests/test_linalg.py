@@ -94,22 +94,25 @@ def _apply_rows(a):
 def test_block_cg_matches_a_dense_solve_row_by_row(spd):
     a, precond, b = spd
     assert np.min(np.linalg.eigvalsh(a)) > 0
-    x, r, its = block_cg(_apply_rows(a), b, precond, np.zeros_like(b))
+    tol = 1e-8
+    x, r, its = block_cg(_apply_rows(a), b, precond, np.zeros_like(b), tol)
     ref = scipy.linalg.solve(a, b.reshape(5, -1).T).T.reshape(b.shape)
     assert 0 < its < linalg.CG_MAXITER
+    assert np.max(np.linalg.norm(r.reshape(5, -1), axis=1)) <= tol
     assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
     assert np.max(np.abs(r - (b - _apply_rows(a)(x)))) <= 1e-12 * np.max(np.abs(b))
     assert not np.any(x[2]) and not np.any(r[2])
     # started from the solution, it takes no iteration
-    assert block_cg(_apply_rows(a), b, precond, ref)[2] == 0
+    assert block_cg(_apply_rows(a), b, precond, ref, tol)[2] == 0
 
 
 def test_block_cg_that_does_not_converge_names_its_iterations_and_residual(monkeypatch, spd):
     a, precond, b = spd
     monkeypatch.setattr(linalg, "CG_MAXITER", 1)
     with pytest.raises(vk.SolverError, match=r"block CG did not converge in 1 iterations "
-                                             r"\(relative residual \d\.\d{3}e[-+]\d\d\)"):
-        block_cg(_apply_rows(a), b, precond, np.zeros_like(b))
+                                             r"\(residual \d\.\d{3}e[-+]\d\d, "
+                                             r"tolerance 1\.000e-08\)"):
+        block_cg(_apply_rows(a), b, precond, np.zeros_like(b), 1e-8)
 
 
 def test_certify_makes_no_numpy_solve(monkeypatch):

@@ -77,10 +77,11 @@ def test_ldelta_solve_matches_the_folded_dense_lu(delta):
 def _check_the_operator_handed_to_minres(case, shift, monkeypatch):
     seen = []
 
-    def checked(apply, b, precond):
+    def checked(apply, b, precond, rtol):
         cols = [apply(e.reshape(b.shape)).ravel() for e in np.eye(b.size)]
         seen.append((np.array(cols).T, precond))
-        return linalg.minres(apply, b, precond)
+        assert rtol == linalg.MINRES_RTOL     # a slope solve is not a Newton step
+        return linalg.minres(apply, b, precond, rtol)
 
     monkeypatch.setattr(spectral, "minres", checked)
     g = line(32) if case == "p4.5" else vk.make_grid("line", 8.0, 32)
@@ -120,6 +121,19 @@ def test_the_whole_grid_solve_of_a_rolled_profile_is_the_rolled_even_solve(case)
         want = np.roll(model.lplus_solve(phi, prof.omega, grid, rhs), 7, axis=1)
         got = model.lplus_solve(rolled, prof.omega, grid, np.roll(rhs, 7, axis=1))
         assert_close(got, want, 1e-10)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+def test_the_second_derivative_is_the_complex_product_bitwise(n):
+    """-k^2 scales the real view of the transform: on every certify_grid
+    line grid (the base and 2n grids), for one profile and stacked rows, the
+    values are those of the complex product."""
+    grid = line(n)
+    rows = np.random.default_rng(n).standard_normal((3, 2, n))
+    k2 = grid.wavenumbers[:n // 2 + 1] ** 2
+    for v in (np.real(vk.soliton_explicit(-1.0, grid).field.values[0]), rows, rows[:, 0]):
+        want = np.fft.irfft(-k2 * np.fft.rfft(v), n)
+        assert np.array_equal(spectral.second_derivative(v, grid), want)
 
 
 def test_the_even_solve_returns_an_even_function():
@@ -199,10 +213,15 @@ MINRES_FAILURE = r"MINRES did not converge in 1 iterations \(relative residual \
 
 def test_a_failed_inner_solve_names_itself(monkeypatch):
     cubic = vk.soliton_explicit(-1.0, line(256))
-    cubic_slope = vk.d2w_closed(cubic)
+    # a soliton whose 2n re-solve takes a Newton step that needs more than
+    # one MINRES iteration
+    quartic = vk.soliton_solve(-2.0, 4.5, line(256))
+    quartic_slope = vk.d2w_closed(quartic)
     monkeypatch.setattr(linalg, "MINRES_MAXITER", 1)
+    # a Newton step whose MINRES needs more than one iteration (the cubic's
+    # needs only one)
     with pytest.raises(vk.SolverError, match=MINRES_FAILURE):
-        vk.soliton_solve(-1.0, 3.0, line(256))
+        vk.soliton_solve(-4.0, 5.1, line(512))
     # certify reports it as it reports a failed Newton: in the slope matrix,
     # which solves over L+ for every line model
     for prof in (vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line(256)), cubic):
@@ -211,8 +230,8 @@ def test_a_failed_inner_solve_names_itself(monkeypatch):
         assert "MINRES did not converge in 1 iterations" in cert.checks["error"]["detail"]
     # and, given the slope matrix, in the 2n refinement of h3
     monkeypatch.setattr(importlib.import_module("vkstab.certify"), "d2w_closed",
-                        lambda prof: cubic_slope)
-    cert = vk.certify(cubic)
+                        lambda prof: quartic_slope)
+    cert = vk.certify(quartic)
     assert cert.verdict == "indeterminate(h3)"
     assert "MINRES did not converge in 1 iterations" in cert.checks["notes"]["h3_refinement_error"]
 
