@@ -243,7 +243,7 @@ def certify(prof: Profile, *, refine: bool = True) -> Certificate:
             provenance={"error": str(exc)},
         )
     grid = prof.grid
-    rep = spectrum(op)
+    rep = spectrum(op, n_eigs=0)
     return _certificate(
         slope_rep, op, rep, prof.xi,
         {"refinement_surrogate": refine,
@@ -262,7 +262,7 @@ def certify_so3(rho: float, omega_pot: float, alpha: float) -> Certificate:
     op = HessOp((hessian6(state),), None, symmetry_tangent(state)[None], None)
     slope_rep = _report_from_matrix(w_so3(state.xi, omega_pot, alpha)[1], "closed_form")
     return _certificate(
-        slope_rep, op, spectrum(op), state.xi,
+        slope_rep, op, spectrum(op, n_eigs=0), state.xi,
         {"example": "so3_central_force", "rho": rho, "omega_pot": omega_pot, "alpha": alpha},
     )
 

@@ -21,7 +21,9 @@ part (n/2 - 1), each written from the Fourier symbol's first column
 not even, and a dense block, is one whole part.  Each part is built, reduced
 in place to tridiagonal form by Householder reflections (LAPACK `dsytrd`),
 queried and dropped: the tridiagonal gives the part's top eigenvalue (for
-the spectral radius) and its low end by bisection (`dstebz`).  The torus
+the spectral radius) and, by bisection (`dstebz`), its low end up to the
+first eigenvalue past the kernel tolerance, which is all the
+classification reads; `n_eigs` adds only displayed eigenvalues.  The torus
 block gives every eigenvalue at once, from its 4 x 4 mode blocks.  No
 eigenvector is computed.
 
@@ -37,8 +39,11 @@ coupling, not by n) and the rest (D, positive definite below the window's
 top); Haynsworth's inertia additivity (1968) makes the count of eigenvalues
 below sigma that of the m x m Schur complement A - sigma - B (D - sigma)^-1
 B^T, whose D^-1 B^T block CG solves, preconditioned by the symbol k^2 -
-sigma.  A secant on the complement's eigenvalue then reaches the
-eigenvalue itself.  The torus block's modes give theirs directly.
+sigma.  The block of an even profile never mixes cosines with sines, so
+its complement splits into a cosine and a sine sector, and one real
+transform carries a row of each.  A secant on the complement's eigenvalue
+then reaches the eigenvalue itself.  The torus block's modes give theirs
+directly.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ from .core import Field, Grid
 from .linalg import SolverError, block_cg, gram, matvec
 from .model import FourierModes, Pointwise, field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
-from .spectral import (even_part, kinetic_column, odd_part, second_derivative, whole_coordinates,
-                       whole_part)
+from .spectral import (even_part, kinetic_column, odd_part, second_derivative, unfold,
+                       whole_coordinates, whole_part)
 
 __all__ = [
     "HessOp",
@@ -69,7 +74,7 @@ __all__ = [
     "kernel_matches_orbit",
 ]
 
-LOW_SUBSET = 12             # eigenvalues first taken from the low end of each part
+LOW_SUBSET = 2              # eigenvalues first bisected at the low end of each part
 # `eigenvalue`'s secant stops at |mu_index(sigma) - sigma| <= FIXED_POINT_RTOL
 # max(1, |sigma|), and fails after SECANT_MAXITER builds of the complements.
 FIXED_POINT_RTOL = 1e-13
@@ -298,16 +303,21 @@ def _parts(blocks, grid: Optional[Grid]) -> list:
     return parts
 
 
-def _low_end(part: _Part, want: int, reach: float) -> tuple:
-    """(top eigenvalue, low end) of one part, built, reduced and dropped
-    here.  The low end holds the `want` lowest eigenvalues, doubled until it
-    passes reach or the part is exhausted."""
+def _low_end(part: _Part, reach: float, n_eigs: int) -> tuple:
+    """(top eigenvalue, low end, shown) of one part, built, reduced and
+    dropped here.  The low end holds the LOW_SUBSET lowest eigenvalues,
+    doubled until it passes reach or the part is exhausted; shown adds to it
+    the part's eigenvalues up to index n_eigs - 1, which only `eigenvalues`
+    displays."""
     red = part.solve()
     top = float(red.eigenvalues(red.size - 1, red.size - 1)[0])
-    vals = red.eigenvalues(0, want - 1)
+    vals = red.eigenvalues(0, LOW_SUBSET - 1)
     while vals[-1] <= reach and vals.size < red.size:
         vals = red.eigenvalues(0, 2 * vals.size - 1)
-    return top, vals
+    shown = vals
+    if min(n_eigs, red.size) > vals.size:
+        shown = np.concatenate([vals, red.eigenvalues(vals.size, n_eigs - 1)])
+    return top, vals, shown
 
 
 def _orbit_bounds(op: HessOp, separation: float) -> tuple:
@@ -336,18 +346,20 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     """Classify the low end of the Hessian's spectrum, and bound the kernel
     by the orbit tangents' Ritz values.
 
-    Parts are solved one at a time.  Each gives at least its LOW_SUBSET
-    lowest eigenvalues, and doubles that until its largest computed
-    eigenvalue is above 2e-6 of the Gershgorin bound (so above the kernel
-    tolerance) or the part is exhausted, so the negative, kernel and first
-    positive eigenvalues are all computed whatever n_eigs, which only trims
-    `eigenvalues`.  The Ritz bounds hold when dim_ker is the number of
-    tangents: the other eigenvalues are then those outside the kernel."""
+    Parts are solved one at a time.  Each bisects its LOW_SUBSET lowest
+    eigenvalues, and doubles that until its largest computed eigenvalue is
+    above 2e-6 of the Gershgorin bound (so above the kernel tolerance) or
+    the part is exhausted: the negative, kernel and first positive
+    eigenvalues are all computed, and the classification reads nothing
+    else.  n_eigs only adds the eigenvalues that `eigenvalues` displays, in
+    a bisection of their own, so the classification does not depend on it.
+    The Ritz bounds hold when dim_ker is the number of tangents: the other
+    eigenvalues are then those outside the kernel."""
     if n_eigs < 0:
         raise ValueError(f"n_eigs must not be negative (got {n_eigs})")
     parts = _parts(op.blocks, op.grid)
     reach = 2e-6 * max(p.bound for p in parts)
-    tops, lows = zip(*[_low_end(p, max(LOW_SUBSET, n_eigs), reach) for p in parts])
+    tops, lows, shown = zip(*[_low_end(p, reach, n_eigs) for p in parts])
 
     eigvals = np.sort(np.concatenate(lows))
     radius = max(max(tops), -eigvals[0])
@@ -366,7 +378,7 @@ def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
     ritz_bound, angle_bound = _orbit_bounds(
         op, min(gap_pos, -below.max() if below.size else np.inf))
     return SpectralReport(
-        eigenvalues=eigvals[:n_eigs].copy(),
+        eigenvalues=np.sort(np.concatenate(shown))[:n_eigs],
         n_neg=int(below.size),
         dim_ker=int(kernel.size),
         gap_pos=gap_pos,
@@ -395,28 +407,48 @@ class _Complement:
     k_c^2 = top + 2 max(max_x lambda_max M(x), 0) + 1, so that D - sigma >= 1
     for every sigma <= top.  `eigenvalues(sigma)` is the spectrum of
     F(sigma) = A - B (D - sigma)^-1 B^T; H - sigma has as many negative
-    eigenvalues as F(sigma) - sigma (Haynsworth)."""
+    eigenvalues as F(sigma) - sigma (Haynsworth).
+
+    An even M (taken on the half grid and reflected, as the parity parts
+    read it) maps cosines to cosines and sines to sines, so H never mixes
+    the cosine (Re) slots with the sine (Im) slots: they are two sectors,
+    and F is block-diagonal, one block per sector.  Each row of B^T, one low
+    mode of one component, lies in one sector, so a cosine row and a sine
+    row are packed into one row of coordinates and share one real
+    transform: packed row j holds low mode j of each sector.  A block that
+    is not even is one sector, whose rows are B^T's own.  m is the same
+    either way."""
 
     def __init__(self, block: Pointwise, grid: Grid, top: float):
-        self.coupling = coupling = block.coupling
-        c, _, n = coupling.shape
+        c, _, n = block.coupling.shape
+        self.sectors = sectors = 2 if block.even else 1
+        self.coupling = coupling = (unfold(block.coupling[..., :n // 2 + 1]) if block.even
+                                    else block.coupling)
         self.coords, self.values = whole_coordinates(n)
         self.k2 = np.repeat(grid.wavenumbers[:n // 2 + 1] ** 2, 2)
         real = np.ones(self.k2.size, dtype=bool)
         real[[1, -1]] = False                  # Im of modes 0 and n/2
         lam = np.max(np.linalg.eigvalsh(np.moveaxis(coupling, -1, 0)))
         kc2 = top + 2.0 * max(lam, 0.0) + 1.0
-        low = np.flatnonzero(real & (self.k2 <= kc2))
+        sector = np.arange(self.k2.size) % sectors
+        lows = [np.flatnonzero(real & (self.k2 <= kc2) & (sector == s)) for s in range(sectors)]
         self.high = (real & (self.k2 > kc2)).astype(float)
-        self.size = c * low.size
-        # row (j, a): M applied to low mode a of component j, in coordinates
-        unit = np.zeros((low.size, self.k2.size))
-        unit[np.arange(low.size), low] = 1.0
+        self.size = c * sum(low.size for low in lows)
+        packed = max(low.size for low in lows)
+        unit = np.zeros((packed, self.k2.size))
+        for low in lows:
+            unit[np.arange(low.size), low] = 1.0
         basis = self.values(unit)
-        w = self.coords(coupling.transpose(1, 0, 2)[:, None] * basis[:, None])
-        w = w.reshape(self.size, c, -1)
-        a = np.diag(np.tile(self.k2[low], c)) - w[..., low].reshape(self.size, -1)
-        self.a = 0.5 * (a + a.T)
+        # row (j, a): M applied to packed row j of component a, in coordinates
+        w = self.coords(np.einsum("bax,jx->jabx", coupling, basis, order="C"))
+        w = w.reshape(c * packed, c, -1)
+        self.a = []
+        for s, low in enumerate(lows):
+            m = c * low.size
+            a = np.diag(np.repeat(self.k2[low], c)) \
+                - w[:m, :, low].transpose(0, 2, 1).reshape(m, m)
+            self.a.append(0.5 * (a + a.T))
+            w[m:, :, s::sectors] = 0.0         # the packed rows this sector leaves empty
         self.g = w * self.high                 # -B^T, row by row
         self.y = np.zeros_like(self.g)
         self.iterations = 0
@@ -426,10 +458,10 @@ class _Complement:
         (D - sigma)^-1 B^T is solved by block CG, preconditioned by k^2 -
         sigma and started from the last sigma's Y; with its residual R, F =
         A - G^T Y - Y^T R (G = -B^T) is off by R^T (D - sigma)^-1 R only,
-        whose 2-norm D - sigma >= 1 bounds by sum_i |r_i|^2.  Each row stops
-        at |r_i|^2 <= CG_SHARE FIXED_POINT_RTOL max(1, |sigma|) / rows, so
-        (by Weyl's inequality) no eigenvalue moves by more than CG_SHARE of
-        the secant's stop."""
+        whose 2-norm D - sigma >= 1 bounds by sum_i |r_i|^2.  Each row of
+        each sector stops at |r_i|^2 <= CG_SHARE FIXED_POINT_RTOL max(1,
+        |sigma|) / m, so (by Weyl's inequality) no eigenvalue moves by more
+        than CG_SHARE of the secant's stop."""
         symbol = self.k2 - sigma
         # each CG iteration writes into these: a fresh array of this size
         # would cost its page faults every time
@@ -447,12 +479,16 @@ class _Complement:
 
         precond = np.where(self.high > 0.0, symbol, 1.0)
         tol = np.sqrt(CG_SHARE * FIXED_POINT_RTOL * max(1.0, abs(sigma)) / self.size)
-        self.y, r, its = block_cg(shifted, self.g, precond, self.y, tol)
+        self.y, r, its = block_cg(shifted, self.g, precond, self.y, tol, self.sectors)
         self.iterations += its
-        rows = (self.size, -1)
-        f = self.a - gram(self.g.reshape(rows), self.y.reshape(rows)) \
-            - gram(self.y.reshape(rows), r.reshape(rows))
-        return scipy.linalg.eigvalsh(0.5 * (f + f.T))
+        blocks = []
+        for s, a in enumerate(self.a):
+            m = len(a)
+            g, y, r_s = (np.ascontiguousarray(x[:m, ..., s::self.sectors]).reshape(m, -1)
+                         for x in (self.g, self.y, r))
+            f = a - gram(g, y) - gram(y, r_s)
+            blocks.append(scipy.linalg.eigvalsh(0.5 * (f + f.T)))
+        return np.sort(np.concatenate(blocks))
 
 
 def eigenvalue(prof: Profile, index: int, guess: float) -> Eigenvalue:

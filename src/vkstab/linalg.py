@@ -18,11 +18,14 @@ The profile and slope solves build no matrix: `minres` solves a symmetric,
 possibly indefinite, operator given as a function, with a positive diagonal
 preconditioner (Paige & Saunders 1975), and `block_cg` a positive definite
 one for many right-hand sides at once (the high modes of a Schur
-complement).  Both are written here, with their inner products as
-elementwise sums, so that they call no BLAS at all.  Each stops at the
-accuracy its caller asks for: `minres` at a relative residual `rtol`
-(MINRES_RTOL unless a Newton step asks for less), `block_cg` at an absolute
-residual norm `tol` per row.
+complement), each of whose rows may interleave independent systems
+(sectors: the cosine and sine rows that an even Schur complement packs
+into one transform), each with its own step lengths and stop.  Both are
+written here, with their inner products as elementwise sums, so that they
+call no BLAS at all.  Each stops at the accuracy its caller asks for:
+`minres` at a relative residual `rtol` (MINRES_RTOL unless a Newton step
+asks for less), `block_cg` at an absolute residual norm `tol` per row and
+sector.
 """
 
 from __future__ import annotations
@@ -102,23 +105,32 @@ def minres(apply, b: np.ndarray, precond: np.ndarray, rtol: float = MINRES_RTOL)
                       f"(relative residual {phibar / beta1:.3e})")
 
 
-def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray, tol: float) -> tuple:
+def block_cg(apply, b: np.ndarray, precond: np.ndarray, x0: np.ndarray, tol: float,
+             sectors: int = 1) -> tuple:
     """x with apply(x) = b for each row of b (its leading axis), apply a
     symmetric positive definite operator on each row, acting on all rows at
     once (its result may be a buffer that its next call overwrites):
     preconditioned CG run on every row together from x0, with the positive
     array precond (broadcast against b) as the diagonal M, M^-1 r = r /
-    precond.  Returns (x, the residual b - apply(x), iterations).  A row
-    whose residual norm has fallen to tol stops moving; raises SolverError
-    naming the iterations and the largest residual norm when the rows do not
-    all get there."""
-    rows = len(b)
+    precond.  The last axis may interleave `sectors` systems that apply and
+    precond never mix (slot i is in sector i % sectors): each (row, sector)
+    then keeps its own step lengths, as a row of its own would.  Returns (x,
+    the residual b - apply(x), iterations).  A (row, sector) whose residual
+    norm has fallen to tol stops moving; raises SolverError naming the
+    iterations and the largest residual norm when they do not all get there."""
+    rows, width = len(b), b.shape[-1]
 
     def dots(u, v):
-        return np.einsum("ij,ij->i", u.reshape(rows, -1), v.reshape(rows, -1))
+        """(rows, sectors): the inner products of u's and v's rows, sector by
+        sector."""
+        u, v = u.reshape(rows, -1, sectors), v.reshape(rows, -1, sectors)
+        return np.stack([np.einsum("ij,ij->i", u[..., s], v[..., s]) for s in range(sectors)],
+                        axis=1)
 
     def sized(coef):
-        return coef.reshape((-1,) + (1,) * (b.ndim - 1))
+        """(rows, sectors) coefficients spread over the slots of b's rows:
+        tiled, so that the products below run over contiguous slots."""
+        return np.tile(coef, width // sectors).reshape((rows,) + (1,) * (b.ndim - 2) + (width,))
 
     # the iterates are updated in place: each new array costs page faults
     x = x0.copy()

@@ -18,6 +18,8 @@ functions; the package itself calls neither.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
@@ -114,16 +116,27 @@ def whole_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return _pointwise(kinetic, coupling)
 
 
+# `unfold`'s index and `even_scale` depend on the size alone, and every
+# Newton and slope solve reads them: each is built once per size, read-only
+@lru_cache(maxsize=16)
+def _unfold_index(h: int) -> np.ndarray:
+    index = np.r_[0:h, h - 2:0:-1]
+    index.setflags(write=False)
+    return index
+
+
 def unfold(half: np.ndarray) -> np.ndarray:
     """The even full-grid vector(s) with the half-grid values `half` (last axis)."""
-    h = half.shape[-1]
-    return half[..., np.r_[0:h, h - 2:0:-1]]
+    return half[..., _unfold_index(half.shape[-1])]
 
 
+@lru_cache(maxsize=16)
 def even_scale(n: int) -> np.ndarray:
     """sqrt of the number of grid points each of the n/2 + 1 half-grid points
-    (or cosine modes) of an even function stands for."""
-    return np.r_[1.0, np.full(n // 2 - 1, np.sqrt(2.0)), 1.0]
+    (or cosine modes) of an even function stands for (read-only)."""
+    scale = np.r_[1.0, np.full(n // 2 - 1, np.sqrt(2.0)), 1.0]
+    scale.setflags(write=False)
+    return scale
 
 
 def first_derivative(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -240,6 +240,43 @@ def test_subset_size_does_not_come_from_n_eigs(case):
     assert (few.n_neg, few.dim_ker, few.gap_pos) == (many.n_neg, many.dim_ker, many.gap_pos)
 
 
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_the_classification_does_not_depend_on_n_eigs(case):
+    """n_eigs adds displayed eigenvalues only: every field the checks read
+    is the same, bit for bit, from none of them to all of them."""
+    op = vk.assemble(ORACLE_CASES[case]())
+    sizes = (0, 1, 12, op.dimension)
+    reports = [vk.spectrum(op, n_eigs=k) for k in sizes]
+    read = ("n_neg", "dim_ker", "gap_pos", "ker_tol", "kernel_margin", "ritz_bound",
+            "angle_bound", "parts")
+    for rep in reports[1:]:
+        assert [getattr(rep, f) for f in read] == [getattr(reports[0], f) for f in read]
+    assert tuple(rep.eigenvalues.size for rep in reports) == sizes
+
+
+def test_certify_bisects_only_what_the_classification_reads(monkeypatch):
+    """Each part of the cubic soliton holds at most one eigenvalue at or
+    below the kernel tolerance: certify bisects it, the first above it and
+    the part's top, and nothing that only `eigenvalues` would display."""
+    prof = vk.soliton_solve(-1.0, 3.0, _line(512))
+    calls = []
+    tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def counted(d, e, **kwargs):
+        calls.append((d.size, kwargs["select_range"]))
+        return tridiagonal(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    cert = vk.certify(prof)
+    assert cert.certified
+    tops = [i for i, (size, (lo, hi)) in enumerate(calls) if lo == hi == size - 1]
+    assert len(tops) == len(cert.provenance["spectrum_parts"]) == 4
+    for start, end in zip(tops, tops[1:] + [len(calls)]):
+        low = [select for _, select in calls[start + 1:end]]
+        assert low and all(lo == 0 for lo, _ in low)
+        assert sum(hi - lo + 1 for lo, hi in low) <= 2
+
+
 def test_low_end_grows_until_it_passes_the_kernel(monkeypatch):
     # two negative and three kernel directions: one eigenpair per part is
     # too few, so each part's subset doubles until it reaches the gap, each

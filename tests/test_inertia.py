@@ -2,6 +2,8 @@
 oracle: the values, the counts below a shift, the window that grows, and a
 refinement that does not converge."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -51,20 +53,30 @@ def _case(case):
     return _refined(base), rep.eigenvalues[:index + 2], index
 
 
+@functools.cache
+def _dense(case):
+    """`_case`, with every eigenvalue of its profile's dense oracle."""
+    prof, guesses, index = _case(case)
+    return prof, guesses, index, np.linalg.eigvalsh(dense.matrix(prof))
+
+
+def _shifts(want, index):
+    """Shifts between the clusters of the low end (the kernel's eigenvalues
+    lie within roundoff of each other), and one at the window's top."""
+    low = want[:index + 2]
+    return [0.5 * (a + b) for a, b in zip(low, low[1:]) if b - a > 1e-6] + [low[-1] + 1e-3]
+
+
 @pytest.mark.parametrize("case", ORACLE_LINES + list(CERTIFY_GRID_LINES))
 def test_the_eigenvalues_by_inertia_match_the_dense_oracle(case):
-    prof, guesses, index = _case(case)
-    want = np.linalg.eigvalsh(dense.matrix(prof))
+    prof, guesses, index, want = _dense(case)
     floor = np.finfo(float).eps * np.max(np.abs(want))
     for j in range(index + 2):
         got = vk.eigenvalue(prof, j, guesses[j])
         assert abs(got.value - want[j]) <= max(1e-9 * abs(want[j]), floor), j
         assert got.residual <= hessian.FIXED_POINT_RTOL * max(1.0, abs(got.value))
-    # the complements count the eigenvalues below a shift: between the
-    # clusters of the low end (the kernel's eigenvalues lie within
-    # roundoff of each other), and at the window's top
-    low = want[:index + 2]
-    shifts = [0.5 * (a + b) for a, b in zip(low, low[1:]) if b - a > 1e-6] + [low[-1] + 1e-3]
+    # the complements count the eigenvalues below a shift
+    shifts = _shifts(want, index)
     top = max(shifts)
     blocks = model_for(prof.model, prof.grid).hessian(prof)
     complements = [hessian._Complement(b, prof.grid, top) for b in blocks
@@ -72,6 +84,66 @@ def test_the_eigenvalues_by_inertia_match_the_dense_oracle(case):
     for sigma in shifts:
         below = sum(int(np.sum(c.eigenvalues(sigma) < sigma)) for c in complements)
         assert below == np.sum(want < sigma), sigma
+
+
+EVEN_LINES = [case for case in ORACLE_LINES + list(CERTIFY_GRID_LINES) if case != "rolled"]
+
+
+@pytest.mark.parametrize("case", EVEN_LINES)
+def test_the_sectors_give_the_single_sector_complement(case):
+    """An even block's complement, split into its cosine and sine sectors,
+    has the eigenvalues, the size and the CG iterations of the same block
+    forced onto one sector."""
+    prof, _, index, want = _dense(case)
+    shifts = _shifts(want, index)
+    for block in model_for(prof.model, prof.grid).hessian(prof):
+        if not isinstance(block, Pointwise):
+            continue
+        assert block.even
+        split = hessian._Complement(block, prof.grid, max(shifts))
+        whole = hessian._Complement(Pointwise(block.coupling, even=False), prof.grid,
+                                    max(shifts))
+        assert split.size == whole.size
+        for sigma in shifts:
+            got, ref = split.eigenvalues(sigma), whole.eigenvalues(sigma)
+            # eigvalsh knows an eigenvalue far above the window, where F's
+            # norm lies (42 for p = 6), to a few eps |F| only
+            bound = 1e-13 * np.maximum(max(1.0, abs(sigma)), np.abs(ref))
+            assert np.all(np.abs(got - ref) <= bound), sigma
+        assert split.iterations == whole.iterations
+
+
+@pytest.mark.parametrize("case, rows", [("cubic", [24, 15]), ("coupled_1_1_2", [48, 15, 15])])
+def test_a_cg_application_transforms_one_row_per_cosine_and_sine_row(monkeypatch, case, rows):
+    """Packed rows per real transform of each line block's complement, at the
+    window of a guess of 1: L+ holds 47 rows of B^T (94 on two components)
+    and L- 29, one more cosine than sine row each."""
+    transformed = []
+    whole_coordinates = hessian.whole_coordinates
+
+    def counted(n):
+        coords, values = whole_coordinates(n)
+
+        def counted_coords(v, out=None):
+            transformed.append(len(v))
+            return coords(v, out)
+
+        def counted_values(q, out=None, scratch=None):
+            transformed.append(len(q))
+            return values(q, out, scratch)
+
+        return counted_coords, counted_values
+
+    monkeypatch.setattr(hessian, "whole_coordinates", counted)
+    prof = ORACLE_CASES[case]()
+    blocks = model_for(prof.model, prof.grid).hessian(prof)
+    for block, want in zip(blocks, rows, strict=True):
+        complement = hessian._Complement(block, prof.grid, 1.5 + 1.0)
+        transformed.clear()
+        complement.eigenvalues(1.0)
+        # one values and one coords call per application: the start's
+        # residual, then one per iteration
+        assert transformed == [want] * 2 * (complement.iterations + 1)
 
 
 def test_the_window_doubles_when_the_guess_is_half_the_eigenvalue(monkeypatch):

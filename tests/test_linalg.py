@@ -115,6 +115,67 @@ def test_block_cg_that_does_not_converge_names_its_iterations_and_residual(monke
         block_cg(_apply_rows(a), b, precond, np.zeros_like(b), 1e-8)
 
 
+@pytest.fixture
+def sectors():
+    """Two positive definite systems of 150 unknowns each, interleaved on the
+    last axis of (6, 300) rows (sector 0 on the even slots, sector 1 on the
+    odd ones) by an operator that never mixes them, its preconditioner,
+    and right-hand sides with an empty sector in row 3 and an empty row 5."""
+    rng = np.random.default_rng(5)
+    mats = []
+    for scale in (0.1, 0.3):
+        diag = np.linspace(1.0, 1e3, 150)
+        g = rng.standard_normal((150, 150))
+        mats.append(np.diag(diag)
+                    + scale * np.sqrt(np.outer(diag, diag)) * (g + g.T) / np.sqrt(150))
+    precond = np.tile(np.linspace(1.0, 1e3, 150), (2, 1)).T.ravel()
+
+    def apply(x):
+        out = np.empty_like(x)
+        for s, a in enumerate(mats):
+            out[:, s::2] = x[:, s::2] @ a
+        return out
+
+    b = rng.standard_normal((6, 300))
+    b[3, 1::2] = 0.0
+    b[5] = 0.0
+    return mats, apply, precond, b
+
+
+def test_block_cg_with_sectors_matches_a_dense_solve_row_by_row(sectors):
+    """Each (row, sector) is solved as its own system would be."""
+    mats, apply, precond, b = sectors
+    tol = 1e-8
+    x, r, its = block_cg(apply, b, precond, np.zeros_like(b), tol, 2)
+    assert 0 < its < linalg.CG_MAXITER
+    for s, a in enumerate(mats):
+        ref = scipy.linalg.solve(a, b[:, s::2].T).T
+        assert np.max(np.abs(x[:, s::2] - ref)) <= 1e-8 * np.max(np.abs(ref))
+        assert np.max(np.linalg.norm(r[:, s::2], axis=1)) <= tol
+    assert np.max(np.abs(r - (b - apply(x)))) <= 1e-12 * np.max(np.abs(b))
+    assert not np.any(x[3, 1::2]) and not np.any(x[5]) and not np.any(r[5])
+    # one sector alone takes as many iterations as it does interleaved: its
+    # step lengths are its own
+    alone = [block_cg(lambda y, a=a: y @ a, b[:, s::2], precond[s::2],
+                      np.zeros((6, 150)), tol)[2] for s, a in enumerate(mats)]
+    assert its == max(alone)
+
+
+def test_each_sector_stops_on_its_own_residual(sectors):
+    """A (row, sector) started at its solution does not move while the
+    other sector of the same row iterates."""
+    mats, apply, precond, b = sectors
+    x0 = np.zeros_like(b)
+    x0[:, 1::2] = scipy.linalg.solve(mats[1], b[:, 1::2].T).T
+    x, r, its = block_cg(apply, b, precond, x0, 1e-8, 2)
+    assert its > 0
+    assert np.array_equal(x[:, 1::2], x0[:, 1::2])
+    assert np.max(np.linalg.norm(r[:, ::2], axis=1)) <= 1e-8
+    # as one sector, a row shares its step lengths: its solved half moves
+    moved = block_cg(apply, b, precond, x0, 1e-8)[0]
+    assert not any(np.array_equal(moved[i, 1::2], x0[i, 1::2]) for i in range(3))
+
+
 def test_certify_makes_no_numpy_solve(monkeypatch):
     """The Newton, slope and refinement solves share one BLAS with the
     eigensolves."""

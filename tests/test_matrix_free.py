@@ -208,6 +208,29 @@ def test_profile_and_slope_solves_build_no_dense_matrix(monkeypatch):
     assert vk.d2w_closed(vk.soliton_solve(-1.0, 3.0, line(512))).d2w[0, 0] == pytest.approx(1.0)
 
 
+def test_a_second_solve_at_the_same_n_builds_nothing(monkeypatch):
+    """The even solve's scale and unfold index are built once per n, and
+    read-only."""
+    builds = []
+    r_ = np.r_
+
+    class Counted:
+        def __getitem__(self, key):
+            builds.append(key)
+            return r_[key]
+
+    spectral.even_scale.cache_clear()
+    spectral._unfold_index.cache_clear()
+    monkeypatch.setattr(np, "r_", Counted())
+    first = vk.soliton_solve(-1.0, 3.0, line(256))
+    assert len(builds) == 2
+    second = vk.soliton_solve(-1.0, 3.0, line(256))
+    assert len(builds) == 2
+    assert np.array_equal(first.field.values, second.field.values)
+    assert not spectral.even_scale(256).flags.writeable
+    assert not spectral._unfold_index(129).flags.writeable
+
+
 MINRES_FAILURE = r"MINRES did not converge in 1 iterations \(relative residual \d\.\d{3}e-\d\d\)"
 
 
