@@ -484,7 +484,7 @@ class _Complement:
         blocks = []
         for s, a in enumerate(self.a):
             m = len(a)
-            g, y, r_s = (np.ascontiguousarray(x[:m, ..., s::self.sectors]).reshape(m, -1)
+            g, y, r_s = (np.ascontiguousarray(x.reshape(len(x), -1, self.sectors)[:m, :, s])
                          for x in (self.g, self.y, r))
             f = a - gram(g, y) - gram(y, r_s)
             blocks.append(scipy.linalg.eigvalsh(0.5 * (f + f.T)))

@@ -113,6 +113,17 @@ def test_the_sectors_give_the_single_sector_complement(case):
         assert split.iterations == whole.iterations
 
 
+def test_a_window_below_the_first_sine_mode_leaves_its_sector_empty():
+    """On a line of length 2, k_1^2 = pi^2 lies above k_c^2 = 0.5 + 2 * 3 +
+    1 for the coupling 3 sech^2 at top 0.5: the sine sector holds no row."""
+    grid = vk.make_grid("line", 1.0, 64)
+    coupling = (3.0 / np.cosh(grid.nodes) ** 2)[None, None]
+    split = hessian._Complement(Pointwise(coupling, even=True), grid, 0.5)
+    whole = hessian._Complement(Pointwise(coupling, even=False), grid, 0.5)
+    assert [len(a) for a in split.a] == [1, 0] and split.size == whole.size == 1
+    assert split.eigenvalues(0.3) == pytest.approx(whole.eigenvalues(0.3), abs=1e-13)
+
+
 @pytest.mark.parametrize("case, rows", [("cubic", [24, 15]), ("coupled_1_1_2", [48, 15, 15])])
 def test_a_cg_application_transforms_one_row_per_cosine_and_sine_row(monkeypatch, case, rows):
     """Packed rows per real transform of each line block's complement, at the
