@@ -11,11 +11,14 @@ finite-difference slope stays the cross-check.  Verdicts near a decision
 boundary are reported as indeterminate rather than rounded to a side.  h1,
 h2 and h3 record the margin by which they clear their tolerance
 (`smallest_abs_eigenvalue / zero_tol`, the spectrum's `kernel_margin`,
-`gap / ker_tol`), h2 the orbit tangents' `ritz_bound` and `angle_bound`
-(`hessian.spectrum`), and h3 the size of its refinement grid.  h3's refined
-gap is found by inertia (`hessian.eigenvalue`, guessed at the base grid's
-gap), and for a line profile h3 records how: the Schur complement's size
-per block, the secant's builds, the CG iterations and the last fixed-point
+`gap / ker_tol`); ker_tol bounds the kernel's eigenvalues and comes from
+their accuracy, not from the grid (`hessian.spectrum`).  h2 records the
+orbit tangents' `ritz_bound` and `angle_bound` and the `separation` of the
+nearest eigenvalue outside the kernel, h3 the gap's `gap_error` and the
+size of its refinement grid.  h3's refined gap is found by inertia
+(`hessian.eigenvalue`, Newton's method from the base grid's gap), and for a
+line profile h3 records how: the Schur complement's size per block, the
+builds (`refinement_secant_steps`), the CG iterations and the last
 residual.  The `gss` block restricts the slope matrix to the one-parameter
 subgroup generated by xi, the classical (Grillakis-Shatah-Strauss)
 condition's: it applies when that restricted index equals the Hessian's
@@ -96,9 +99,7 @@ class Certificate:
 def _refined_gap(prof: Profile, index: int, guess: float) -> Eigenvalue:
     """Hessian gap of the same equilibrium's rest member, re-solved on the
     doubled grid: its eigenvalue `index` from below, the base grid's negative
-    and kernel counts, found by inertia from the base grid's gap `guess`.
-    Its own kernel tolerance, which grows with the grid's largest
-    wavenumber, takes no part."""
+    and kernel counts, found by inertia from the base grid's gap `guess`."""
     grid = prof.grid
     fine = make_grid(grid.kind, grid.extent, 2 * grid.n)
     refined = model_for(prof.model, grid).resolve(prof, prof.omega, fine)
@@ -138,15 +139,19 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
         indeterminate.append("h1")
 
     # h2: kernel equals the orbit tangent, by the tangents' Ritz and
-    # Davis-Kahan bounds.  An eigenvalue within MARGIN_FACTOR of ker_tol
-    # makes the kernel and negative counts, so h2 and h4 both, undecided.
+    # Davis-Kahan bounds.  The counts are decided when the nearest
+    # eigenvalue outside the kernel clears MARGIN_FACTOR ker_tol; else h2
+    # and h4 both are undecided.  A tangent that misses the kernel fails h2,
+    # and a Ritz bound inside the separation by less than MARGIN_FACTOR
+    # leaves it undecided.
     h2_ok = kernel_matches_orbit(spec_rep, op)
-    counts_sharp = spec_rep.kernel_margin >= MARGIN_FACTOR
+    counts_sharp = spec_rep.separation >= MARGIN_FACTOR * spec_rep.ker_tol
     checks["h2_kernel_equals_orbit"] = {
         "ok": bool(h2_ok),
         "dim_ker": spec_rep.dim_ker,
         "n_symmetries": int(op.symmetry_tangent.shape[0]),
         "ker_tol": spec_rep.ker_tol,
+        "separation": spec_rep.separation,
         "margin": spec_rep.kernel_margin,
         "ritz_bound": spec_rep.ritz_bound,
         "angle_bound": spec_rep.angle_bound,
@@ -155,6 +160,8 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
         indeterminate.append("h2")
     elif not h2_ok:
         failed.append("h2")
+    elif spec_rep.kernel_margin < MARGIN_FACTOR:
+        indeterminate.append("h2")
 
     # h3: positive gap, stable under refinement
     gap = spec_rep.gap_pos
@@ -173,7 +180,8 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
     checks["h3_positive_gap"] = {
         "ok": bool(h3_ok),
         "gap": float(gap),
-        "margin": float(gap / spec_rep.ker_tol),
+        "gap_error": float(spec_rep.gap_error),
+        "margin": float(gap / spec_rep.ker_tol) if spec_rep.ker_tol > 0.0 else np.inf,
         "refinement_n": fine_n,
         "refinement_ratio": ratio,
     }
@@ -185,10 +193,12 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
             "refinement_cg_iterations": solve.cg_iterations,
             "refinement_residual": solve.residual,
         })
-    if not h3_ok and "h3" not in indeterminate:
-        failed.append("h3")
-    elif h3_ok and gap < MARGIN_FACTOR * spec_rep.ker_tol:
-        indeterminate.append("h3")
+    # a gap within MARGIN_FACTOR of ker_tol is not told apart from the kernel
+    if "h3" not in indeterminate:
+        if np.isfinite(gap) and gap < MARGIN_FACTOR * spec_rep.ker_tol:
+            indeterminate.append("h3")
+        elif not h3_ok:
+            failed.append("h3")
 
     # h4: index match
     h4_ok = p_w == spec_rep.n_neg
@@ -235,6 +245,7 @@ def certify(prof: Profile, *, refine: bool = True) -> Certificate:
     try:
         slope_rep = d2w_closed(prof)
         op = assemble(prof)
+        rep = spectrum(op, n_eigs=0)
     except (SolverError, ValueError) as exc:
         return Certificate(
             checks={"error": {"ok": False, "detail": str(exc)}},
@@ -243,7 +254,6 @@ def certify(prof: Profile, *, refine: bool = True) -> Certificate:
             provenance={"error": str(exc)},
         )
     grid = prof.grid
-    rep = spectrum(op, n_eigs=0)
     return _certificate(
         slope_rep, op, rep, prof.xi,
         {"refinement_surrogate": refine,

@@ -13,55 +13,45 @@ profiles are handled by conjugating with the model's gauge phase (the
 boost's exp(i c x / 2) times each component's global phase), so spectra are
 independent of both.  `HessOp.apply` applies the blocks with no matrix.
 
-`spectrum` eigensolves parts, never the whole operator, and holds one part
-in memory at a time.  A line block of an even rest profile (decided on the
-profile) splits into an even part (n/2 + 1 points per component) and an odd
-part (n/2 - 1), each written from the Fourier symbol's first column
-(`spectral.even_part`, `spectral.odd_part`); a block of a profile that is
-not even, and a dense block, is one whole part.  Each part is built, reduced
-in place to tridiagonal form by Householder reflections (LAPACK `dsytrd`),
-queried and dropped: the tridiagonal gives the part's top eigenvalue (for
-the spectral radius) and, by bisection (`dstebz`), its low end up to the
-first eigenvalue past the kernel tolerance, which is all the
-classification reads; `n_eigs` adds only displayed eigenvalues.  The torus
-block gives every eigenvalue at once, from its 4 x 4 mode blocks.  No
-eigenvector is computed.
+Every eigenvalue comes from one engine, Schur-complement inertia.  A line
+block, written in the whole real Fourier basis, splits into its low modes
+(A, m of them, m set by a window and the coupling, not by n) and the rest
+(D, positive definite below the window's top); by Haynsworth's inertia
+additivity (1968) as many eigenvalues lie below sigma as F(sigma) - sigma
+has negative ones, F(sigma) = A - B (D - sigma)^-1 B^T the m x m Schur
+complement, whose (D - sigma)^-1 B^T block CG solves, preconditioned by the
+symbol k^2 - sigma (`_Complement`).  The block of an even profile never mixes cosines
+with sines, so its complement splits into a cosine (even) and a sine (odd)
+sector, and one real transform carries a row of each.  F(tau) - tau,
+linearized at sigma with the slope -(1 + Y^T Y) that the solve already
+holds, has for roots one Newton step on each eigenvalue, each with a bound
+on its distance from the eigenvalue that does not grow with n.  The torus
+block's eigenvalues come from its 4 x 4 mode blocks and a gridless block's
+from one eigvalsh, each known to its roundoff.  No eigenvector is computed.
 
-Whether the kernel is the orbit's tangent space (h2) is read from the
-tangents themselves: their Ritz values and residual bound how close as many
-eigenvalues lie to 0 (Kato-Temple) and the kernel's angle to them
-(Davis-Kahan).
-
-`eigenvalue` finds one eigenvalue (h3's gap on the doubled grid) by inertia,
-with no part built.  A line block, written in the whole real Fourier basis,
-splits into its low modes (A, m of them, m set by the window and the
-coupling, not by n) and the rest (D, positive definite below the window's
-top); Haynsworth's inertia additivity (1968) makes the count of eigenvalues
-below sigma that of the m x m Schur complement A - sigma - B (D - sigma)^-1
-B^T, whose D^-1 B^T block CG solves, preconditioned by the symbol k^2 -
-sigma.  The block of an even profile never mixes cosines with sines, so
-its complement splits into a cosine and a sine sector, and one real
-transform carries a row of each.  A secant on the complement's eigenvalue
-then reaches the eigenvalue itself.  The torus block's modes give theirs
-directly.
+`spectrum` classifies from one linearization at 0: the counts below 0 are
+exact, the kernel is the eigenvalues nearest 0 (as many as the orbit has
+tangents), and its tolerance is their own bound.  Whether that kernel is
+the orbit's tangent space (h2) is read from the tangents themselves: their
+Ritz values and residual bound how close as many eigenvalues lie to 0
+(Kato-Temple) and the kernel's angle to them (Davis-Kahan).  `eigenvalue`
+(h3's gap on the doubled grid) and the eigenvalues that `spectrum` displays
+run Newton's method on the same complements to FIXED_POINT_RTOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
 from .core import Field, Grid
 from .linalg import SolverError, block_cg, gram, matvec
 from .model import FourierModes, Pointwise, field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
-from .spectral import (even_part, kinetic_column, odd_part, second_derivative, unfold,
-                       whole_coordinates, whole_part)
+from .spectral import second_derivative, unfold, whole_coordinates
 
 __all__ = [
     "HessOp",
@@ -74,13 +64,17 @@ __all__ = [
     "kernel_matches_orbit",
 ]
 
-LOW_SUBSET = 2              # eigenvalues first bisected at the low end of each part
-# `eigenvalue`'s secant stops at |mu_index(sigma) - sigma| <= FIXED_POINT_RTOL
-# max(1, |sigma|), and fails after SECANT_MAXITER builds of the complements.
+# Newton's method on an eigenvalue stops when its residual is at most
+# FIXED_POINT_RTOL max(1, |value|), and fails after NEWTON_MAXITER builds of
+# the complements.
 FIXED_POINT_RTOL = 1e-13
-SECANT_MAXITER = 30
+NEWTON_MAXITER = 30
 # the share of that stop that the complements' block CG may take
 CG_SHARE = 0.1
+# the stop of `spectrum`'s one linearization at 0: its roots off 0 are first
+# Newton steps, off by about 2e-6 lambda^2 anyway, so a tighter CG buys them
+# nothing, and the kernel's bound stays near 1e-10
+COUNT_RTOL = 1e-8
 
 # The residual is taken in the rest frame, where `assemble` builds the
 # Hessian: undoing the boost removes the gauge phase, which is discontinuous
@@ -90,6 +84,7 @@ CG_SHARE = 0.1
 # grid and keep a truncation residual at the line ends (8e-7 at R = 20,
 # n = 2048), so the gate stays well above the Newton tolerance of the solvers.
 EQUILIBRIUM_TOL = 1e-5
+EPS = np.finfo(float).eps
 
 
 def grad_L(field: Field, model, xi) -> Field:
@@ -174,21 +169,29 @@ class SpectralReport:
     """Spectrum classification of a Hessian operator."""
 
     eigenvalues: np.ndarray          # lowest n_eigs
+    errors: np.ndarray               # each lies within its error of its eigenvalue
     n_neg: int
     dim_ker: int
     gap_pos: float
-    ker_tol: float
-    kernel_margin: float             # factor (>= 1) by which the eigenvalues by 0 clear ker_tol
+    gap_error: float
+    ker_tol: float                   # the kernel's eigenvalues lie within it of 0
+    separation: float                # distance from 0 of the nearest eigenvalue outside the kernel
+    kernel_margin: float             # separation / max(ritz_bound, ker_tol)
     ritz_bound: float                # n_sym eigenvalues lie within it of 0 (Kato-Temple)
     angle_bound: float               # on the sine of the kernel's angle to them (Davis-Kahan)
-    parts: tuple                     # (dimension, "even" | "odd" | "whole" | "mode m") per part
+    # (size, kind) of each matrix eigensolved: a line block's Schur complement
+    # per sector ("even" | "odd", or "whole" for a block that is not even),
+    # each torus mode ("mode m"), a gridless block ("whole")
+    parts: tuple
 
     def to_dict(self) -> dict:
         return {
             "eigenvalues": self.eigenvalues.tolist(),
+            "errors": self.errors.tolist(),
             "n_neg": self.n_neg,
             "dim_ker": self.dim_ker,
             "gap_pos": self.gap_pos,
+            "gap_error": self.gap_error,
             "ker_tol": self.ker_tol,
             "parts": [list(p) for p in self.parts],
         }
@@ -210,123 +213,14 @@ def assemble(prof: Profile) -> HessOp:
     return HessOp(tuple(model.hessian(prof)), prof.grid, tangents, phase)
 
 
-class _Tridiagonal(NamedTuple):
-    """A part reduced to T = Q^T a Q by Householder reflections (LAPACK
-    `dsytrd`, lower): T's diagonal d and off-diagonal e."""
-
-    d: np.ndarray
-    e: np.ndarray
-
-    @classmethod
-    def reduce(cls, a: np.ndarray) -> "_Tridiagonal":
-        """a (symmetric, C-ordered) reduced in place."""
-        lwork, _ = lapack.dsytrd_lwork(a.shape[0], lower=1)
-        # a is symmetric, so its transpose is the same matrix in Fortran order
-        _, d, e, _, info = lapack.dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsytrd failed (info {info})")
-        return cls(d, e)
-
-    @property
-    def size(self) -> int:
-        return self.d.size
-
-    def eigenvalues(self, lo: int, hi: int) -> np.ndarray:
-        """Eigenvalues lo..hi (0-based, ascending, clipped to T's dimension)."""
-        hi = min(hi, self.d.size - 1)
-        return scipy.linalg.eigh_tridiagonal(self.d, self.e, eigvals_only=True, select="i",
-                                             select_range=(lo, hi), lapack_driver="stebz")
-
-
-class _ModeSpectrum:
-    """Every eigenvalue of a `FourierModes` block, ascending, with the
-    queries of `_Tridiagonal`: those of each mode 0 < m < n/2 twice (the cos
-    and the sin copy)."""
-
-    def __init__(self, modes: np.ndarray):
-        vals = np.linalg.eigvalsh(modes)
-        self.values = np.sort(np.concatenate([vals.ravel(), vals[1:-1].ravel()]))
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def eigenvalues(self, lo: int, hi: int) -> np.ndarray:
-        return self.values[lo:hi + 1]
-
-
-class _Part(NamedTuple):
-    """One eigensolve: a line block, or its even or odd part; a dense block;
-    or the Fourier modes of a block-circulant block.  Nothing is built
-    until `solve`."""
-
-    kind: str            # "even" | "odd" | "whole" | "modes"
-    dimension: int
-    bound: float         # on the block's spectral radius: its largest absolute row sum
-    build: Callable[[], np.ndarray]     # a new array: the part's matrix, or the modes
-
-    def solve(self):
-        """The part built and reduced, as a `_Tridiagonal` or `_ModeSpectrum`."""
-        if self.kind == "modes":
-            return _ModeSpectrum(self.build())
-        return _Tridiagonal.reduce(self.build())
-
-    def entries(self) -> list:
-        """(dimension, kind) of the part, or of each of its modes."""
-        if self.kind != "modes":
-            return [(self.dimension, self.kind)]
-        h, b, _ = self.build().shape
-        return [(b * (1 if m in (0, h - 1) else 2), f"mode {m}") for m in range(h)]
-
-
-def _parts(blocks, grid: Optional[Grid]) -> list:
-    col = None if grid is None else kinetic_column(grid)
-    parts = []
-    for block in blocks:
-        if isinstance(block, Pointwise):
-            c, _, n = block.coupling.shape
-            h = n // 2 + 1
-            bound = float(np.sum(np.abs(col)) + np.max(np.sum(np.abs(block.coupling), axis=1)))
-            part = partial(_Part, bound=bound)
-            if block.even:
-                parts += [part("even", c * h, build=partial(even_part, col, block.coupling)),
-                          part("odd", c * (h - 2), build=partial(odd_part, col, block.coupling))]
-            else:
-                parts.append(part("whole", c * n, build=partial(whole_part, col, block.coupling)))
-        else:
-            data = _data(block)
-            bound = float(np.max(np.sum(np.abs(data), axis=-1)))
-            if isinstance(block, FourierModes):
-                parts.append(_Part("modes", block.dimension, bound, lambda data=data: data))
-            else:
-                parts.append(_Part("whole", len(data), bound, data.copy))
-    return parts
-
-
-def _low_end(part: _Part, reach: float, n_eigs: int) -> tuple:
-    """(top eigenvalue, low end, shown) of one part, built, reduced and
-    dropped here.  The low end holds the LOW_SUBSET lowest eigenvalues,
-    doubled until it passes reach or the part is exhausted; shown adds to it
-    the part's eigenvalues up to index n_eigs - 1, which only `eigenvalues`
-    displays."""
-    red = part.solve()
-    top = float(red.eigenvalues(red.size - 1, red.size - 1)[0])
-    vals = red.eigenvalues(0, LOW_SUBSET - 1)
-    while vals[-1] <= reach and vals.size < red.size:
-        vals = red.eigenvalues(0, 2 * vals.size - 1)
-    shown = vals
-    if min(n_eigs, red.size) > vals.size:
-        shown = np.concatenate([vals, red.eigenvalues(vals.size, n_eigs - 1)])
-    return top, vals, shown
-
-
 def _orbit_bounds(op: HessOp, separation: float) -> tuple:
     """(ritz_bound, angle_bound) of the orbit tangents, when every other
     eigenvalue is at least `separation` from 0.  With Q the tangents'
-    orthonormal basis, theta the eigenvalues of S = Q^T H Q, R = H Q - Q S and
-    delta = separation - max |theta| > 0, as many eigenvalues as tangents lie
-    within max |theta| + |R|^2 / delta of 0 (Kato-Temple), and |R| / delta
-    bounds the sine of the kernel's largest angle to span Q (Davis-Kahan)."""
+    orthonormal basis, theta the eigenvalues of S = Q^T H Q and R = H Q - Q
+    S, as many eigenvalues as tangents lie within max |theta| + |R| of 0
+    (Kahan); with delta = separation - max |theta| > 0, within max |theta| +
+    |R|^2 / delta (Kato-Temple), and |R| / delta bounds the sine of the
+    kernel's largest angle to span Q (Davis-Kahan), which 1 bounds too."""
     if not len(op.symmetry_tangent):
         return 0.0, 0.0
     q = scipy.linalg.qr(op.symmetry_tangent.T, mode="economic")[0].T    # rows: orthonormal
@@ -337,57 +231,26 @@ def _orbit_bounds(op: HessOp, separation: float) -> tuple:
     r = hq - np.einsum("ij,in->jn", s, q)
     norm_r = np.sqrt(max(np.max(np.linalg.eigvalsh(np.einsum("in,jn->ij", r, r))), 0.0))
     delta = separation - theta
-    if not delta > 0.0:
-        return np.inf, np.inf
+    if not delta > norm_r:
+        return float(theta + norm_r), 1.0
     return float(theta + norm_r**2 / delta), float(norm_r / delta)
 
 
-def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
-    """Classify the low end of the Hessian's spectrum, and bound the kernel
-    by the orbit tangents' Ritz values.
+class _Roots(NamedTuple):
+    """Every eigenvalue of some blocks, as estimated from one linearization:
+    values ascending, each with Newton's `residual` (the bound the
+    iteration drives down) and its `error` (the residual plus the
+    eigensolve's roundoff): the eigenvalue lies within `error` of its value."""
 
-    Parts are solved one at a time.  Each bisects its LOW_SUBSET lowest
-    eigenvalues, and doubles that until its largest computed eigenvalue is
-    above 2e-6 of the Gershgorin bound (so above the kernel tolerance) or
-    the part is exhausted: the negative, kernel and first positive
-    eigenvalues are all computed, and the classification reads nothing
-    else.  n_eigs only adds the eigenvalues that `eigenvalues` displays, in
-    a bisection of their own, so the classification does not depend on it.
-    The Ritz bounds hold when dim_ker is the number of tangents: the other
-    eigenvalues are then those outside the kernel."""
-    if n_eigs < 0:
-        raise ValueError(f"n_eigs must not be negative (got {n_eigs})")
-    parts = _parts(op.blocks, op.grid)
-    reach = 2e-6 * max(p.bound for p in parts)
-    tops, lows, shown = zip(*[_low_end(p, reach, n_eigs) for p in parts])
+    values: np.ndarray
+    residual: np.ndarray
+    error: np.ndarray
 
-    eigvals = np.sort(np.concatenate(lows))
-    radius = max(max(tops), -eigvals[0])
-    ker_tol = 1e-6 * radius
-    above = eigvals[eigvals > ker_tol]
-    # the factor by which the kernel eigenvalues clear ker_tol from below,
-    # and the negative ones from above; an eigenvalue is known only to
-    # eps times the spectral radius, so one computed as 0 clears it by
-    # ker_tol / (eps radius)
-    kernel = np.abs(eigvals[np.abs(eigvals) <= ker_tol])
-    below = eigvals[eigvals < -ker_tol]
-    floor = max(kernel.max(initial=0.0), np.finfo(float).eps * radius)
-    kernel_margin = min(ker_tol / floor if kernel.size and floor else np.inf,
-                        -below.max() / ker_tol if below.size else np.inf)
-    gap_pos = float(above[0]) if above.size else np.inf
-    ritz_bound, angle_bound = _orbit_bounds(
-        op, min(gap_pos, -below.max() if below.size else np.inf))
-    return SpectralReport(
-        eigenvalues=np.sort(np.concatenate(shown))[:n_eigs],
-        n_neg=int(below.size),
-        dim_ker=int(kernel.size),
-        gap_pos=gap_pos,
-        ker_tol=ker_tol,
-        kernel_margin=float(kernel_margin),
-        ritz_bound=ritz_bound,
-        angle_bound=angle_bound,
-        parts=tuple(entry for p in parts for entry in p.entries()),
-    )
+
+def _roundoff(values: np.ndarray) -> float:
+    """What an eigensolve of a symmetric matrix with these eigenvalues may be
+    off by: its size times eps times its norm (LAPACK's backward error)."""
+    return values.size * EPS * float(np.max(np.abs(values), initial=0.0))
 
 
 class Eigenvalue(NamedTuple):
@@ -395,29 +258,29 @@ class Eigenvalue(NamedTuple):
 
     value: float
     complement: tuple        # the Schur complement's size m, per line block
-    secant_steps: int        # builds of the complements
+    secant_steps: int        # linearizations: builds of F(sigma) by block CG
     cg_iterations: int       # block CG iterations, over every block and build
-    residual: float          # the last |mu_index(sigma) - sigma|
+    residual: float          # Newton's bound on |lambda - value| at the last build
+    error: float             # the residual plus the eigensolve's roundoff
 
 
 class _Complement:
     """A line block H = -d2 (x) I_c - M(x) in the whole real Fourier
     coordinates of `spectral.whole_coordinates`, split into its low modes
     (k^2 <= k_c^2, m of them) and the rest: H = [[A, B], [B^T, D]], with
-    k_c^2 = top + 2 max(max_x lambda_max M(x), 0) + 1, so that D - sigma >= 1
-    for every sigma <= top.  `eigenvalues(sigma)` is the spectrum of
-    F(sigma) = A - B (D - sigma)^-1 B^T; H - sigma has as many negative
-    eigenvalues as F(sigma) - sigma (Haynsworth).
+    k_c^2 = top + 2 max(max_x lambda_max M(x), 0) + 1, so that D is at least
+    `floor` = top + max(max_x lambda_max M(x), 0) + 1, and D - sigma >= 1 for
+    every sigma <= top.  F(sigma) = A - B (D - sigma)^-1 B^T, and H -
+    sigma has as many negative eigenvalues as F(sigma) - sigma (Haynsworth).
 
-    An even M (taken on the half grid and reflected, as the parity parts
-    read it) maps cosines to cosines and sines to sines, so H never mixes
-    the cosine (Re) slots with the sine (Im) slots: they are two sectors,
-    and F is block-diagonal, one block per sector.  Each row of B^T, one low
-    mode of one component, lies in one sector, so a cosine row and a sine
-    row are packed into one row of coordinates and share one real
-    transform: packed row j holds low mode j of each sector.  A block that
-    is not even is one sector, whose rows are B^T's own.  m is the same
-    either way."""
+    An even M (taken on the half grid and reflected) maps cosines to cosines
+    and sines to sines, so H never mixes the cosine (Re) slots with the sine
+    (Im) slots: they are two sectors, the even and the odd functions, and F
+    is block-diagonal, one block per sector.  Each row of B^T, one low mode
+    of one component, lies in one sector, so a cosine row and a sine row are
+    packed into one row of coordinates and share one real transform: packed
+    row j holds low mode j of each sector.  A block that is not even is one
+    sector, whose rows are B^T's own.  m is the same either way."""
 
     def __init__(self, block: Pointwise, grid: Grid, top: float):
         c, _, n = block.coupling.shape
@@ -430,6 +293,7 @@ class _Complement:
         real[[1, -1]] = False                  # Im of modes 0 and n/2
         lam = np.max(np.linalg.eigvalsh(np.moveaxis(coupling, -1, 0)))
         kc2 = top + 2.0 * max(lam, 0.0) + 1.0
+        self.floor = top + max(lam, 0.0) + 1.0
         sector = np.arange(self.k2.size) % sectors
         lows = [np.flatnonzero(real & (self.k2 <= kc2) & (sector == s)) for s in range(sectors)]
         self.high = (real & (self.k2 > kc2)).astype(float)
@@ -452,16 +316,27 @@ class _Complement:
         self.g = w * self.high                 # -B^T, row by row
         self.y = np.zeros_like(self.g)
         self.iterations = 0
+        kinds = ("even", "odd") if sectors == 2 else ("whole",)
+        self.parts = [(len(a), kind) for a, kind in zip(self.a, kinds)]
 
-    def eigenvalues(self, sigma: float) -> np.ndarray:
-        """The eigenvalues of F(sigma), ascending, for sigma <= top.  Y =
-        (D - sigma)^-1 B^T is solved by block CG, preconditioned by k^2 -
-        sigma and started from the last sigma's Y; with its residual R, F =
-        A - G^T Y - Y^T R (G = -B^T) is off by R^T (D - sigma)^-1 R only,
-        whose 2-norm D - sigma >= 1 bounds by sum_i |r_i|^2.  Each row of
-        each sector stops at |r_i|^2 <= CG_SHARE FIXED_POINT_RTOL max(1,
-        |sigma|) / m, so (by Weyl's inequality) no eigenvalue moves by more
-        than CG_SHARE of the secant's stop."""
+    def roots(self, sigma: float, rtol: float) -> _Roots:
+        """F(tau) - tau linearized at sigma <= top, and its roots.  Y = (D -
+        sigma)^-1 B^T is solved by block CG, preconditioned by k^2 - sigma
+        and started from the last sigma's Y; with its residual R, F(sigma) =
+        A - G^T Y - Y^T R (G = -B^T) is off by R^T (D - sigma)^-1 R only, and
+        dF/dsigma = -Y^T Y (Hellmann-Feynman).  The roots are the eigenvalues
+        of the pencil (F(sigma) - sigma, 1 + Y^T Y), shifted by sigma: each
+        is one Newton step on its eigenvalue of F(tau) - tau, whose slope is
+        at most -1, and as many of them lie below sigma as the block has
+        eigenvalues below sigma.  By the resolvent identity, F(tau) leaves
+        its linearization by (tau - sigma)^2 Y^T (D - tau)^-1 Y, at most
+        (tau - sigma)^2 |Y|^2 / (floor - tau); with rho the residual's norm
+        and e = rho / (floor - sigma) the bound on the error of Y, the CG
+        adds rho e + |tau - sigma| e (2 |Y| + e), and |Y| becomes |Y| + e.
+        Their sum at root j bounds how far it lies from its eigenvalue
+        (Weyl).  Each row of each sector stops at |r_i|^2 <=
+        CG_SHARE rtol max(1, |sigma|) / m, so rho^2 takes no more than
+        CG_SHARE of a Newton stop of rtol."""
         symbol = self.k2 - sigma
         # each CG iteration writes into these: a fresh array of this size
         # would cost its page faults every time
@@ -478,68 +353,220 @@ class _Complement:
             return out
 
         precond = np.where(self.high > 0.0, symbol, 1.0)
-        tol = np.sqrt(CG_SHARE * FIXED_POINT_RTOL * max(1.0, abs(sigma)) / self.size)
+        tol = np.sqrt(CG_SHARE * rtol * max(1.0, abs(sigma)) / self.size)
         self.y, r, its = block_cg(shifted, self.g, precond, self.y, tol, self.sectors)
         self.iterations += its
-        blocks = []
+        values, residual, error = [], [], []
         for s, a in enumerate(self.a):
             m = len(a)
             g, y, r_s = (np.ascontiguousarray(x.reshape(len(x), -1, self.sectors)[:m, :, s])
                          for x in (self.g, self.y, r))
             f = a - gram(g, y) - gram(y, r_s)
-            blocks.append(scipy.linalg.eigvalsh(0.5 * (f + f.T)))
-        return np.sort(np.concatenate(blocks))
+            slope = gram(y, y)
+            steps = scipy.linalg.eigvalsh(0.5 * (f + f.T) - sigma * np.eye(m),
+                                          np.eye(m) + 0.5 * (slope + slope.T))
+            rho = np.sqrt(np.sum(r_s * r_s))
+            e = rho / (self.floor - sigma)
+            norm_y = np.sqrt(np.sum(y * y))      # |Y|_F, at least |Y|; Y is near rank one
+            reach = self.floor - sigma - steps
+            values.append(sigma + steps)
+            # with no high mode (Y = 0, R = 0) the linearization is exact
+            quadratic = (steps * (norm_y + e))**2
+            residual.append(rho * e + np.abs(steps) * e * (2.0 * norm_y + e)
+                            + np.divide(quadratic, reach, where=reach > 0.0,
+                                        out=np.where(quadratic > 0.0, np.inf, 0.0)))
+            error.append(residual[-1] + _roundoff(values[-1]))
+        values, residual, error = (np.concatenate(x) for x in (values, residual, error))
+        order = np.argsort(values, kind="stable")
+        return _Roots(values[order], residual[order], error[order])
+
+
+class _Exact:
+    """A block whose eigenvalues need no window, each known to its
+    eigensolve's roundoff: the torus block's from its b x b mode blocks (each
+    mode 0 < m < n/2 twice, for its cos and its sin copy), a gridless block's
+    from one eigvalsh."""
+
+    def __init__(self, block):
+        if isinstance(block, FourierModes):
+            vals = np.linalg.eigvalsh(block.modes)
+            h, b = vals.shape
+            off = np.repeat(b * EPS * np.max(np.abs(vals), axis=1), b)     # each mode's roundoff
+            values = np.concatenate([vals.ravel(), vals[1:-1].ravel()])
+            error = np.concatenate([off, off[b:-b]])
+            self.parts = [(b * (1 if m in (0, h - 1) else 2), f"mode {m}") for m in range(h)]
+        else:
+            values = scipy.linalg.eigvalsh(block)
+            error = np.full(values.size, _roundoff(values))
+            self.parts = [(values.size, "whole")]
+        self._roots = _Roots(values, np.zeros_like(values), error)
+
+    def roots(self, sigma: float, rtol: float) -> _Roots:
+        return self._roots
+
+
+class _Window:
+    """Every eigenvalue of a Hessian's blocks from one source each: a line
+    block's from its `_Complement` below the window's top, rebuilt when the
+    window grows, and any other block's from `_Exact`.  Once no line block
+    has a mode above the window, F = A at every sigma: the window's top is
+    then infinite, and no CG runs."""
+
+    def __init__(self, blocks, grid: Optional[Grid], top: float):
+        self.blocks, self.grid, self.spent, self.complements = blocks, grid, 0, []
+        self.sources = [None if isinstance(b, Pointwise) else _Exact(b) for b in blocks]
+        self._build(top)
+
+    def _build(self, top: float) -> None:
+        self.spent += sum(c.iterations for c in self.complements)
+        self.complements = [_Complement(b, self.grid, top) for b in self.blocks
+                            if isinstance(b, Pointwise)]
+        lines = iter(self.complements)
+        self.sources = [next(lines) if isinstance(b, Pointwise) else s
+                        for b, s in zip(self.blocks, self.sources)]
+        self.top = top if any(np.any(c.high) for c in self.complements) else np.inf
+        self.last = None            # (sigma, its roots)
+
+    def grow(self, past: float = 0.0) -> None:
+        """Double the top, and again until it is past `past`."""
+        top = 2.0 * self.top
+        while top < past:
+            top *= 2.0
+        self._build(top)
+
+    @property
+    def parts(self) -> tuple:
+        return tuple(part for s in self.sources for part in s.parts)
+
+    def linearize(self, sigma: float, rtol: float = FIXED_POINT_RTOL) -> _Roots:
+        values, residual, error = (np.concatenate(x)
+                                   for x in zip(*(s.roots(sigma, rtol) for s in self.sources)))
+        order = np.argsort(values, kind="stable")
+        self.last = (sigma, _Roots(values[order], residual[order], error[order]))
+        return self.last[1]
+
+    def reaching(self, index: int) -> _Roots:
+        """The roots at 0 of the window (to COUNT_RTOL), grown until it holds
+        root `index`: the root and its error lie below the top."""
+        roots = (self.last[1] if self.last and self.last[0] == 0.0
+                 else self.linearize(0.0, COUNT_RTOL))
+        while self.top < np.inf and not (index < roots.values.size
+                                         and roots.values[index] + roots.error[index] <= self.top):
+            self.grow()
+            roots = self.linearize(0.0, COUNT_RTOL)
+        return roots
+
+    def eigenvalue(self, index: int, guess: float) -> Eigenvalue:
+        """Eigenvalue `index` (0-based, ascending) by Newton's method on
+        F(tau) - tau, from the last linearization, or from `guess` when there
+        is none.  It stops when the root's residual is at most
+        FIXED_POINT_RTOL max(1, |value|), and the window grows when a step
+        leaves it or it holds at most `index` roots, so the window never
+        decides the value.  Raises SolverError when a block CG or Newton
+        (NEWTON_MAXITER builds) does not converge."""
+        sigma, roots = self.last or (guess, None)
+        builds, res = 0, np.inf
+        while True:
+            if roots is None:
+                if builds == NEWTON_MAXITER:
+                    raise SolverError(f"the eigenvalue did not converge in {NEWTON_MAXITER} "
+                                      f"builds (residual {res:.3e})")
+                roots = self.linearize(sigma)
+                builds += 1
+            if index < roots.values.size:
+                value, res = float(roots.values[index]), float(roots.residual[index])
+                if value <= self.top and res <= FIXED_POINT_RTOL * max(1.0, abs(value)):
+                    return Eigenvalue(value, tuple(c.size for c in self.complements), builds,
+                                      self.spent + sum(c.iterations for c in self.complements),
+                                      res, float(roots.error[index]))
+                sigma = value
+            elif self.top == np.inf:
+                raise ValueError(f"eigenvalue {index} of a Hessian of dimension "
+                                 f"{roots.values.size}")
+            if index >= roots.values.size or sigma > self.top:
+                self.grow(sigma)
+            roots = None
+
+
+def spectrum(op: HessOp, n_eigs: int = 12) -> SpectralReport:
+    """Classify the low end of the Hessian's spectrum from one linearization
+    at 0 (`_Window`), and bound the kernel by the orbit tangents' Ritz values.
+
+    The line blocks' window starts at 1.5 times the continuum's edge (the
+    largest -lambda_min M(x)) plus 1, and grows until its roots reach the
+    gap.  The counts below 0 are exact (Haynsworth); each root is Newton's
+    first step from 0, within its error bound of its eigenvalue.  The kernel
+    is the n_sym roots nearest 0, and every root within its error of 0; the
+    negative count, the gap and the separation (the distance from 0 of the
+    nearest root outside the kernel) are read from the others.  ker_tol
+    bounds the kernel's eigenvalues: a kernel root's value, or its error
+    where the value is below it, plus its error.  None of these bounds grows
+    with n.  n_eigs only adds the eigenvalues that `eigenvalues` displays,
+    each by Newton's method on the same complements (grown, for as many as
+    the dimension, to every mode), so the classification does not depend on
+    it.  The Ritz bounds hold when dim_ker is the number of tangents: the
+    other eigenvalues are then those outside the kernel."""
+    if n_eigs < 0:
+        raise ValueError(f"n_eigs must not be negative (got {n_eigs})")
+    edge = max((-np.min(np.linalg.eigvalsh(np.moveaxis(b.coupling, -1, 0)))
+                for b in op.blocks if isinstance(b, Pointwise)), default=0.0)
+    window = _Window(op.blocks, op.grid, 1.5 * max(edge, 0.0) + 1.0)
+    n_sym = len(op.symmetry_tangent)
+    roots, seen = window.linearize(0.0, COUNT_RTOL), None
+    while roots is not seen:
+        seen = roots
+        values, error = roots.values, roots.error
+        kernel = (np.abs(values) <= error) & (values < window.top)
+        kernel[np.argsort(np.abs(values), kind="stable")[:n_sym]] = True
+        n_neg = int(np.sum(values[~kernel] < 0.0))
+        roots = window.reaching(n_neg + int(np.sum(kernel)))
+    parts = window.parts
+
+    rest, rest_error = values[~kernel], error[~kernel]
+    gap_pos, gap_error = ((float(rest[n_neg]), float(rest_error[n_neg])) if n_neg < rest.size
+                          else (np.inf, np.inf))
+    separation = min(gap_pos, -float(rest[n_neg - 1]) if n_neg else np.inf)
+    ker_tol = float(np.max(np.maximum(np.abs(values[kernel]), error[kernel]) + error[kernel],
+                           initial=0.0))
+    ritz_bound, angle_bound = _orbit_bounds(op, separation)
+    bound = max(ritz_bound, ker_tol)
+    count = min(n_eigs, op.dimension)
+    if count:
+        window.reaching(count - 1)
+    shown = [window.eigenvalue(j, 0.0) for j in range(count)]
+    return SpectralReport(
+        eigenvalues=np.array([e.value for e in shown]),
+        errors=np.array([e.error for e in shown]),
+        n_neg=n_neg,
+        dim_ker=int(np.sum(kernel)),
+        gap_pos=gap_pos,
+        gap_error=gap_error,
+        ker_tol=ker_tol,
+        separation=separation,
+        kernel_margin=separation / bound if bound > 0.0 else np.inf,
+        ritz_bound=ritz_bound,
+        angle_bound=angle_bound,
+        parts=parts,
+    )
 
 
 def eigenvalue(prof: Profile, index: int, guess: float) -> Eigenvalue:
     """Eigenvalue `index` (0-based, ascending) of the Hessian at an
-    equilibrium, by inertia: no orbit tangents, and no part of a line block
-    held as a matrix beyond its m low modes.
-
-    mu(sigma) is the sorted union of every line block's Schur-complement
-    eigenvalues (`_Complement`) and every torus block's mode eigenvalues.
-    Each mu_j(sigma) - sigma decreases with slope <= -1, and its root is the
-    Hessian's eigenvalue j, so a secant from guess and mu_index(guess) finds
-    it; it stops when |mu_index - sigma| <= FIXED_POINT_RTOL max(1, |sigma|).
-    The window's top starts at 1.5 |guess| + 1 and doubles, with the
-    complements rebuilt, whenever a secant step leaves it or the complements
-    hold at most `index` eigenvalues, so the window never decides the value.
-    Raises SolverError when a block CG or the secant (SECANT_MAXITER builds)
-    does not converge."""
+    equilibrium, by Newton's method on the `_Window` of its blocks, started
+    at guess: no orbit tangents, and no part of a line block held as a
+    matrix beyond its m low modes.  The window's top starts at 1.5 |guess| +
+    1.  Raises SolverError when a block CG or Newton does not converge."""
     if not np.isfinite(guess):
         raise ValueError(f"the eigenvalue's guess must be finite (got {guess})")
     _check_equilibrium(prof)
     blocks = model_for(prof.model, prof.grid).hessian(prof)
-    fixed = [_ModeSpectrum(b.modes).values for b in blocks if isinstance(b, FourierModes)]
-    lines = [b for b in blocks if isinstance(b, Pointwise)]
-    if not lines:
-        return Eigenvalue(float(np.sort(np.concatenate(fixed))[index]), (), 0, 0, 0.0)
-    top, spent = 1.5 * abs(guess) + 1.0, 0
-    complements = [_Complement(b, prof.grid, top) for b in lines]
-    sigma, last, g = float(guess), None, np.inf
-    for step in range(1, SECANT_MAXITER + 1):
-        mu = np.sort(np.concatenate(fixed + [c.eigenvalues(sigma) for c in complements]))
-        if mu.size > index:
-            g = mu[index] - sigma
-            if abs(g) <= FIXED_POINT_RTOL * max(1.0, abs(sigma)):
-                return Eigenvalue(float(mu[index]), tuple(c.size for c in complements), step,
-                                  spent + sum(c.iterations for c in complements), float(abs(g)))
-            sigma, last = (mu[index] if last is None or g == last[1]
-                           else sigma - g * (sigma - last[0]) / (g - last[1])), (sigma, g)
-        if mu.size <= index or sigma > top:
-            top *= 2.0
-            while top < sigma:
-                top *= 2.0
-            spent += sum(c.iterations for c in complements)
-            complements = [_Complement(b, prof.grid, top) for b in lines]
-            last = None
-    raise SolverError(f"the refined eigenvalue did not converge in {SECANT_MAXITER} builds "
-                      f"(|mu - sigma| = {abs(g):.3e})")
+    return _Window(blocks, prof.grid, 1.5 * abs(guess) + 1.0).eigenvalue(index, float(guess))
 
 
 def kernel_matches_orbit(rep: SpectralReport, op: HessOp) -> bool:
     """True iff the numerical kernel coincides with the orbit tangent space:
-    as many kernel eigenvalues as tangents, the tangents' Ritz bound within
-    ker_tol of 0, and the Davis-Kahan bound on the angle below 1."""
+    as many kernel eigenvalues as tangents, the tangents' Ritz bound below
+    the separation (so it encloses the kernel and nothing else), and the
+    Davis-Kahan bound on the angle below 1."""
     return bool(rep.dim_ker == op.symmetry_tangent.shape[0]
-                and rep.angle_bound < 1.0 and rep.ritz_bound <= rep.ker_tol)
+                and rep.angle_bound < 1.0 and rep.ritz_bound < rep.separation)

@@ -5,14 +5,14 @@ worker threads, and a pool keeps its workers spinning for a while after each
 threaded call.  Alternating threaded calls between the two (a numpy product,
 a scipy eigensolve, numpy again) leaves one pool spinning while the other
 works; with as many BLAS threads as cores that stalls calls at random by tens
-to hundreds of milliseconds.  The eigensolves need scipy (the base grid's
-tridiagonal reduction `dsytrd` and its bisection, the Schur complements'
-`eigvalsh`), so the package's other dense O(n^2) and O(n^3) operations go
-through scipy as well: `matvec`, `gram` (the Schur complements' inner
-products of rows) and `scipy.linalg`.  The torus's 4 x 4 mode blocks, the
-orbit tangents' Ritz matrix (one row and column per symmetry) and a coupled
-block's 2 x 2 pointwise couplings are the exceptions: numpy's `eigvalsh`
-solves them, and so small a problem starts no BLAS thread.
+to hundreds of milliseconds.  The eigensolves run on scipy (`eigvalsh` of
+the Schur complements' pencils and of a gridless block), so the package's
+other dense operations go through scipy as well: `matvec`, `gram` (the
+Schur complements' inner products of rows) and `scipy.linalg`.  The torus's
+4 x 4 mode blocks, the orbit tangents' Ritz matrix (one row and column per
+symmetry) and a coupled block's 2 x 2 pointwise couplings are the
+exceptions: numpy's `eigvalsh` solves them, and so small a problem starts
+no BLAS thread.
 
 The profile and slope solves build no matrix: `minres` solves a symmetric,
 possibly indefinite, operator given as a function, with a positive diagonal

@@ -1,19 +1,16 @@
 """Spectral differentiation by FFT, even functions on the half grid, and the
-parity parts of a line Hessian block built from its Fourier symbol.
+real Fourier coordinates the line solves and eigensolves work in.
 
 Every line Hessian block is K (x) I_c - M(x): the circulant K = -D2 of the
 symbol k^2 on each of c components, minus a pointwise symmetric coupling M
-(c x c x n).  `even_part` and `odd_part` write such a block on the even and
-odd functions of an even profile straight from K's first column, through
-its Toeplitz and Hankel sections, so no n x n matrix is built; `whole_part`
-is the fallback for a profile that is not even.  The profile and slope
-solves use no matrix at all: `second_derivative` applies D2 by a real FFT,
-and `fourier_solve` solves -d2 - omega - J by MINRES in Fourier
-coordinates: on the even functions, or on the whole grid for a profile that
-is not even, in the orthonormal real Fourier coordinates of
-`whole_coordinates`, which h3's Schur complements (`hessian.eigenvalue`)
-split into low and high modes.  The dense D1 and D2 stay as public
-functions; the package itself calls neither.
+(c x c x n).  No such block is built as a matrix: `second_derivative`
+applies D2 by a real FFT, `fourier_solve` solves -d2 - omega - J by MINRES
+in Fourier coordinates (on the even functions, or on the whole grid for a
+profile that is not even, in the orthonormal real Fourier coordinates of
+`whole_coordinates`), and the Hessian's Schur complements
+(`hessian._Complement`) split those coordinates into low and high modes.
+The dense D1 and D2 stay as public functions, built from K's first column
+(`kinetic_column`); the package itself calls neither.
 """
 
 from __future__ import annotations
@@ -22,12 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Grid
 from .linalg import MINRES_RTOL, minres
-
-HALF_ROOT = np.sqrt(0.5)
 
 
 def kinetic_column(grid: Grid) -> np.ndarray:
@@ -53,67 +47,6 @@ def first_derivative_matrix(grid: Grid) -> np.ndarray:
 def second_derivative_matrix(grid: Grid) -> np.ndarray:
     """The dense D2 = -K, exactly symmetric; built on each call."""
     return _circulant(-kinetic_column(grid))
-
-
-def _sections(col: np.ndarray) -> tuple:
-    """T = toeplitz(col[:h]) and H[a, b] = col[(a + b) mod n] for a, b < h =
-    n/2 + 1, as read-only strided views of col (no copy)."""
-    h = col.size // 2 + 1
-    toeplitz = sliding_window_view(np.concatenate([col[h - 1:0:-1], col[:h]]), h)[::-1]
-    hankel = sliding_window_view(np.append(col, col[0]), h)
-    return toeplitz, hankel
-
-
-def _pointwise(write_kinetic, coupling: np.ndarray) -> np.ndarray:
-    """K' (x) I_c - diag(M) as one new array, for the m x m kinetic section
-    K' that write_kinetic(out) writes into out and the pointwise coupling M
-    (c x c x m)."""
-    c, _, m = coupling.shape
-    out = np.zeros((c * m, c * m)) if c > 1 else np.empty((m, m))
-    blocks = out.reshape(c, m, c, m)
-    for j in range(c):
-        write_kinetic(blocks[j, :, j])
-    diag = np.arange(m)
-    blocks[:, diag, :, diag] -= np.moveaxis(coupling, -1, 0)
-    return out
-
-
-def even_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """K (x) I - M on the orthonormal even basis e_0, e_n/2 and
-    (e_j + e_{n-j}) / sqrt(2), for M even about x = 0: (T + H) with its first
-    and last rows and columns scaled by sqrt(1/2) (s s^T / 2 with s =
-    `even_scale(n)`), minus diag(M[:h])."""
-    h = col.size // 2 + 1
-
-    def kinetic(out):
-        np.add(*_sections(col), out=out)
-        out[[0, -1]] *= HALF_ROOT
-        out[:, [0, -1]] *= HALF_ROOT
-
-    return _pointwise(kinetic, coupling[..., :h])
-
-
-def odd_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """K (x) I - M on the orthonormal odd basis (e_j - e_{n-j}) / sqrt(2),
-    j = 1..n/2-1, for M even about x = 0: (T - H)[1:h-1, 1:h-1] minus
-    diag(M[1:h-1])."""
-    h = col.size // 2 + 1
-    inner = slice(1, h - 1)
-
-    def kinetic(out):
-        toeplitz, hankel = _sections(col)
-        np.subtract(toeplitz[inner, inner], hankel[inner, inner], out=out)
-
-    return _pointwise(kinetic, coupling[..., inner])
-
-
-def whole_part(col: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """K (x) I - M on the grid itself: the fallback for a coupling that is
-    not even, which does not split by parity."""
-    def kinetic(out):
-        out[...] = _circulant(col)
-
-    return _pointwise(kinetic, coupling)
 
 
 # `unfold`'s index and `even_scale` depend on the size alone, and every

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import vkstab as vk
 
+from test_hessian import refined_over_base
 from test_so3 import ORBIT_SWEEP
 
 
@@ -139,12 +140,23 @@ def _near_threshold(rho, omega_pot, eps):
 
 
 @pytest.mark.parametrize("eps", [1.8e-6, 3.2e-6])
-def test_so3_near_the_threshold_is_indeterminate(eps):
-    """The eigenvalues -eps sit within a factor MARGIN_FACTOR of ker_tol = 2e-6:
-    neither the kernel nor the negative count is decided."""
+def test_so3_near_the_threshold_counts_by_the_closed_form(eps):
+    """The two Hessian eigenvalues -eps lie far outside the 6 x 6 block's
+    roundoff: they count as negative, so n_neg = 3, as the signs of the
+    closed-form Hessian's eigenvalues give, and equals the slope matrix's
+    positive index.  h2 is decided; the verdict waits only on h1, whose
+    fixed tolerance (1e-6 of the slope's largest eigenvalue) the smallest
+    slope eigenvalue clears by eps / 1e-6."""
     cert = _near_threshold(1.0, 1.0, eps)
-    assert cert.verdict.startswith("indeterminate(") and "h2" in cert.verdict
-    assert cert.checks["h2_kernel_equals_orbit"]["margin"] < 3.0
+    alpha = (1.0 + eps) / 2.0
+    state = vk.circular_orbit(1.0, 1.0, alpha)
+    hess = np.linalg.eigvalsh(vk.hessian6(state))
+    p_w = int(np.sum(np.linalg.eigvalsh(vk.w_so3(state.xi, 1.0, alpha)[1]) > 0.0))
+    h1, h2, h4 = (cert.checks[k] for k in ("h1_nondegenerate_W", "h2_kernel_equals_orbit",
+                                           "h4_index_match"))
+    assert h4["n_d2l"] == np.sum(hess < -1e-3 * eps) == p_w == h4["p_d2w"] == 3
+    assert h2["ok"] and h2["margin"] >= 1e3 * cert.provenance["margin_factor"]
+    assert cert.verdict == ("certified_coercive" if h1["margin"] >= 3.0 else "indeterminate(h1)")
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0, 3.0])
@@ -163,9 +175,10 @@ def test_continued_coupled_profile_refines_to_itself():
     base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
     target = np.array([-1.0, -1.3, 0.0])
     fam = vk.continue_family(base, target)
-    cert = vk.certify(fam.profile(target))
+    prof = fam.profile(target)
+    cert = vk.certify(prof)
     assert cert.verdict == "certified_coercive"
-    assert abs(cert.checks["h3_positive_gap"]["refinement_ratio"] - 1.0) < 1e-6
+    assert abs(refined_over_base(cert, prof) - 1.0) < 1e-6
 
 
 def test_certify_solves_no_family_member(monkeypatch):
@@ -202,7 +215,7 @@ def test_rolled_soliton_certifies_like_the_centered_one():
                         centered.xi, centered.model)
     a, b = vk.certify(centered), vk.certify(rolled)
     assert b.verdict == a.verdict == "certified_coercive"
-    assert b.provenance["spectrum_parts"] == [[256, "whole"], [256, "whole"]]
+    assert b.provenance["spectrum_parts"] == [[47, "whole"], [29, "whole"]]
     for check, key in (("h2_kernel_equals_orbit", "dim_ker"), ("h4_index_match", "n_d2l")):
         assert b.checks[check][key] == a.checks[check][key]
     for key in ("gap", "refinement_ratio"):
@@ -238,7 +251,10 @@ def _phased_case(case):
         "coupled": lambda: vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line),
         "torus": lambda: vk.plane_wave(1.0, -1.0, vk.Coupled(-1.0, -1.0, -0.5),
                                        vk.make_grid("periodic", 2.0 * np.pi, 128)),
-        "boosted_odd": lambda: vk.boost(_odd_pair(vk.soliton_solve(-1.0, 3.0, line)), 0.5),
+        # on a line of length 80 the pair's interaction (e^-40) lies below
+        # the eigensolve's resolution: its four kernel directions are 0
+        "boosted_odd": lambda: vk.boost(_odd_pair(vk.soliton_solve(
+            -1.0, 3.0, vk.make_grid("line", 40.0, 512))), 0.5),
     }[case]()
 
 
@@ -276,10 +292,30 @@ def test_a_global_phase_certifies_like_the_unphased_profile(case, thetas, verdic
             assert x == y, path
 
 
+def test_the_interacting_odd_pair_is_undecided_under_any_phase():
+    """On a line of length 40 the odd pair's interaction splits its four
+    kernel directions into eigenvalues of 1e-8 to 1.5e-7, the orbit's two
+    at 4.9e-8, above the relative mode's 1.6e-8: the kernel (the two
+    nearest 0) and the gap cannot be told apart, so h2 and h3 are undecided,
+    with or without a phase.  Each margin is a ratio of two of these
+    eigenvalues, which the Schur complements know to about 1e-15: it
+    repeats under the phase to 1e-6 of itself, not to roundoff."""
+    prof = vk.boost(_odd_pair(vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 256))),
+                    0.5)
+    a, b = (vk.certify(p) for p in (prof, times_phases(prof, (0.3,))))
+    assert a.verdict == b.verdict == "indeterminate(h2,h3)"
+    for check in ("h2_kernel_equals_orbit", "h3_positive_gap"):
+        x, y = a.checks[check]["margin"], b.checks[check]["margin"]
+        assert x < 1.0 and abs(x - y) <= 1e-6 * x
+    h2 = a.checks["h2_kernel_equals_orbit"]
+    assert (h2["dim_ker"], a.checks["h4_index_match"]["n_d2l"]) == (2, 2)
+    assert 1e-8 < h2["ker_tol"] < 1e-7 and h2["separation"] < 1e-7
+
+
 def test_certify_never_forms_the_dense_hessian(monkeypatch):
-    """No n x n block: the parity parts come from the Fourier symbol, the
-    torus mode by mode, and the package's one dense circulant (the fallback
-    for a profile that is not even) is never reached."""
+    """No n x n block: the line blocks' Schur complements hold their low
+    modes only, the torus is solved mode by mode, and the package's one dense
+    circulant (the public D1 and D2) is never reached."""
     def no_matrix(*args):
         raise AssertionError("certify built a dense n x n matrix")
 
@@ -304,20 +340,22 @@ def test_certificate_records_the_spectrum_parts():
     prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), g)
     first, second = vk.certify(prof), vk.certify(prof)
     assert first.to_json() == second.to_json()
-    # L+ couples the two components; L-11 and L-22 are separate blocks
+    # L+ couples the two components; L-11 and L-22 are separate blocks; each
+    # is its Schur complement's cosine and sine sector
     assert json.loads(first.to_json())["provenance"]["spectrum_parts"] == [
-        [258, "even"], [254, "odd"], [129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
+        [48, "even"], [46, "odd"], [15, "even"], [14, "odd"], [15, "even"], [14, "odd"]]
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024])
 def test_cubic_soliton_certifies_across_grid_sizes(n):
     """Newton stops at the grid's roundoff floor, so the 2n refinement
     converges however fine the base grid."""
-    cert = vk.certify(vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, n)))
+    prof = vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, n))
+    cert = vk.certify(prof)
     assert cert.verdict == "certified_coercive"
     h3 = cert.checks["h3_positive_gap"]
     assert h3["refinement_n"] == 2 * n
-    assert abs(h3["refinement_ratio"] - 1.0) <= 1e-9
+    assert abs(refined_over_base(cert, prof) - 1.0) <= 1e-9
 
 
 def test_certificate_records_margins_and_is_reproducible():

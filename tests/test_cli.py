@@ -8,6 +8,8 @@ import pytest
 import vkstab as vk
 from vkstab.cli import main
 
+import dense_oracle as dense
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -34,7 +36,25 @@ def test_spectrum_lists_its_eigensolves(tmp_path):
     spec = json.loads(spec_file.read_text())
     assert len(spec["eigenvalues"]) == 1
     assert (spec["n_neg"], spec["dim_ker"]) == (1, 2)
-    assert spec["parts"] == [[129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
+    # the Schur complements of L+ and L-, each in its cosine and sine sector
+    assert spec["parts"] == [[24, "even"], [23, "odd"], [15, "even"], [14, "odd"]]
+
+
+def test_spectrum_shows_the_lowest_eigenvalues_within_their_bounds(tmp_path):
+    """`--n-eigs 12` shows the 12 lowest eigenvalues, each by Newton's method
+    on the Schur complements, within its recorded error of the dense
+    oracle's."""
+    spec_file = tmp_path / "spec.json"
+    assert run(["spectrum", "--model", "nls", "--omega", -1.0, "--p", 3, "--extent", 20,
+                "--n", 256, "--n-eigs", 12, "--out", spec_file]) == 0
+    spec = json.loads(spec_file.read_text())
+    prof = vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 256))
+    want = np.linalg.eigvalsh(dense.matrix(prof))
+    roundoff = 64 * np.finfo(float).eps * np.max(np.abs(want))
+    got, errors = np.array(spec["eigenvalues"]), np.array(spec["errors"])
+    assert got.size == errors.size == 12
+    assert np.all(np.abs(got - want[:12]) <= errors + roundoff)
+    assert np.all(errors <= 1e-12)
 
 
 def test_slope_reports_both_methods(tmp_path):
@@ -95,12 +115,16 @@ def test_so3_subcommand(tmp_path):
 
 
 def test_so3_exit_code_follows_the_verdict(tmp_path):
-    """alpha = 0.5000016 is 3.2e-6 above the existence threshold: two Hessian
-    eigenvalues are too close to ker_tol to count, so the certificate is
-    indeterminate, exit 4, as from `certify`."""
+    """alpha = 0.5000016 and 0.5000009 are 3.2e-6 and 1.8e-6 above the
+    existence threshold: two Hessian eigenvalues of that size count as
+    negative, as the closed form's signs give, and match the slope index.
+    The smallest slope eigenvalue clears h1's fixed tolerance by 3.2 and
+    1.8: certified, exit 0, and indeterminate, exit 4, as from `certify`."""
     out = tmp_path / "so3.json"
-    assert run(["so3", "--alpha", 0.5000016, "--tend", 1, "--out", out]) == 4
-    assert json.loads(out.read_text())["verdict"] == "indeterminate(h2)"
+    assert run(["so3", "--alpha", 0.5000016, "--tend", 1, "--out", out]) == 0
+    assert json.loads(out.read_text())["verdict"] == "certified_coercive"
+    assert run(["so3", "--alpha", 0.5000009, "--tend", 1, "--out", out]) == 4
+    assert json.loads(out.read_text())["verdict"] == "indeterminate(h1)"
 
 
 def test_ini_config_supplies_defaults(tmp_path):

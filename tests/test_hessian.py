@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import vkstab as vk
-from vkstab.hessian import _parts
+
 from vkstab.model import Pointwise, model_for
 
 import dense_oracle as dense
@@ -41,9 +41,8 @@ def test_kernel_coincides_with_symmetry_tangents(soliton_report):
 
 def test_hessian_matrix_is_symmetric(soliton, soliton_report):
     op, _ = soliton_report
-    for part in _parts(op.blocks, op.grid):       # exactly, as built
-        a = part.build()
-        assert np.array_equal(a, a.T)
+    applied = op.apply(np.eye(op.dimension))          # every column, matrix-free
+    assert np.max(np.abs(applied - applied.T)) < 1e-12 * np.max(np.abs(applied))
     mat = dense.matrix(soliton)
     assert np.max(np.abs(mat - mat.T)) < 1e-12
 
@@ -175,10 +174,23 @@ def test_boosted_equilibrium_is_checked_in_the_rest_frame():
     # the 2n refinement used to fail the lab-frame residual gate
     cert = vk.certify(boosted)
     assert cert.verdict == "certified_coercive"
-    assert abs(cert.checks["h3_positive_gap"]["refinement_ratio"] - 1.0) < 1e-6
+    assert abs(refined_over_base(cert, boosted) - 1.0) < 1e-6
     scaled = vk.Profile(vk.Field(1.1 * boosted.field.values, g), boosted.xi, boosted.model)
     with pytest.raises(ValueError, match="not an equilibrium"):
         vk.assemble(scaled)
+
+
+def refined_over_base(cert, prof):
+    """The refined gap of a certificate over the base grid's gap, each
+    solved to Newton's stop, and a check that the base grid's gap, which
+    the certificate reads from one linearization, lies within its recorded
+    bound of it."""
+    h3 = cert.checks["h3_positive_gap"]
+    h2 = cert.checks["h2_kernel_equals_orbit"]
+    index = cert.checks["h4_index_match"]["n_d2l"] + h2["dim_ker"]
+    exact = vk.spectrum(vk.assemble(prof), n_eigs=index + 1).eigenvalues[index]
+    assert abs(h3["gap"] - exact) <= h3["gap_error"]
+    return h3["refinement_ratio"] * h3["gap"] / exact
 
 
 def _line(n=256):
@@ -219,6 +231,10 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_spectrum_matches_the_dense_oracle(case):
+    """The counts equal the dense oracle's at its own tolerance (1e-6 of the
+    spectral radius); the gap and every displayed eigenvalue lie within
+    their recorded bounds of the oracle's, and the kernel within ker_tol of
+    0."""
     prof = ORACLE_CASES[case]()
     op = vk.assemble(prof)
     rep = vk.spectrum(op)
@@ -226,10 +242,13 @@ def test_spectrum_matches_the_dense_oracle(case):
     radius = np.max(np.abs(vals))
     ker_tol = 1e-6 * radius
     assert np.max(np.abs(_every_eigenvalue(op) - vals)) <= 1e-9 * radius
-    assert rep.ker_tol == pytest.approx(ker_tol, rel=1e-12)
     assert rep.n_neg == np.sum(vals < -ker_tol)
     assert rep.dim_ker == np.sum(np.abs(vals) <= ker_tol)
-    assert rep.gap_pos == pytest.approx(vals[vals > ker_tol][0], abs=1e-9 * radius)
+    roundoff = 64 * np.finfo(float).eps * radius
+    assert abs(rep.gap_pos - vals[vals > ker_tol][0]) <= rep.gap_error + roundoff
+    assert np.all(np.abs(rep.eigenvalues - vals[:rep.eigenvalues.size])
+                  <= rep.errors + roundoff)
+    assert np.max(np.abs(vals[np.abs(vals) <= ker_tol])) <= rep.ker_tol + roundoff
 
 
 @pytest.mark.parametrize("case", ["cubic", "coupled_1_1_0.5"])
@@ -254,64 +273,38 @@ def test_the_classification_does_not_depend_on_n_eigs(case):
     assert tuple(rep.eigenvalues.size for rep in reports) == sizes
 
 
-def test_certify_bisects_only_what_the_classification_reads(monkeypatch):
-    """Each part of the cubic soliton holds at most one eigenvalue at or
-    below the kernel tolerance: certify bisects it, the first above it and
-    the part's top, and nothing that only `eigenvalues` would display."""
-    prof = vk.soliton_solve(-1.0, 3.0, _line(512))
-    calls = []
-    tridiagonal = scipy.linalg.eigh_tridiagonal
-
-    def counted(d, e, **kwargs):
-        calls.append((d.size, kwargs["select_range"]))
-        return tridiagonal(d, e, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
-    cert = vk.certify(prof)
-    assert cert.certified
-    tops = [i for i, (size, (lo, hi)) in enumerate(calls) if lo == hi == size - 1]
-    assert len(tops) == len(cert.provenance["spectrum_parts"]) == 4
-    for start, end in zip(tops, tops[1:] + [len(calls)]):
-        low = [select for _, select in calls[start + 1:end]]
-        assert low and all(lo == 0 for lo, _ in low)
-        assert sum(hi - lo + 1 for lo, hi in low) <= 2
-
-
 def test_low_end_grows_until_it_passes_the_kernel(monkeypatch):
-    # two negative and three kernel directions: one eigenpair per part is
-    # too few, so each part's subset doubles until it reaches the gap, each
-    # time from the part's one tridiagonal reduction
+    """Two negative and three kernel directions, and 150 eigenvalues to
+    display, far past the kernel and the gap: the window's top doubles
+    until it holds them, each time rebuilding the complements, and the
+    classification is the one read before it grew."""
     op = vk.assemble(ORACLE_CASES["coupled_1_1_0.5"]())
-    ref = vk.spectrum(op)
-    reductions, subsets = [], []
-    dsytrd, tridiagonal = scipy.linalg.lapack.dsytrd, scipy.linalg.eigh_tridiagonal
+    ref = vk.spectrum(op, n_eigs=0)
+    tops = []
+    complement = vk.hessian._Complement
 
-    def counted_dsytrd(*args, **kwargs):
-        reductions.append(1)
-        return dsytrd(*args, **kwargs)
+    def recorded(block, grid, top):
+        tops.append(top)
+        return complement(block, grid, top)
 
-    def counted_subset(*args, **kwargs):
-        subsets.append(kwargs["select_range"])
-        return tridiagonal(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted_dsytrd)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_subset)
-    monkeypatch.setattr(vk.hessian, "LOW_SUBSET", 1)
-    rep = vk.spectrum(op, n_eigs=1)
-    assert len(reductions) == len(rep.parts) == 6
-    assert (0, 1) in subsets                                  # a subset doubled
-    assert (rep.n_neg, rep.dim_ker) == (ref.n_neg, ref.dim_ker) == (2, 3)
-    assert rep.gap_pos == pytest.approx(ref.gap_pos, rel=1e-10)
+    monkeypatch.setattr(vk.hessian, "_Complement", recorded)
+    rep = vk.spectrum(op, n_eigs=150)
+    assert len(set(tops)) > 1 and all(b == 2.0 * a for a, b in zip(tops[::3], tops[3::3]))
+    assert (rep.n_neg, rep.dim_ker, rep.gap_pos) == (ref.n_neg, ref.dim_ker, ref.gap_pos) \
+        == (2, 3, ref.gap_pos)
+    want = np.linalg.eigvalsh(dense.matrix(ORACLE_CASES["coupled_1_1_0.5"]()))[:150]
+    assert np.all(np.abs(rep.eigenvalues - want) <= rep.errors + 1e-12)
     assert vk.kernel_matches_orbit(rep, op)
 
 
 def test_spectrum_reports_its_parts():
     rep = vk.spectrum(vk.assemble(_cubic()))
-    # L+ and L- of the even soliton, each split by parity
-    assert rep.parts == ((129, "even"), (127, "odd"), (129, "even"), (127, "odd"))
-    assert rep.to_dict()["parts"] == [[129, "even"], [127, "odd"], [129, "even"], [127, "odd"]]
+    # the Schur complements of L+ and L- of the even soliton, each split into
+    # its cosine (even) and sine (odd) sector, below the window's top 2.5
+    assert rep.parts == ((24, "even"), (23, "odd"), (15, "even"), (14, "odd"))
+    assert rep.to_dict()["parts"] == [[24, "even"], [23, "odd"], [15, "even"], [14, "odd"]]
     rolled = vk.spectrum(vk.assemble(_rolled(_cubic())))
-    assert rolled.parts == ((256, "whole"), (256, "whole"))
+    assert rolled.parts == ((47, "whole"), (29, "whole"))
 
 
 EVEN_CASES = ["cubic", "coupled_1_1_2", "torus_stable"]
@@ -386,27 +379,35 @@ def _op_and_matrix(case):
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES) + list(SMALL_PARTS))
 def test_one_reduction_per_part_gives_the_whole_low_end(monkeypatch, case):
+    """One Schur reduction per line block, linearized once at 0, classifies
+    the spectrum; with scipy's dense eigh raising, the displayed low end
+    matches the dense oracle: the line blocks' eigenvalues from their
+    complements, the torus modes' and the gridless blocks' from eigvalsh."""
     op, mat = _op_and_matrix(case)
-    reductions = []
-    dsytrd = scipy.linalg.lapack.dsytrd
+    builds = []
+    complement = vk.hessian._Complement
 
-    def counted(a, *args, **kwargs):
-        reductions.append(a.shape[0])
-        return dsytrd(a, *args, **kwargs)
+    def counted(block, grid, top):
+        builds.append(top)
+        return complement(block, grid, top)
 
     def no_dense_eigh(*args, **kwargs):
         raise AssertionError("dense eigh called")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted)
+    monkeypatch.setattr(vk.hessian, "_Complement", counted)
     monkeypatch.setattr(scipy.linalg, "eigh", no_dense_eigh)
+    classified = vk.spectrum(op, n_eigs=0)
+    assert len(builds) == sum(isinstance(b, Pointwise) for b in op.blocks)
     rep = vk.spectrum(op)
-    # the torus modes are solved 4 x 4 at a time, with no reduction
-    assert reductions == [dim for dim, kind in rep.parts if not kind.startswith("mode")]
     monkeypatch.undo()
+    assert (rep.n_neg, rep.dim_ker, rep.ker_tol) == (classified.n_neg, classified.dim_ker,
+                                                     classified.ker_tol)
     every = np.linalg.eigvalsh(mat)
     top = np.max(np.abs(every))
     assert np.max(np.abs(rep.eigenvalues - every[:rep.eigenvalues.size])) <= 1e-12 * top
-    assert rep.ker_tol == pytest.approx(1e-6 * top, rel=1e-12)
+    # the kernel's tolerance comes from its eigenvalues, not from the radius
+    kernel = np.sort(np.abs(every))[:rep.dim_ker]
+    assert rep.ker_tol <= 2.0 * np.max(kernel) + 1e-9
     # torus_drift has two kernel directions beyond its two tangents
     assert vk.kernel_matches_orbit(rep, op) == (rep.dim_ker == len(op.symmetry_tangent))
 
@@ -433,7 +434,7 @@ def test_the_orbit_bounds_hold_on_the_dense_kernel(case):
     op, mat = _op_and_matrix(case)
     rep = vk.spectrum(op)
     vals, vecs = np.linalg.eigh(mat)
-    ker = np.abs(vals) <= rep.ker_tol
+    ker = np.abs(vals) <= 1e-6 * np.max(np.abs(vals))     # the oracle's own kernel
     assert rep.dim_ker == np.sum(ker) == len(op.symmetry_tangent)
     assert vk.kernel_matches_orbit(rep, op)
     roundoff = 64 * np.finfo(float).eps * np.max(np.abs(vals))
@@ -469,12 +470,17 @@ def test_h2_fails_when_a_tangent_misses_the_kernel(monkeypatch):
 
 
 def test_the_n128_cubic_soliton_certifies_by_its_ritz_values():
-    """At n = 128 the FFT phi' leaves a residual |H Q| above ker_tol, and a
-    Ritz enclosure far below it: a rule on the raw residual would fail h2
-    on a certified soliton."""
+    """At n = 128 the grid breaks translation: the translation eigenvalue
+    (4.9e-8) is the grid's own, and the FFT phi' leaves a residual |H Q|
+    above it.  The kernel is the eigenvalues nearest 0, and the tangents'
+    Ritz enclosure of them clears the separation by far: a rule on the raw
+    residual, or a tolerance at the resolution, would fail h2 on a certified
+    soliton."""
     prof = vk.soliton_solve(-1.0, 3.0, _line(128))
     cert = vk.certify(prof)
     assert cert.verdict == "certified_coercive"
     h2 = cert.checks["h2_kernel_equals_orbit"]
     q = scipy.linalg.qr(vk.assemble(prof).symmetry_tangent.T, mode="economic")[0]
-    assert np.linalg.norm(dense.matrix(prof) @ q, 2) > h2["ker_tol"] > 100 * h2["ritz_bound"]
+    residual = np.linalg.norm(dense.matrix(prof) @ q, 2)
+    assert residual > h2["ritz_bound"] > h2["ker_tol"] > 1e-8
+    assert h2["margin"] == h2["separation"] / h2["ritz_bound"] > 1e5

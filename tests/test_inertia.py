@@ -6,7 +6,6 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import vkstab as vk
 from vkstab import hessian, linalg
@@ -53,6 +52,11 @@ def _case(case):
     return _refined(base), rep.eigenvalues[:index + 2], index
 
 
+def _roots(complement, sigma):
+    """The complement's roots linearized at sigma, to Newton's stop."""
+    return complement.roots(sigma, hessian.FIXED_POINT_RTOL)
+
+
 @functools.cache
 def _dense(case):
     """`_case`, with every eigenvalue of its profile's dense oracle."""
@@ -82,7 +86,7 @@ def test_the_eigenvalues_by_inertia_match_the_dense_oracle(case):
     complements = [hessian._Complement(b, prof.grid, top) for b in blocks
                    if isinstance(b, Pointwise)]
     for sigma in shifts:
-        below = sum(int(np.sum(c.eigenvalues(sigma) < sigma)) for c in complements)
+        below = sum(int(np.sum(_roots(c, sigma).values < sigma)) for c in complements)
         assert below == np.sum(want < sigma), sigma
 
 
@@ -105,7 +109,7 @@ def test_the_sectors_give_the_single_sector_complement(case):
                                     max(shifts))
         assert split.size == whole.size
         for sigma in shifts:
-            got, ref = split.eigenvalues(sigma), whole.eigenvalues(sigma)
+            got, ref = _roots(split, sigma).values, _roots(whole, sigma).values
             # eigvalsh knows an eigenvalue far above the window, where F's
             # norm lies (42 for p = 6), to a few eps |F| only
             bound = 1e-13 * np.maximum(max(1.0, abs(sigma)), np.abs(ref))
@@ -121,7 +125,7 @@ def test_a_window_below_the_first_sine_mode_leaves_its_sector_empty():
     split = hessian._Complement(Pointwise(coupling, even=True), grid, 0.5)
     whole = hessian._Complement(Pointwise(coupling, even=False), grid, 0.5)
     assert [len(a) for a in split.a] == [1, 0] and split.size == whole.size == 1
-    assert split.eigenvalues(0.3) == pytest.approx(whole.eigenvalues(0.3), abs=1e-13)
+    assert _roots(split, 0.3).values == pytest.approx(_roots(whole, 0.3).values, abs=1e-13)
 
 
 @pytest.mark.parametrize("case, rows", [("cubic", [24, 15]), ("coupled_1_1_2", [48, 15, 15])])
@@ -151,7 +155,7 @@ def test_a_cg_application_transforms_one_row_per_cosine_and_sine_row(monkeypatch
     for block, want in zip(blocks, rows, strict=True):
         complement = hessian._Complement(block, prof.grid, 1.5 + 1.0)
         transformed.clear()
-        complement.eigenvalues(1.0)
+        _roots(complement, 1.0)
         # one values and one coords call per application: the start's
         # residual, then one per iteration
         assert transformed == [want] * 2 * (complement.iterations + 1)
@@ -179,16 +183,19 @@ def test_the_window_doubles_when_the_guess_is_half_the_eigenvalue(monkeypatch):
     assert len(set(tops)) == 1
 
 
-@pytest.mark.parametrize("module, name, n, message", [
-    (linalg, "CG_MAXITER", 256, "block CG did not converge in 1 iterations"),
-    # the n = 128 gap is 1.6e-9 off the refined one: one build cannot reach it
-    (hessian, "SECANT_MAXITER", 128, "did not converge in 1 builds"),
+@pytest.mark.parametrize("module, name, value, message", [
+    # the base grid's complements need 4 CG iterations each, the refined
+    # ones 6
+    (linalg, "CG_MAXITER", 5, "block CG did not converge in 5 iterations"),
+    # a stop below roundoff, which no linearization of Newton's meets
+    (hessian, "FIXED_POINT_RTOL", 1e-17, f"did not converge in {hessian.NEWTON_MAXITER} builds"),
 ], ids=["cg", "secant"])
 def test_a_refinement_that_does_not_converge_is_indeterminate(monkeypatch, capsys, tmp_path,
-                                                              module, name, n, message):
+                                                              module, name, value, message):
+    n = 256
     prof = vk.soliton_solve(-1.0, 3.0, line(n))
     assert vk.certify(prof).certified
-    monkeypatch.setattr(module, name, 1)
+    monkeypatch.setattr(module, name, value)
     cert = vk.certify(prof)
     assert cert.verdict == "indeterminate(h3)"
     assert message in cert.checks["notes"]["h3_refinement_error"]
@@ -199,23 +206,36 @@ def test_a_refinement_that_does_not_converge_is_indeterminate(monkeypatch, capsy
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_base_spectrum_that_does_not_converge_is_indeterminate(monkeypatch):
+    """The base grid's complements run block CG too: when it fails, the
+    certificate is indeterminate(solver), with no traceback."""
+    monkeypatch.setattr(linalg, "CG_MAXITER", 1)
+    cert = vk.certify(vk.soliton_solve(-1.0, 3.0, line(256)))
+    assert cert.verdict == "indeterminate(solver)"
+    assert "block CG did not converge in 1 iterations" in cert.checks["error"]["detail"]
+
+
 def test_certify_reduces_only_the_base_grid_parts(monkeypatch):
-    """The 2n refinement builds and reduces no part: every dsytrd is one of
-    the base grid's, none larger than its even part."""
+    """The base grid's classification is one linearization at 0, to
+    COUNT_RTOL: one block CG per line block; the refinement linearizes the
+    2n blocks, each build once per block."""
     n = 512
     prof = vk.soliton_solve(-1.0, 3.0, line(n))
-    sizes = []
-    dsytrd = scipy.linalg.lapack.dsytrd
+    calls = []
+    roots = hessian._Complement.roots
 
-    def counted(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return dsytrd(a, *args, **kwargs)
+    def counted(self, sigma, rtol):
+        calls.append((self.coupling.shape[-1], sigma, rtol))
+        return roots(self, sigma, rtol)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted)
+    monkeypatch.setattr(hessian._Complement, "roots", counted)
     cert = vk.certify(prof)
-    assert cert.certified and cert.checks["h3_positive_gap"]["refinement_n"] == 2 * n
-    assert len(sizes) == len(cert.provenance["spectrum_parts"]) == 4
-    assert max(sizes) <= n // 2 + 1
+    h3 = cert.checks["h3_positive_gap"]
+    assert cert.certified and h3["refinement_n"] == 2 * n
+    assert calls[:2] == [(n, 0.0, hessian.COUNT_RTOL)] * 2
+    refined = calls[2:]
+    assert len(refined) == 2 * h3["refinement_secant_steps"]
+    assert all(size == 2 * n and rtol == hessian.FIXED_POINT_RTOL for size, _, rtol in refined)
 
 
 def test_the_certificate_records_how_the_refined_gap_was_reached():

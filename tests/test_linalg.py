@@ -198,14 +198,14 @@ MODULES = sorted(path.name for path in SRC.glob("*.py"))
 # block_diag), allowed in the package, by module and qualified function
 # name, each with its reason.  Any other product or solve would run on
 # numpy's OpenBLAS pool next to scipy's eigensolves; any other dense builder
-# would bring back the n x n blocks that the parity parts and the torus modes
-# replace.
+# would bring back the n x n blocks that the Schur complements and the torus
+# modes replace.
 NUMPY_BLAS_ALLOWED = {
     "cli.py": {"_cmd_so3": "the norm of a random 6-vector perturbation"},
     "model.py": {"CoupledTorus.resolve": "the 2 x 2 solve of the dispersion relation"},
     "slope.py": {"d2w_tilde": "basis.T @ d2w @ basis, of the size of xi"},
-    "spectral.py": {"_circulant": "the whole-part fallback of a line profile that is not "
-                                  "even (no parity split), and the public dense D1 and D2"},
+    "spectral.py": {"_circulant": "the public dense D1 and D2, which the package does not "
+                                  "call"},
     "so3.py": {
         "_AxisParts.of": "3-vectors projected on the rotation axis",
         "grad_L6": "dot products of the 3-vectors q and p",
@@ -266,8 +266,7 @@ EIGENVECTOR_ROUTINES = ("dormqr", "dstein", "subspace_angles", "eigh")
 
 def _eigenvector_calls(tree):
     """(qualified function name, line, what) of every use of an eigenvector
-    routine in a module (a call, an attribute or an import), and of every
-    `eigh_tridiagonal` call without eigvals_only=True."""
+    routine in a module (a call, an attribute or an import)."""
     found = []
 
     def visit(node, scope):
@@ -282,11 +281,6 @@ def _eigenvector_calls(tree):
             names = [alias.name for alias in node.names]
         found.extend((".".join(scope), node.lineno, name)
                      for name in names if name in EIGENVECTOR_ROUTINES)
-        if (isinstance(node, ast.Call)
-                and ast.unparse(node.func).split(".")[-1] == "eigh_tridiagonal"
-                and not any(kw.arg == "eigvals_only" and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is True for kw in node.keywords)):
-            found.append((".".join(scope), node.lineno, "eigh_tridiagonal with vectors"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -307,13 +301,64 @@ def test_the_eigenvector_guard_sees_what_it_guards():
         "class A:\n    def f(self, a, c, tau, z):\n"
         "        return lapack.dormqr(b'L', b'N', c, tau, z), lapack.dstein(a, z)\n"
         "def g(a, b):\n    return scipy.linalg.subspace_angles(a, b), np.linalg.eigh(a)\n"
-        "def h(d, e):\n    return (eigh_tridiagonal(d, e), scipy.linalg.eigh_tridiagonal(d, e, "
-        "eigvals_only=False),\n            scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True),"
-        " np.linalg.eigvalsh(d))\n")
+        "def h(d):\n    return np.linalg.eigvalsh(d), scipy.linalg.eigvalsh(d, d)\n")
     assert [(fn, what) for fn, _, what in _eigenvector_calls(tree)] == [
         ("", "eigh"), ("A.f", "dormqr"), ("A.f", "dstein"), ("g", "subspace_angles"),
-        ("g", "eigh"), ("h", "eigh_tridiagonal with vectors"),
-        ("h", "eigh_tridiagonal with vectors")]
+        ("g", "eigh")]
+
+
+# The dense tridiagonal path that the base grid's spectrum took (a Householder
+# reduction of each parity part, then bisection): the Schur complements'
+# inertia replaced it, so no part of it may come back.
+TRIDIAGONAL_ROUTINES = ("dsytrd", "dsytrd_lwork", "eigh_tridiagonal", "stebz")
+
+
+def _tridiagonal_uses(tree):
+    """(qualified function name, line, what) of every name, attribute,
+    import or string constant in a module that names a tridiagonal routine
+    (a string: `lapack_driver="stebz"`)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        found.extend((".".join(scope), node.lineno, name)
+                     for name in names if name in TRIDIAGONAL_ROUTINES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_tridiagonal_routine_in_the_package(module):
+    tree = ast.parse((SRC / module).read_text())
+    stray = [f"{module}:{line} {what} in {fn}" for fn, line, what in _tridiagonal_uses(tree)]
+    assert not stray, "tridiagonal routine in the package: " + "; ".join(stray)
+
+
+def test_the_tridiagonal_guard_sees_what_it_guards():
+    tree = ast.parse(
+        "from scipy.linalg import eigh_tridiagonal\n"
+        "class A:\n    def f(self, a):\n"
+        "        lwork, _ = lapack.dsytrd_lwork(a.shape[0], lower=1)\n"
+        "        return lapack.dsytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)\n"
+        "def g(d, e):\n    return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, "
+        "select='i',\n                                         lapack_driver='stebz')\n"
+        "def h(a):\n    return scipy.linalg.eigvalsh(a), 'a docstring on stebz'\n")
+    assert [(fn, what) for fn, _, what in _tridiagonal_uses(tree)] == [
+        ("", "eigh_tridiagonal"), ("A.f", "dsytrd_lwork"), ("A.f", "dsytrd"),
+        ("g", "eigh_tridiagonal"), ("g", "stebz")]
 
 
 def test_certify_computes_no_eigenvector(monkeypatch):

@@ -1,6 +1,6 @@
 """Hessian parts built in their own coordinates, against the dense oracle:
-parity parts from the Fourier symbol, the torus mode by mode, one part in
-memory at a time."""
+the parity sectors of each line block's Schur complement, the torus mode by
+mode, one part in memory at a time."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ import scipy.linalg
 
 import vkstab as vk
 from vkstab import dynamics, hessian, model
-from vkstab.hessian import _parts
 from vkstab.model import FourierModes, Pointwise
 
 import dense_oracle as dense
@@ -58,9 +57,18 @@ TORUS_CASES = {
 
 @pytest.mark.parametrize("case", list(LINE_CASES))
 def test_line_parts_match_the_dense_parts(case):
+    """A window above every mode leaves no high mode: each line block's
+    complement is A, and its cosine and sine sectors are the block on the
+    even and the odd functions."""
     prof = LINE_CASES[case]()
     op = vk.assemble(prof)
-    ours = [(p.kind, np.linalg.eigvalsh(p.build())) for p in _parts(op.blocks, op.grid)]
+    top = np.max(op.grid.wavenumbers) ** 2
+    ours = []
+    for block in op.blocks:
+        complement = hessian._Complement(block, op.grid, top)
+        assert not np.any(complement.high)
+        ours += [(kind, np.linalg.eigvalsh(a)) for a, (_, kind) in zip(complement.a,
+                                                                       complement.parts)]
     ref = [(kind, np.linalg.eigvalsh(mat)) for kind, mat in dense.parts(prof)]
     assert [kind for kind, _ in ours] == [kind for kind, _ in ref]
     radius = max(np.max(np.abs(vals)) for _, vals in ref)
@@ -136,23 +144,9 @@ def test_parity_is_decided_on_the_rest_profile():
         assert model._is_even(broken)
 
 
-def test_a_part_is_reduced_in_place_and_dropped(monkeypatch):
-    """dsytrd overwrites the part it is given, and no part outlives its
-    queries: the report holds no matrix."""
-    op = vk.assemble(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line()))
-    seen = []
-    dsytrd = scipy.linalg.lapack.dsytrd
-
-    def in_place(a, *args, **kwargs):
-        out = dsytrd(a, *args, **kwargs)
-        seen.append(np.shares_memory(out[0], a) and kwargs.get("overwrite_a") == 1)
-        return out
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", in_place)
-    rep = vk.spectrum(op)
-    assert seen == [True] * 6
-    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == v.shape[1] > 6
-                   for v in vars(rep).values())
+def test_the_report_holds_no_matrix():
+    rep = vk.spectrum(vk.assemble(vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, 2.0), line())))
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(rep).values())
 
 
 def test_eigenvalues_by_inertia_need_no_reduction_top_vectors_or_tangents(monkeypatch):
@@ -205,10 +199,11 @@ def test_the_torus_wave_certifies_where_the_refined_kernel_tolerance_passes_the_
     assert h3["refinement_n"] == 2 * n
     assert abs(h3["refinement_ratio"] - 1.0) <= 1e-9
     assert h3["margin"] >= 3.0
-    # the kernel eigenvalues of mode 0 come out exactly 0: the margin is
-    # capped by the eigensolver's resolution, eps times the spectral radius
+    # the kernel eigenvalues of mode 0 come out exactly 0: ker_tol is mode
+    # 0's roundoff, which does not grow with n, and the tangents are exact
     h2 = cert.checks["h2_kernel_equals_orbit"]
-    assert h2["margin"] == pytest.approx(1e-6 / np.finfo(float).eps)
+    assert h2["ker_tol"] <= 1e-13 and h2["ritz_bound"] <= h2["ker_tol"]
+    assert h2["margin"] == h2["separation"] / h2["ker_tol"] >= 1e12
 
 
 @pytest.mark.parametrize("case", ["p3", "coupled_1_1_0.5"])
@@ -216,8 +211,11 @@ def test_the_refined_gap_by_index_is_the_refined_spectrum_gap(case):
     prof = LINE_CASES[case]()
     rep = vk.spectrum(vk.assemble(prof))
     fine = model.model_for(prof.model, prof.grid).resolve(prof, prof.omega, line(512))
-    by_index = vk.eigenvalue(fine, rep.n_neg + rep.dim_ker, rep.gap_pos).value
-    assert by_index == pytest.approx(vk.spectrum(vk.assemble(fine)).gap_pos, rel=1e-12)
+    index = rep.n_neg + rep.dim_ker
+    by_index = vk.eigenvalue(fine, index, rep.gap_pos).value
+    fine_rep = vk.spectrum(vk.assemble(fine), n_eigs=index + 1)
+    assert by_index == pytest.approx(fine_rep.eigenvalues[index], rel=1e-12)
+    assert abs(by_index - fine_rep.gap_pos) <= fine_rep.gap_error
 
 
 @pytest.mark.parametrize("params, n, limit_mib", [
@@ -226,7 +224,7 @@ def test_the_refined_gap_by_index_is_the_refined_spectrum_gap(case):
 def test_certify_holds_one_part_at_a_time(params, n, limit_mib):
     """A warm certificate's peak traced allocation: the rows of the 2n
     refinement's Schur complements, and CG's iterates on them (9 and 17
-    MB), not the dense blocks the base grid's parts are cut from."""
+    MB), not a dense block."""
     if isinstance(params, vk.SingleNLS):
         prof = vk.soliton_solve(-1.0, params.p, line(n))
     else:
