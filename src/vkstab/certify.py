@@ -240,8 +240,9 @@ def _certificate(slope_rep: SlopeReport, op: HessOp, spec_rep: SpectralReport, x
     return Certificate(checks=checks, gss=gss, verdict=verdict, provenance=provenance)
 
 
-def certify(prof: Profile, *, refine: bool = True) -> Certificate:
-    """Run the four hypothesis checks on an equilibrium and assemble a verdict."""
+def certify(prof: Profile) -> Certificate:
+    """Run the four hypothesis checks on an equilibrium and assemble a
+    verdict; h3's gap is checked again on the doubled grid."""
     try:
         slope_rep = d2w_closed(prof)
         op = assemble(prof)
@@ -256,11 +257,9 @@ def certify(prof: Profile, *, refine: bool = True) -> Certificate:
     grid = prof.grid
     return _certificate(
         slope_rep, op, rep, prof.xi,
-        {"refinement_surrogate": refine,
-         "grid": {"kind": grid.kind, "extent": grid.extent, "n": grid.n}},
-        refinement=((2 * grid.n,
-                     lambda: _refined_gap(prof, rep.n_neg + rep.dim_ker, rep.gap_pos))
-                    if refine else None),
+        {"grid": {"kind": grid.kind, "extent": grid.extent, "n": grid.n}},
+        refinement=(2 * grid.n,
+                    lambda: _refined_gap(prof, rep.n_neg + rep.dim_ker, rep.gap_pos)),
     )
 
 

@@ -171,7 +171,7 @@ def _cmd_slope(args) -> int:
 
 def _cmd_certify(args) -> int:
     prof = _build_profile(args)
-    cert = certify(prof, refine=not args.no_refine)
+    cert = certify(prof)
     _emit(cert.to_json(), args.out)
     print(cert.text_report(), file=sys.stderr)
     try:
@@ -268,8 +268,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     sp = subs.add_parser("certify", help="full stability certificate")
     _add_profile_args(sp)
-    sp.add_argument("--no-refine", action="store_true",
-                    help="skip the grid-refinement check of the spectral gap")
     sp.set_defaults(func=_cmd_certify)
 
     sp = subs.add_parser("planewave", help="plane-wave mode table and verdicts")

@@ -20,14 +20,16 @@ block, written in the whole real Fourier basis, splits into its low modes
 additivity (1968) as many eigenvalues lie below sigma as F(sigma) - sigma
 has negative ones, F(sigma) = A - B (D - sigma)^-1 B^T the m x m Schur
 complement, whose (D - sigma)^-1 B^T block CG solves, preconditioned by the
-symbol k^2 - sigma (`_Complement`).  The block of an even profile never mixes cosines
-with sines, so its complement splits into a cosine (even) and a sine (odd)
-sector, and one real transform carries a row of each.  F(tau) - tau,
-linearized at sigma with the slope -(1 + Y^T Y) that the solve already
-holds, has for roots one Newton step on each eigenvalue, each with a bound
-on its distance from the eigenvalue that does not grow with n.  The torus
-block's eigenvalues come from its 4 x 4 mode blocks and a gridless block's
-from one eigvalsh, each known to its roundoff.  No eigenvector is computed.
+symbol k^2 - sigma (`_Complement`).  A block whose coupling is even (that
+of an even profile, or of an odd one) never mixes cosines with sines, so its
+complement splits into a cosine (even) and a sine (odd) sector, and one real
+transform carries a row of each; blocks with bitwise-equal couplings share
+one complement.  F(tau) - tau, linearized at sigma with the slope -(1 +
+Y^T Y) that the solve already holds, has for roots one Newton step on each
+eigenvalue, each with a bound on its distance from the eigenvalue that does
+not grow with n.  The torus block's eigenvalues come from its 4 x 4 mode
+blocks and a gridless block's from one eigvalsh, each known to its
+roundoff.  No eigenvector is computed.
 
 `spectrum` classifies from one linearization at 0: the counts below 0 are
 exact, the kernel is the eigenvalues nearest 0 (as many as the orbit has
@@ -49,7 +51,7 @@ import scipy.linalg
 
 from .core import Field, Grid
 from .linalg import SolverError, block_cg, gram, matvec
-from .model import FourierModes, Pointwise, field_to_vec, model_for, vec_to_field
+from .model import FourierModes, Pointwise, _is_even, field_to_vec, model_for, vec_to_field
 from .profiles import Profile, boost
 from .spectral import second_derivative, unfold, whole_coordinates
 
@@ -197,20 +199,22 @@ class SpectralReport:
         }
 
 
-def _check_equilibrium(prof: Profile) -> None:
+def _blocks(prof: Profile) -> tuple:
+    """(model, the Hessian's diagonal blocks) at an equilibrium profile."""
     rest = boost(prof, -prof.c)
     g = grad_L(rest.field, rest.model, rest.xi)
     res = float(np.max(np.abs(g.values)))
     if res > EQUILIBRIUM_TOL:
         raise ValueError(f"profile is not an equilibrium (residual {res:.3e})")
+    model = model_for(prof.model, prof.grid)
+    return model, tuple(model.hessian(prof))
 
 
 def assemble(prof: Profile) -> HessOp:
     """Second variation of L_xi at an equilibrium profile."""
-    _check_equilibrium(prof)
-    model = model_for(prof.model, prof.grid)
+    model, blocks = _blocks(prof)
     tangents, phase = model.tangents(prof)
-    return HessOp(tuple(model.hessian(prof)), prof.grid, tangents, phase)
+    return HessOp(blocks, prof.grid, tangents, phase)
 
 
 def _orbit_bounds(op: HessOp, separation: float) -> tuple:
@@ -273,19 +277,22 @@ class _Complement:
     every sigma <= top.  F(sigma) = A - B (D - sigma)^-1 B^T, and H -
     sigma has as many negative eigenvalues as F(sigma) - sigma (Haynsworth).
 
-    An even M (taken on the half grid and reflected) maps cosines to cosines
+    The parity is read from M itself, by the rule of `model._is_even`: an
+    even M (taken on the half grid and reflected) maps cosines to cosines
     and sines to sines, so H never mixes the cosine (Re) slots with the sine
     (Im) slots: they are two sectors, the even and the odd functions, and F
-    is block-diagonal, one block per sector.  Each row of B^T, one low mode
-    of one component, lies in one sector, so a cosine row and a sine row are
-    packed into one row of coordinates and share one real transform: packed
-    row j holds low mode j of each sector.  A block that is not even is one
-    sector, whose rows are B^T's own.  m is the same either way."""
+    is block-diagonal, one block per sector.  The coupling of an odd profile
+    is even too.  Each row of B^T, one low mode of one component, lies in
+    one sector, so a cosine row and a sine row are packed into one row of
+    coordinates and share one real transform: packed row j holds low mode j
+    of each sector.  A block that is not even is one sector, whose rows are
+    B^T's own.  m is the same either way."""
 
     def __init__(self, block: Pointwise, grid: Grid, top: float):
         c, _, n = block.coupling.shape
-        self.sectors = sectors = 2 if block.even else 1
-        self.coupling = coupling = (unfold(block.coupling[..., :n // 2 + 1]) if block.even
+        even = _is_even(block.coupling)
+        self.sectors = sectors = 2 if even else 1
+        self.coupling = coupling = (unfold(block.coupling[..., :n // 2 + 1]) if even
                                     else block.coupling)
         self.coords, self.values = whole_coordinates(n)
         self.k2 = np.repeat(grid.wavenumbers[:n // 2 + 1] ** 2, 2)
@@ -406,25 +413,30 @@ class _Exact:
 
 
 class _Window:
-    """Every eigenvalue of a Hessian's blocks from one source each: a line
-    block's from its `_Complement` below the window's top, rebuilt when the
-    window grows, and any other block's from `_Exact`.  Once no line block
-    has a mode above the window, F = A at every sigma: the window's top is
-    then infinite, and no CG runs."""
+    """Every eigenvalue of a Hessian's blocks from one source per block: a
+    line block's from its `_Complement` below the window's top, rebuilt when
+    the window grows, and any other block's from `_Exact`.  Line blocks with
+    bitwise-equal couplings (the two L- of a symmetric coupled soliton) are
+    one operator: they share one complement, solved once per linearization,
+    whose roots count once per block.  Once no line block has a mode above
+    the window, F = A at every sigma: the window's top is then infinite, and
+    no CG runs."""
 
     def __init__(self, blocks, grid: Optional[Grid], top: float):
-        self.blocks, self.grid, self.spent, self.complements = blocks, grid, 0, []
-        self.sources = [None if isinstance(b, Pointwise) else _Exact(b) for b in blocks]
+        self.blocks, self.grid, self.spent, self.shared = blocks, grid, 0, {}
         self._build(top)
 
+    def iterations(self) -> int:
+        """The CG iterations of the current complements, a shared one once."""
+        return sum(c.iterations for c in self.shared.values())
+
     def _build(self, top: float) -> None:
-        self.spent += sum(c.iterations for c in self.complements)
-        self.complements = [_Complement(b, self.grid, top) for b in self.blocks
-                            if isinstance(b, Pointwise)]
-        lines = iter(self.complements)
-        self.sources = [next(lines) if isinstance(b, Pointwise) else s
-                        for b, s in zip(self.blocks, self.sources)]
-        self.top = top if any(np.any(c.high) for c in self.complements) else np.inf
+        self.spent += self.iterations()
+        lines = {b.coupling.tobytes(): b for b in self.blocks if isinstance(b, Pointwise)}
+        self.shared = {key: _Complement(b, self.grid, top) for key, b in lines.items()}
+        self.sources = [self.shared[b.coupling.tobytes()] if isinstance(b, Pointwise)
+                        else _Exact(b) for b in self.blocks]
+        self.top = top if any(np.any(c.high) for c in self.shared.values()) else np.inf
         self.last = None            # (sigma, its roots)
 
     def grow(self, past: float = 0.0) -> None:
@@ -439,17 +451,17 @@ class _Window:
         return tuple(part for s in self.sources for part in s.parts)
 
     def linearize(self, sigma: float, rtol: float = FIXED_POINT_RTOL) -> _Roots:
+        roots = {s: s.roots(sigma, rtol) for s in dict.fromkeys(self.sources)}
         values, residual, error = (np.concatenate(x)
-                                   for x in zip(*(s.roots(sigma, rtol) for s in self.sources)))
+                                   for x in zip(*(roots[s] for s in self.sources)))
         order = np.argsort(values, kind="stable")
         self.last = (sigma, _Roots(values[order], residual[order], error[order]))
         return self.last[1]
 
     def reaching(self, index: int) -> _Roots:
-        """The roots at 0 of the window (to COUNT_RTOL), grown until it holds
-        root `index`: the root and its error lie below the top."""
-        roots = (self.last[1] if self.last and self.last[0] == 0.0
-                 else self.linearize(0.0, COUNT_RTOL))
+        """The last linearization's roots, at 0 to COUNT_RTOL, with the
+        window grown until it holds root `index` and its error."""
+        roots = self.last[1]
         while self.top < np.inf and not (index < roots.values.size
                                          and roots.values[index] + roots.error[index] <= self.top):
             self.grow()
@@ -476,8 +488,9 @@ class _Window:
             if index < roots.values.size:
                 value, res = float(roots.values[index]), float(roots.residual[index])
                 if value <= self.top and res <= FIXED_POINT_RTOL * max(1.0, abs(value)):
-                    return Eigenvalue(value, tuple(c.size for c in self.complements), builds,
-                                      self.spent + sum(c.iterations for c in self.complements),
+                    sizes = tuple(s.size for b, s in zip(self.blocks, self.sources)
+                                  if isinstance(b, Pointwise))
+                    return Eigenvalue(value, sizes, builds, self.spent + self.iterations(),
                                       res, float(roots.error[index]))
                 sigma = value
             elif self.top == np.inf:
@@ -558,9 +571,8 @@ def eigenvalue(prof: Profile, index: int, guess: float) -> Eigenvalue:
     1.  Raises SolverError when a block CG or Newton does not converge."""
     if not np.isfinite(guess):
         raise ValueError(f"the eigenvalue's guess must be finite (got {guess})")
-    _check_equilibrium(prof)
-    blocks = model_for(prof.model, prof.grid).hessian(prof)
-    return _Window(blocks, prof.grid, 1.5 * abs(guess) + 1.0).eigenvalue(index, float(guess))
+    return _Window(_blocks(prof)[1], prof.grid,
+                   1.5 * abs(guess) + 1.0).eigenvalue(index, float(guess))
 
 
 def kernel_matches_orbit(rep: SpectralReport, op: HessOp) -> bool:

@@ -11,7 +11,8 @@ phase) and the rest profile it leaves, the gradient of L_xi = H - xi . F, the
 stationary equation, L+ (the pointwise coupling of a Hessian block, and a
 matrix-free solve for the slope matrix), L-, the orbit tangents and the
 energy.  No Hessian block is built here as a matrix: a line block is its
-pointwise coupling (`Pointwise`), and the torus Hessian is one small block
+pointwise coupling (`Pointwise`), whose parity `hessian` reads from the
+coupling itself (`_is_even`), and the torus Hessian is one small block
 per Fourier mode (`FourierModes`); the torus's L+ solve is a closed 2 x 2
 inverse on the constant mode.  `model_for(params, grid)` picks the object or
 rejects the pair; the closed forms of one model (`slope.vk_integral`,
@@ -32,16 +33,14 @@ from .spectral import first_derivative, fourier_solve, second_derivative
 __all__ = ["SingleLine", "CoupledLine", "CoupledTorus", "Pointwise", "FourierModes",
            "model_for", "field_to_vec", "vec_to_field"]
 
-PARITY_TOL = 1e-13          # relative to max |phi|: a rest profile is even about x = 0
+PARITY_TOL = 1e-13          # relative to the largest entry: an array is even about x = 0
 
 
 class Pointwise(NamedTuple):
     """A line Hessian block -d2 (x) I_c - M(x): the circulant of the symbol
-    k^2 on each of c components, minus the pointwise symmetric coupling M.
-    `even`: M is even about x = 0, so the block splits by parity."""
+    k^2 on each of c components, minus the pointwise symmetric coupling M."""
 
     coupling: np.ndarray      # c x c x n
-    even: bool
 
     @property
     def dimension(self) -> int:
@@ -96,9 +95,11 @@ def vec_to_field(v: np.ndarray, grid: Grid, phase=None) -> Field:
 
 
 def _is_even(phi: np.ndarray) -> bool:
-    """True iff the real profile phi (one row per component) is even about
-    x = 0, phi_j = phi_{-j} (mod n), to PARITY_TOL of its largest value."""
-    return bool(np.max(np.abs(phi[:, 1:] - phi[:, :0:-1])) <= PARITY_TOL * np.max(np.abs(phi)))
+    """True iff the real array phi (a profile, one row per component, or a
+    pointwise coupling) is even about x = 0 along its last axis, phi_j =
+    phi_{-j} (mod n), to PARITY_TOL of its largest entry."""
+    return bool(np.max(np.abs(phi[..., 1:] - phi[..., :0:-1]))
+                <= PARITY_TOL * np.max(np.abs(phi)))
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,10 @@ class _Model:
     def hessian(self, prof) -> list:
         """Diagonal blocks [L+, L-_1, ..] at an equilibrium, in the frame of
         `tangents`: those of the rest profile, with the `gauge` phase
-        rotated away.  Each is -d2 minus its pointwise coupling, even when
-        the rest profile is."""
+        rotated away.  Each is -d2 minus its pointwise coupling."""
         phi, omega = self.rest_profile(prof), prof.omega
-        even = _is_even(phi)
         lminus = [diag[None, None] for diag in self._lminus_diagonals(phi, omega)]
-        return [Pointwise(m, even) for m in [self.lplus_coupling(phi, omega)] + lminus]
+        return [Pointwise(m) for m in [self.lplus_coupling(phi, omega)] + lminus]
 
     def invariants(self, f: Field) -> dict:
         """Energy H and momentum map F: the component masses, then the

@@ -1,5 +1,7 @@
 """End-to-end coercivity certificates."""
 
+import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -8,8 +10,11 @@ import scipy.linalg
 
 import vkstab as vk
 
+import dense_oracle as dense
 from test_hessian import refined_over_base
 from test_so3 import ORBIT_SWEEP
+
+certify_module = importlib.import_module("vkstab.certify")
 
 
 def test_cubic_soliton_is_certified():
@@ -40,7 +45,7 @@ def test_supercritical_soliton_fails_index_match():
 def test_grid_refinement_gap_is_stable():
     g = vk.make_grid("line", 20.0, 256)
     prof = vk.soliton_solve(-1.0, 3.0, g)
-    cert = vk.certify(prof, refine=True)
+    cert = vk.certify(prof)
     ratio = cert.checks["h3_positive_gap"]["refinement_ratio"]
     assert ratio is not None
     assert abs(ratio - 1.0) <= 0.05
@@ -310,6 +315,11 @@ def test_the_interacting_odd_pair_is_undecided_under_any_phase():
     h2 = a.checks["h2_kernel_equals_orbit"]
     assert (h2["dim_ker"], a.checks["h4_index_match"]["n_d2l"]) == (2, 2)
     assert 1e-8 < h2["ker_tol"] < 1e-7 and h2["separation"] < 1e-7
+    assert np.sum(np.linalg.eigvalsh(dense.matrix(prof)) < 0.0) == 2
+    # the profile is odd, but each block's coupling is even: each block
+    # splits into its cosine and sine sectors
+    assert a.provenance["spectrum_parts"] == [
+        [24, "even"], [23, "odd"], [15, "even"], [14, "odd"]]
 
 
 def test_certify_never_forms_the_dense_hessian(monkeypatch):
@@ -366,8 +376,6 @@ def test_certificate_records_margins_and_is_reproducible():
     assert h3["margin"] == h3["gap"] / cert.checks["h2_kernel_equals_orbit"]["ker_tol"]
     assert h3["margin"] > 3.0
     assert h3["refinement_n"] == 512
-    assert vk.certify(vk.soliton_solve(-1.0, 3.0, g), refine=False).checks[
-        "h3_positive_gap"]["refinement_n"] is None
     # the margins are ratios of recorded values: the JSON repeats byte for byte
     again = vk.certify(vk.soliton_solve(-1.0, 3.0, g))
     assert again.to_json() == cert.to_json()
@@ -405,8 +413,8 @@ def test_a_strong_boost_keeps_the_h1_margin_of_the_rest_frame(make, c):
     """The boost maps D^2 W to L^T D L with D the rest-frame form: the same
     signature, but an eigenvalue ratio that falls like c^-4.  h1 reads D."""
     rest = make()
-    at_rest = vk.certify(rest, refine=False).checks["h1_nondegenerate_W"]
-    cert = vk.certify(vk.boost(rest, c), refine=False)
+    at_rest = vk.certify(rest).checks["h1_nondegenerate_W"]
+    cert = vk.certify(vk.boost(rest, c))
     assert cert.verdict == "certified_coercive"
     h1 = cert.checks["h1_nondegenerate_W"]
     assert h1["signature"] == at_rest["signature"]
@@ -421,3 +429,54 @@ def test_a_degenerate_torus_coupling_is_indeterminate(k, beta):
     cert = vk.certify(prof)
     assert cert.verdict == "indeterminate(solver)"
     assert cert.checks["error"]["detail"] == "slope matrix is undefined when alpha*gamma = delta^2"
+
+
+@pytest.mark.parametrize("factor, verdict", [
+    (1.04, "certified_coercive"), (1.06, "failed(h3)"), (0.94, "failed(h3)")])
+def test_a_refined_gap_more_than_five_percent_off_fails_h3(monkeypatch, factor, verdict):
+    """A gap that clears MARGIN_FACTOR ker_tol but moves by more than 5% on
+    the doubled grid fails h3; inside 5% it holds."""
+    refined_gap = certify_module._refined_gap
+
+    def moved(prof, index, guess):
+        got = refined_gap(prof, index, guess)
+        return got._replace(value=factor * got.value)
+
+    monkeypatch.setattr(certify_module, "_refined_gap", moved)
+    cert = vk.certify(vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 256)))
+    h3 = cert.checks["h3_positive_gap"]
+    assert cert.verdict == verdict
+    assert h3["ok"] == (verdict == "certified_coercive")
+    assert h3["margin"] >= certify_module.MARGIN_FACTOR
+    assert h3["refinement_ratio"] == pytest.approx(factor, rel=1e-5)
+
+
+def test_a_kernel_margin_below_the_factor_leaves_h2_undecided(monkeypatch):
+    """Sharp counts (the separation clears MARGIN_FACTOR ker_tol) and a
+    kernel that matches the orbit, but a Ritz bound at half the separation:
+    h2 holds by a margin of 2 only, and is undecided."""
+    spectrum = certify_module.spectrum
+
+    def wide_ritz_bound(op, n_eigs=12):
+        rep = spectrum(op, n_eigs)
+        return dataclasses.replace(rep, ritz_bound=0.5 * rep.separation, kernel_margin=2.0)
+
+    monkeypatch.setattr(certify_module, "spectrum", wide_ritz_bound)
+    cert = vk.certify(vk.soliton_solve(-1.0, 3.0, vk.make_grid("line", 20.0, 256)))
+    h2 = cert.checks["h2_kernel_equals_orbit"]
+    assert cert.verdict == "indeterminate(h2)"
+    assert h2["ok"] and h2["margin"] == 2.0
+    assert h2["separation"] >= certify_module.MARGIN_FACTOR * h2["ker_tol"]
+
+
+def test_a_wave_at_xi_0_reads_its_restricted_slope_as_an_error():
+    """The torus wave with zeta_j^2 = 2/3 and offset k = 1 has xi = 0: the
+    subgroup xi generates is trivial, so the gss block records the error
+    and the verdict stands on the four checks."""
+    z = np.sqrt(2.0 / 3.0)
+    prof = vk.plane_wave(z, z, vk.Coupled(1.0, 1.0, 0.5, k=1.0),
+                         vk.make_grid("periodic", 2 * np.pi, 64))
+    assert not np.any(prof.xi)
+    cert = vk.certify(prof)
+    assert cert.verdict == "failed(h4)"
+    assert cert.gss == {"error": "rank-deficient subalgebra basis"}

@@ -289,7 +289,8 @@ def test_low_end_grows_until_it_passes_the_kernel(monkeypatch):
 
     monkeypatch.setattr(vk.hessian, "_Complement", recorded)
     rep = vk.spectrum(op, n_eigs=150)
-    assert len(set(tops)) > 1 and all(b == 2.0 * a for a, b in zip(tops[::3], tops[3::3]))
+    # two complements per build: L+, and the one that L-11 and L-22 share
+    assert len(set(tops)) > 1 and all(b == 2.0 * a for a, b in zip(tops[::2], tops[2::2]))
     assert (rep.n_neg, rep.dim_ker, rep.gap_pos) == (ref.n_neg, ref.dim_ker, ref.gap_pos) \
         == (2, 3, ref.gap_pos)
     want = np.linalg.eigvalsh(dense.matrix(ORACLE_CASES["coupled_1_1_0.5"]()))[:150]
@@ -312,15 +313,16 @@ EVEN_CASES = ["cubic", "coupled_1_1_2", "torus_stable"]
 
 @pytest.mark.parametrize("case", EVEN_CASES)
 def test_every_block_of_an_even_profile_is_even(case):
-    """The premise of deciding parity on the profile: every dense block of an
-    even profile commutes with the reflection, and the package splits each
-    line block by parity."""
+    """Every dense block of an even profile commutes with the reflection,
+    and the package reads each line block's coupling as even and splits
+    its complement by parity."""
     prof = ORACLE_CASES[case]()
     n = prof.grid.n
     for block in dense.blocks(prof):
         assert dense.is_even(block, block.shape[0] // n, n)
     op = vk.assemble(prof)
-    assert all(b.even for b in op.blocks if isinstance(b, Pointwise))
+    assert all(vk.hessian._Complement(b, op.grid, 1.0).sectors == 2
+               for b in op.blocks if isinstance(b, Pointwise))
 
 
 # (row, column) within one n x n component block; n = 256, so 128 is Nyquist
@@ -336,8 +338,8 @@ BROKEN_AT = {
 @pytest.mark.parametrize("where", list(BROKEN_AT))
 @pytest.mark.parametrize("case, c", [("cubic", 1), ("coupled_1_1_2", 2)])
 def test_a_block_broken_by_one_entry_is_not_even(case, c, where):
-    """The oracle's reflection check, which the premise test above rests on,
-    sees a single broken entry."""
+    """The oracle's reflection check, which the test above rests on, sees a
+    single broken entry."""
     prof = ORACLE_CASES[case]()
     block, n = dense.blocks(prof)[0], prof.grid.n
     assert block.shape[0] == c * n
@@ -397,7 +399,9 @@ def test_one_reduction_per_part_gives_the_whole_low_end(monkeypatch, case):
     monkeypatch.setattr(vk.hessian, "_Complement", counted)
     monkeypatch.setattr(scipy.linalg, "eigh", no_dense_eigh)
     classified = vk.spectrum(op, n_eigs=0)
-    assert len(builds) == sum(isinstance(b, Pointwise) for b in op.blocks)
+    # one per distinct coupling: the two L- of a symmetric coupled soliton share one
+    assert len(builds) == len({b.coupling.tobytes() for b in op.blocks
+                               if isinstance(b, Pointwise)})
     rep = vk.spectrum(op)
     monkeypatch.undo()
     assert (rep.n_neg, rep.dim_ker, rep.ker_tol) == (classified.n_neg, classified.dim_ker,

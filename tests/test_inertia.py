@@ -96,25 +96,28 @@ EVEN_LINES = [case for case in ORACLE_LINES + list(CERTIFY_GRID_LINES) if case !
 @pytest.mark.parametrize("case", EVEN_LINES)
 def test_the_sectors_give_the_single_sector_complement(case):
     """An even block's complement, split into its cosine and sine sectors,
-    has the eigenvalues, the size and the CG iterations of the same block
-    forced onto one sector."""
+    has the roots and the size of the same block rolled by one node, which
+    is not even and is one sector, in no more CG iterations.  Rolling turns
+    each low mode's cosine and sine into two combinations of them, whose
+    CG stops elsewhere: the roots agree within their own bounds."""
     prof, _, index, want = _dense(case)
     shifts = _shifts(want, index)
     for block in model_for(prof.model, prof.grid).hessian(prof):
         if not isinstance(block, Pointwise):
             continue
-        assert block.even
         split = hessian._Complement(block, prof.grid, max(shifts))
-        whole = hessian._Complement(Pointwise(block.coupling, even=False), prof.grid,
+        whole = hessian._Complement(Pointwise(np.roll(block.coupling, 1, axis=-1)), prof.grid,
                                     max(shifts))
+        assert (split.sectors, whole.sectors) == (2, 1)
         assert split.size == whole.size
         for sigma in shifts:
-            got, ref = _roots(split, sigma).values, _roots(whole, sigma).values
+            got, ref = _roots(split, sigma), _roots(whole, sigma)
             # eigvalsh knows an eigenvalue far above the window, where F's
             # norm lies (42 for p = 6), to a few eps |F| only
-            bound = 1e-13 * np.maximum(max(1.0, abs(sigma)), np.abs(ref))
-            assert np.all(np.abs(got - ref) <= bound), sigma
-        assert split.iterations == whole.iterations
+            bound = (got.residual + ref.residual
+                     + 1e-13 * np.maximum(max(1.0, abs(sigma)), np.abs(ref.values)))
+            assert np.all(np.abs(got.values - ref.values) <= bound), sigma
+        assert split.iterations <= whole.iterations
 
 
 def test_a_window_below_the_first_sine_mode_leaves_its_sector_empty():
@@ -122,8 +125,8 @@ def test_a_window_below_the_first_sine_mode_leaves_its_sector_empty():
     1 for the coupling 3 sech^2 at top 0.5: the sine sector holds no row."""
     grid = vk.make_grid("line", 1.0, 64)
     coupling = (3.0 / np.cosh(grid.nodes) ** 2)[None, None]
-    split = hessian._Complement(Pointwise(coupling, even=True), grid, 0.5)
-    whole = hessian._Complement(Pointwise(coupling, even=False), grid, 0.5)
+    split = hessian._Complement(Pointwise(coupling), grid, 0.5)
+    whole = hessian._Complement(Pointwise(np.roll(coupling, 1, axis=-1)), grid, 0.5)
     assert [len(a) for a in split.a] == [1, 0] and split.size == whole.size == 1
     assert _roots(split, 0.3).values == pytest.approx(_roots(whole, 0.3).values, abs=1e-13)
 
@@ -255,3 +258,40 @@ def test_the_certificate_records_how_the_refined_gap_was_reached():
 def test_a_guess_that_is_not_finite_is_refused():
     with pytest.raises(ValueError, match="guess must be finite"):
         vk.eigenvalue(vk.soliton_solve(-1.0, 3.0, line(256)), 3, np.nan)
+
+
+@pytest.mark.parametrize("delta", [2.0, 0.5])
+def test_the_two_equal_lminus_blocks_share_one_complement(monkeypatch, delta):
+    """L-11 and L-22 of a symmetric coupled soliton have bitwise-equal
+    couplings: on the base grid and on h3's 2n grid they share one
+    complement, built once and solved once per linearization, whose roots
+    count once per block, and which is still listed per block."""
+    prof = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 1.0, delta), line(256))
+    assert np.array_equal(*(b.coupling for b in vk.assemble(prof).blocks[1:]))
+    builds, calls = [], []
+    complement, roots = hessian._Complement, hessian._Complement.roots
+
+    def built(block, grid, top):
+        builds.append(grid.n)
+        return complement(block, grid, top)
+
+    def counted(self, sigma, rtol):
+        calls.append((self.coupling.shape[-1], sigma))
+        return roots(self, sigma, rtol)
+
+    monkeypatch.setattr(hessian._Complement, "roots", counted)
+    monkeypatch.setattr(hessian, "_Complement", built)
+    cert = vk.certify(prof)
+    h3 = cert.checks["h3_positive_gap"]
+    assert cert.certified
+    assert builds == [256, 256, 512, 512]
+    # two solves per linearization: one at 0 on the base grid, then h3's builds
+    assert calls[:2] == [(256, 0.0)] * 2
+    assert [n for n, _ in calls[2:]] == [512] * 2 * h3["refinement_secant_steps"]
+    assert all(a == b for a, b in zip(calls[::2], calls[1::2]))
+    assert h3["refinement_complement"] == [94, 29, 29]
+    assert [kind for _, kind in cert.provenance["spectrum_parts"]] == ["even", "odd"] * 3
+    # the counts take the shared block's eigenvalues twice, as the dense oracle does
+    want = np.linalg.eigvalsh(dense.matrix(prof))
+    assert cert.checks["h4_index_match"]["n_d2l"] == np.sum(want < -1e-6)
+    assert cert.checks["h2_kernel_equals_orbit"]["dim_ker"] == np.sum(np.abs(want) <= 1e-6) == 3

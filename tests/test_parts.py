@@ -127,21 +127,35 @@ def test_the_block_apply_matches_the_dense_matrix(case):
     assert np.max(np.abs(got - mat)) <= 1e-14 * np.max(np.abs(mat))
 
 
-def test_parity_is_decided_on_the_rest_profile():
+def test_parity_is_read_from_each_block():
+    """A line block's complement splits by parity when the block's own
+    coupling is even, by the rule that `model._is_even` applies to a
+    profile, for the coupled L+ (2 x 2 x n) as for a 1 x 1 x n block."""
     prof = vk.soliton_solve(-1.0, 3.0, line())
     phi = np.real(prof.field.values)
     n = prof.grid.n
     assert model._is_even(phi)
-    assert all(b.even for b in vk.assemble(vk.boost(prof, 0.7)).blocks)
-    assert not any(b.even for b in vk.assemble(_half_shifted()).blocks)
+
+    def sectors(blocks):
+        return [hessian._Complement(b, line(), 1.0).sectors for b in blocks]
+
+    assert sectors(vk.assemble(vk.boost(prof, 0.7)).blocks) == [2, 2]
+    assert sectors(vk.assemble(_half_shifted()).blocks) == [1, 1]
+    lplus = vk.assemble(LINE_CASES["coupled_1_1_2"]()).blocks[0].coupling
     for j in (1, 5, n // 2 - 1, n // 2 + 1, n - 1):      # one point of a mirrored pair
         broken = phi.copy()
         broken[0, j] += 1e-9 * np.max(phi)
         assert not model._is_even(broken)
+        coupling = lplus.copy()
+        coupling[[0, 1], [1, 0], j] += 1e-9 * np.max(np.abs(lplus))
+        assert sectors([Pointwise(coupling)]) == [1]
     for j in (0, n // 2):                                  # each its own mirror
         broken = phi.copy()
         broken[0, j] += 1e-3
         assert model._is_even(broken)
+        coupling = lplus.copy()
+        coupling[[0, 1], [1, 0], j] += 1e-3
+        assert sectors([Pointwise(coupling)]) == [2]
 
 
 def test_the_report_holds_no_matrix():

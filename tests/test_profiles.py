@@ -152,6 +152,51 @@ def test_coupled_continuation_off_diagonal():
     assert abs(m1 - m2) > 1e-3
 
 
+def _recorded_newton(monkeypatch):
+    """Record each continuation Newton solve as (target omega, converged)."""
+    outcomes = []
+    newton = profiles._newton_even
+
+    def recorded(model, phi, omega, grid, **kwargs):
+        try:
+            out = newton(model, phi, omega, grid, **kwargs)
+        except vk.SolverError:
+            outcomes.append((tuple(omega), False))
+            raise
+        outcomes.append((tuple(omega), True))
+        return out
+
+    monkeypatch.setattr(profiles, "_newton_even", recorded)
+    return outcomes
+
+
+def test_the_coupled_continuation_halves_a_step_that_fails(monkeypatch):
+    """The whole step from (-1, -1) to (-1, -4) fails; its half and the
+    rest converge, and the member is an equilibrium."""
+    outcomes = _recorded_newton(monkeypatch)
+    base = vk.coupled_soliton(-1.0, vk.Coupled(2.0, 1.0, 0.3), vk.make_grid("line", 20.0, 512))
+    target = np.array([-1.0, -4.0, 0.0])
+    got = vk.continue_family(base, target).profile(target)
+    assert outcomes == [((-1.0, -4.0), False), ((-1.0, -2.5), True), ((-1.0, -4.0), True)]
+    assert np.max(np.abs(vk.grad_L(got.field, got.model, got.xi).values)) < 1e-8
+
+
+def test_the_coupled_continuation_fails_after_its_halvings(monkeypatch):
+    outcomes = _recorded_newton(monkeypatch)
+    base = vk.coupled_soliton(-1.0, vk.Coupled(1.0, 3.0, -0.5), vk.make_grid("line", 20.0, 256))
+    with pytest.raises(vk.SolverError, match="coupled continuation failed after step halving"):
+        vk.continue_family(base, np.array([-3.0, -1.0, 0.0]))
+    failed = [omega for omega, ok in outcomes if not ok]
+    assert len(failed) == profiles.CONTINUATION_HALVINGS + 1
+
+
+@pytest.mark.parametrize("params", [vk.Coupled(1.0, 1.0, 1.0), vk.Coupled(1.0, 4.0, 2.0)],
+                         ids=["1_1_1", "1_4_2"])
+def test_a_coupled_soliton_with_alpha_gamma_equal_to_delta_squared_is_refused(params):
+    with pytest.raises(ValueError, match="alpha\\*gamma equals delta\\^2"):
+        vk.coupled_soliton(-1.0, params, vk.make_grid("line", 20.0, 256))
+
+
 def test_torus_family_inverts_dispersion():
     g = vk.make_grid("periodic", 2 * np.pi, 64)
     params = vk.Coupled(-1.0, -1.0, -0.5)
